@@ -86,20 +86,35 @@ def topological_order(g: DiGraph) -> list[int] | None:
 
     Returns the order, or None when the graph has a cycle.
     """
-    adj = g.successors()
-    indeg = {v: 0 for v in adj}
-    for u, v in g.edges:
+    return lexicographic_order(g.vertex_count, g.edges)
+
+
+def lexicographic_order(
+    vertex_count: int, edges: Iterable[tuple[int, int]]
+) -> list[int] | None:
+    """The smallest topological order of vertices 1..vertex_count, or None.
+
+    Takes a plain edge sequence, so a caller holding one (an instance's
+    atomic constraints) skips building a DiGraph. Parallel edges are
+    allowed and do not change the result; edges must stay within
+    1..vertex_count. Adjacency and in-degrees live in flat lists indexed by
+    vertex, which keeps the cost per vertex and edge flat as graphs grow.
+    """
+    succ: list[list[int]] = [[] for _ in range(vertex_count + 1)]
+    indeg = [0] * (vertex_count + 1)
+    for u, v in edges:
+        succ[u].append(v)
         indeg[v] += 1
-    ready = [v for v in adj if indeg[v] == 0]
-    heapq.heapify(ready)
+    # ascending, hence already a heap
+    ready = [v for v in range(1, vertex_count + 1) if indeg[v] == 0]
     order: list[int] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in adj[v]:
+        for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    if len(order) != g.vertex_count:
+    if len(order) != vertex_count:
         return None
     return order

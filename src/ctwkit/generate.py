@@ -9,12 +9,14 @@ into the hard atomic set, which the precheck (and any exhaustive method)
 must recognise.
 
 All sampling is count-based: a density p over a domain of size D yields
-round(p * D) distinct draws, taken through an index bijection so that
-generation stays O(sample size) even for k in the tens of thousands.
+round(p * D) distinct draws, each mapped to its constraint by a
+closed-form index bijection, so generation costs O(k + sample size), plus
+sorting the output, even for k in the tens of thousands.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -69,14 +71,14 @@ class GenParams:
 
 
 def _pair_from_index(idx: int, k: int) -> tuple[int, int]:
-    # Bijection from 0..k(k-1)/2-1 onto unordered pairs (u, v), u < v.
-    u = 1
-    span = k - 1
-    while idx >= span:
-        idx -= span
-        u += 1
-        span -= 1
-    return (u, u + 1 + idx)
+    # Bijection from 0..k(k-1)/2-1 onto unordered pairs (u, v), u < v, in
+    # row order: row u holds (u, u+1) .. (u, k). Counted from the last
+    # pair, the rows hold 1, 2, 3, ... pairs, so the row is the triangular
+    # root of that count and the column what is left after the row's start.
+    back = k * (k - 1) // 2 - 1 - idx
+    row = (math.isqrt(8 * back + 1) - 1) // 2  # rows after u
+    u = k - 1 - row
+    return (u, u + 1 + row - (back - row * (row + 1) // 2))
 
 
 def generate_planted(params: GenParams) -> tuple[Instance, Permutation | None]:

@@ -45,10 +45,9 @@ def topo_solve(inst: Instance) -> Permutation | UnsatCertificate:
         raise ValueError(
             "topo_solve handles only instances with b=0 and hard atomic constraints"
         )
-    g = hard_atomic_graph(inst)
-    order = digraph.topological_order(g)
+    order = digraph.lexicographic_order(inst.k, inst.atomic)
     if order is None:
-        cycle = digraph.find_cycle(g)
+        cycle = digraph.find_cycle(hard_atomic_graph(inst))
         assert cycle is not None
         return UnsatCertificate(tuple(cycle))
     return Permutation(tuple(order))

@@ -15,6 +15,14 @@ Propagation baked into candidate generation:
 * when the job just placed carries a direct successor constraint and its
   partner is still open, the partner is the only legal next job.
 
+The per-node work is incremental. Each child is priced with
+``SearchState.child_bound`` before it is placed, so a child the bound
+prunes is never placed and undone. Candidates come from a ready set of
+unplaced jobs whose hard predecessors are all placed, which
+``place``/``unplace`` keep up to date. The forced-edge cycle check
+searches only from the edges the last placement added, by reachability,
+instead of rescanning every atomic edge.
+
 The search is deterministic for a fixed instance and configuration; wall
 clock only decides when a limited run stops, never which branch comes
 first.
@@ -34,7 +42,7 @@ from .polycases import unsat_precheck
 
 logger = logging.getLogger(__name__)
 
-_TIME_CHECK_MASK = 1023  # timer polled every 1024 placements
+_TIME_CHECK_MASK = 1023  # timer polled every 1024 children priced
 
 
 class ResultState(Enum):
@@ -103,7 +111,21 @@ class SearchState:
       the 'before' job is not, or both placed in the wrong order).
 
     At a full prefix the committed values equal the exact criteria, so the
-    bound of a leaf is its objective.
+    bound of a leaf is its objective. ``child_bound(c)`` gives the bound
+    the prefix would have after ``place(c)`` without placing anything; it
+    reads the two smallest open-pair positions from a cache that
+    ``place``/``unplace`` clear.
+
+    Alongside, each placement keeps the ready set (unplaced jobs whose
+    hard predecessors are all placed) and, per job, its count of unplaced
+    hard successors, so candidate generation never scans all k jobs.
+
+    ``forced_cycle`` relies on an invariant of the search: over the
+    unplaced jobs, atomic edges plus the disjunction survivors forced
+    before the last placement form an acyclic graph (the precheck covers
+    the atomic edges, earlier checks the survivors, and placing a job only
+    removes edges). It therefore holds for states reached by search, not
+    for an arbitrary ``from_prefix`` replay.
     """
 
     def __init__(self, inst: Instance):
@@ -122,8 +144,13 @@ class SearchState:
             preds[j].append(i)
             succs[i].append(j)
         self.npreds = [len(p) for p in preds]
+        self.preds = preds
         self.succs = succs
         self.pred_placed = [0] * (k + 1)
+        # unplaced jobs whose hard predecessors are all placed
+        self.ready = {c for c in range(1, k + 1) if not preds[c]}
+        # per job: hard successors not yet placed
+        self.waiting = [len(s) for s in succs]
 
         self.ds = frozenset(inst.direct_successors)
 
@@ -149,9 +176,12 @@ class SearchState:
         self.m_committed = 0
         self.n_committed = 0
         # disjuncts whose alternative died: now mandatory precedences, both
-        # endpoints unplaced at creation time
+        # endpoints unplaced at creation time; forced_out indexes them by
+        # their 'before' job
         self.forced: list[tuple[int, int]] = []
+        self.forced_out: list[list[int]] = [[] for _ in range(k + 1)]
         self._undo: list[tuple] = []
+        self._open_mins: list[int] | None = None  # two smallest open_pos values
 
     @classmethod
     def from_prefix(cls, inst: Instance, prefix: Sequence[int]) -> "SearchState":
@@ -192,10 +222,21 @@ class SearchState:
                 n_delta += 1
         self.n_committed += n_delta
 
-        self.pos[c] = t1
+        pos = self.pos
+        pos[c] = t1
         self.prefix.append(c)
+        self._open_mins = None
+        ready = self.ready
+        ready.discard(c)
+        pred_placed = self.pred_placed
+        npreds = self.npreds
         for s in self.succs[c]:
-            self.pred_placed[s] += 1
+            pred_placed[s] += 1
+            if pred_placed[s] == npreds[s] and pos[s] == 0:
+                ready.add(s)
+        waiting = self.waiting
+        for p in self.preds[c]:
+            waiting[p] -= 1
 
         transitions = []
         forced_added = 0
@@ -210,7 +251,9 @@ class SearchState:
                 st[slot] = -1
                 transitions.append((idx, slot))
                 if st[1 - slot] == 0:  # the survivor is now mandatory
-                    self.forced.append(self.disjuncts[idx][1 - slot])
+                    a, b = self.disjuncts[idx][1 - slot]
+                    self.forced.append((a, b))
+                    self.forced_out[a].append(b)
                     forced_added += 1
 
         self._undo.append(
@@ -223,13 +266,26 @@ class SearchState:
         (c, prev_s, prev_l, prev_m, n_delta, opened, closed_rec, transitions,
          forced_added) = self._undo.pop()
         if forced_added:
+            for a, _ in self.forced[-forced_added:]:
+                self.forced_out[a].pop()
             del self.forced[-forced_added:]
         for idx, slot in transitions:
             self.dstate[idx][slot] = 0
+        ready = self.ready
+        pred_placed = self.pred_placed
+        npreds = self.npreds
         for s in self.succs[c]:
-            self.pred_placed[s] -= 1
+            if pred_placed[s] == npreds[s]:
+                ready.discard(s)
+            pred_placed[s] -= 1
+        waiting = self.waiting
+        for p in self.preds[c]:
+            waiting[p] += 1
+        if pred_placed[c] == npreds[c]:
+            ready.add(c)
         self.prefix.pop()
         self.pos[c] = 0
+        self._open_mins = None
         self.n_committed -= n_delta
         self.closed_s, self.closed_l, self.m_committed = prev_s, prev_l, prev_m
         if closed_rec is not None:
@@ -244,35 +300,32 @@ class SearchState:
         Atomic edges plus disjunction survivors, restricted to unplaced
         jobs; a cycle there means no completion of this prefix can be
         valid. Called only after placements that created forced edges.
+
+        By the invariant in the class docstring, a new cycle must run
+        through a survivor (a, b) that the last placement added, and it
+        exists exactly when a is reachable from b over unplaced jobs. Each
+        such edge gets one depth-first search along atomic successors and
+        current survivors.
         """
-        pos = self.pos
-        indeg = {}
-        out: dict[int, list[int]] = {}
-        edges = 0
-        for a, b in self.inst.atomic:
-            if pos[a] == 0 and pos[b] == 0:
-                out.setdefault(a, []).append(b)
-                indeg[b] = indeg.get(b, 0) + 1
-                edges += 1
-        for a, b in self.forced:
-            if pos[a] == 0 and pos[b] == 0:
-                out.setdefault(a, []).append(b)
-                indeg[b] = indeg.get(b, 0) + 1
-                edges += 1
-        if not edges:
+        fresh = self._undo[-1][-1] if self._undo else 0  # its forced_added
+        if not fresh:
             return False
-        ready = [v for v in out if v not in indeg]
-        involved = set(out)
-        involved.update(indeg)
-        done = 0
-        while ready:
-            v = ready.pop()
-            done += 1
-            for w in out.get(v, ()):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        return done < len(involved)
+        pos = self.pos
+        succs = self.succs
+        forced_out = self.forced_out
+        for a, b in self.forced[-fresh:]:
+            seen = {b}
+            stack = [b]
+            while stack:
+                v = stack.pop()
+                for nxt in (succs[v], forced_out[v]):
+                    for w in nxt:
+                        if pos[w] == 0 and w not in seen:
+                            if w == a:
+                                return True
+                            seen.add(w)
+                            stack.append(w)
+        return False
 
     # -- candidate generation ----------------------------------------------
 
@@ -310,24 +363,20 @@ class SearchState:
                 p = last + self.b if last <= self.b else last - self.b
                 if pos[p] == 0:
                     return [p] if self._legal(p) else []
-        legal = [c for c in range(1, self.k + 1) if pos[c] == 0 and self._legal(c)]
-        head: list[int] = []
+        # only jobs that watch a disjunct can be ruled out once ready
+        by_after = self.by_after
+        legal = [c for c in self.ready if c not in by_after or self._legal(c)]
+        # (-waiting[c], c) order as one integer key: c < k + 1
+        waiting = self.waiting
+        span = self.k + 1
+        legal.sort(key=lambda c: c - span * waiting[c])
         if self.open_pos:
             freshest = max(self.open_pos, key=self.open_pos.__getitem__)
             unplaced_end = freshest if pos[freshest] == 0 else freshest + self.b
             if pos[unplaced_end] == 0 and unplaced_end in legal:
-                head.append(unplaced_end)
                 legal.remove(unplaced_end)
-
-        def urgency(c: int) -> tuple[int, int]:
-            waiting = 0
-            for s in self.succs[c]:
-                if pos[s] == 0:
-                    waiting += 1
-            return (-waiting, c)
-
-        legal.sort(key=urgency)
-        return head + legal
+                legal.insert(0, unplaced_end)
+        return legal
 
     # -- bounding ------------------------------------------------------------
 
@@ -349,6 +398,49 @@ class SearchState:
                 l_c = stretch
         k = self.k
         return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
+
+    def child_bound(self, c: int) -> int:
+        """``lower_bound()`` of the prefix extended by c; changes no state.
+
+        Applies the S/M/L/N deltas that ``place(c)`` would commit. After
+        the placement c is last, so its pair is exempt from S exactly when
+        c opens it, and every other open pair counts.
+        """
+        t1 = len(self.prefix) + 1
+        open_pos = self.open_pos
+        open_count = len(open_pos)
+        s_c = self.closed_s
+        l_c = self.closed_l
+        m_c = self.m_committed
+        lowest = 0  # smallest open position after placing c; 0: none
+        if open_count:
+            mins = self._open_mins
+            if mins is None:
+                mins = self._open_mins = sorted(open_pos.values())[:2]
+            lowest = mins[0]
+            if c <= self.two_sided:
+                q = open_pos.get(c if c <= self.b else c - self.b)
+                if q is not None:  # c closes its pair
+                    if t1 - q > 1:
+                        s_c += 1
+                    if t1 - q - 1 > l_c:
+                        l_c = t1 - q - 1
+                    open_count -= 1
+                    if q == lowest:
+                        lowest = mins[1] if open_count else 0
+        # storage load at c's position: the pairs spanning it
+        if open_count > m_c:
+            m_c = open_count
+        s_c += open_count
+        if lowest and t1 - lowest > l_c:
+            l_c = t1 - lowest
+        n_c = self.n_committed
+        pos = self.pos
+        for i in self.soft_before_of.get(c, ()):
+            if pos[i] == 0:
+                n_c += 1
+        k = self.k
+        return k * (k * (k * s_c + m_c) + l_c) + n_c
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
@@ -386,7 +478,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     best_bd: CostBreakdown | None = None
     frames: list[list] = [[state.lower_bound(), state.extend_candidates(), 0]]
     nodes = 1
-    placements = 0
+    priced = 0
     interrupted = False
 
     while frames:
@@ -400,17 +492,15 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         c = cands[frame[2]]
         frame[2] += 1
 
-        placements += 1
-        if placements & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
+        priced += 1
+        if priced & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
             interrupted = True
             break
 
-        forced_new = state.place(c)
-        if forced_new and state.forced_cycle():
-            state.unplace()
-            continue
-        clb = state.lower_bound()
+        clb = state.child_bound(c)
         if best_bd is not None and clb >= best_bd.objective:
+            continue
+        if state.place(c) and state.forced_cycle():
             state.unplace()
             continue
         if len(state.prefix) == k:
@@ -418,12 +508,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             bd = breakdown(inst, perm)
             assert bd.objective == clb, "committed cost disagrees with recomputation"
             assert not validate(inst, perm), "propagation admitted an invalid leaf"
-            if best_bd is None or bd.objective < best_bd.objective:
-                best_tour, best_bd = perm.tour, bd
-                if cfg.log_every_nodes:
-                    logger.info(
-                        "incumbent %d after %d nodes", bd.objective, nodes
-                    )
+            # the bound test above lets only improving leaves through
+            best_tour, best_bd = perm.tour, bd
+            if cfg.log_every_nodes:
+                logger.info("incumbent %d after %d nodes", bd.objective, nodes)
             state.unplace()
             continue
         if cfg.node_limit is not None and nodes >= cfg.node_limit:

@@ -13,6 +13,7 @@ from ctwkit import (
 from ctwkit.generate import (
     GenMode,
     GenParams,
+    _pair_from_index,
     anytime_suite,
     certification_suite,
     generate,
@@ -20,6 +21,34 @@ from ctwkit.generate import (
 )
 
 from conftest import random_params
+
+
+def loop_pair_from_index(idx, k):
+    """Reference: walk the rows of the pair triangle one at a time."""
+    u = 1
+    span = k - 1
+    while idx >= span:
+        idx -= span
+        u += 1
+        span -= 1
+    return (u, u + 1 + idx)
+
+
+def test_pair_from_index_is_a_bijection_onto_ordered_pairs():
+    for k in range(2, 61):
+        pairs = [_pair_from_index(idx, k) for idx in range(k * (k - 1) // 2)]
+        assert pairs == [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)]
+
+
+def test_pair_from_index_matches_the_row_walk_at_large_k():
+    rng = random.Random(107)
+    for k in (3000, 10 ** 5):
+        total = k * (k - 1) // 2
+        # the first row boundary, the last pairs, and random draws
+        samples = [0, 1, k - 2, k - 1, k, total - 3, total - 2, total - 1]
+        samples += [rng.randrange(total) for _ in range(200)]
+        for idx in samples:
+            assert _pair_from_index(idx, k) == loop_pair_from_index(idx, k)
 
 
 def test_planted_solution_is_valid():

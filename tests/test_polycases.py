@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from ctwkit import (
     unsat_precheck,
     validate,
 )
+from ctwkit import digraph
 from ctwkit.generate import GenMode, GenParams, generate
 
 
@@ -64,6 +66,35 @@ def test_topo_output_is_valid_on_random_dags():
         assert isinstance(perm, Permutation)
         assert validate(inst, perm) == []
         assert breakdown(inst, perm).objective == 0
+
+
+def test_topo_is_the_smallest_order():
+    # permutations() yields tours in ascending lexicographic order, so the
+    # first valid one is the reference
+    rng = random.Random(62)
+    for trial in range(150):
+        k = rng.randint(1, 6)
+        mode = GenMode.UNSATISFIABLE if trial % 5 == 0 and k >= 2 else GenMode.ATOMIC_ONLY
+        inst = generate(GenParams(b=0, n=k, p_atomic=rng.choice((0.2, 0.4, 0.7)),
+                                  p_soft=0.0, p_disjunctive=0.0, seed=trial, mode=mode))
+        reference = next(
+            (Permutation(t) for t in itertools.permutations(range(1, inst.k + 1))
+             if validate(inst, Permutation(t)) == []),
+            None,
+        )
+        got = topo_solve(inst)
+        if reference is None:
+            assert isinstance(got, UnsatCertificate)
+            assert_is_cycle(got, inst)
+        else:
+            assert got == reference
+
+
+def test_lexicographic_order_tolerates_parallel_edges():
+    edges = [(3, 1), (3, 1), (2, 1)]
+    assert digraph.lexicographic_order(3, edges) == [2, 3, 1]
+    assert digraph.lexicographic_order(2, [(1, 2), (2, 1), (1, 2)]) is None
+    assert digraph.lexicographic_order(0, []) == []
 
 
 def test_ds_only_reference_sequences():

@@ -18,6 +18,9 @@ from ctwkit.generate import GenMode, GenParams, generate
 
 from conftest import random_instance
 
+ALL_MODES = (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE, GenMode.ATOMIC_ONLY,
+             GenMode.DS_ONLY)
+
 
 def best_completion_objective(inst, prefix):
     """Exhaustive minimum objective over valid completions of a prefix."""
@@ -118,6 +121,140 @@ def test_leaf_bound_equals_objective():
             continue
         st = SearchState.from_prefix(inst, list(plant.tour))
         assert st.lower_bound() == breakdown(inst, plant).objective
+
+
+def full_scan_forced_cycle(st):
+    """Reference: topological sort of every atomic edge and survivor over
+    the unplaced jobs."""
+    pos = st.pos
+    indeg = {}
+    out = {}
+    edges = 0
+    for a, b in list(st.inst.atomic) + list(st.forced):
+        if pos[a] == 0 and pos[b] == 0:
+            out.setdefault(a, []).append(b)
+            indeg[b] = indeg.get(b, 0) + 1
+            edges += 1
+    if not edges:
+        return False
+    ready = [v for v in out if v not in indeg]
+    involved = set(out)
+    involved.update(indeg)
+    done = 0
+    while ready:
+        v = ready.pop()
+        done += 1
+        for w in out.get(v, ()):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return done < len(involved)
+
+
+def scan_candidates(st):
+    """Reference: every unplaced job tested for legality, O(k) per call."""
+    t = len(st.prefix)
+    if t == st.k:
+        return []
+    pos = st.pos
+    if t:
+        last = st.prefix[-1]
+        if last in st.ds:
+            p = last + st.b if last <= st.b else last - st.b
+            if pos[p] == 0:
+                return [p] if st._legal(p) else []
+    legal = [c for c in range(1, st.k + 1) if pos[c] == 0 and st._legal(c)]
+    head = []
+    if st.open_pos:
+        freshest = max(st.open_pos, key=st.open_pos.__getitem__)
+        unplaced_end = freshest if pos[freshest] == 0 else freshest + st.b
+        if pos[unplaced_end] == 0 and unplaced_end in legal:
+            head.append(unplaced_end)
+            legal.remove(unplaced_end)
+    legal.sort(key=lambda c: (-sum(1 for s in st.succs[c] if pos[s] == 0), c))
+    return head + legal
+
+
+def random_instances(seed, count, max_k=9):
+    rng = random.Random(seed)
+    for trial in range(count):
+        inst, _ = random_instance(rng, ALL_MODES[trial % 4], max_k=max_k)
+        yield rng, inst
+
+
+def test_child_bound_equals_bound_after_place():
+    priced = 0
+    for rng, inst in random_instances(97, 120):
+        st = SearchState(inst)
+        while True:
+            cands = st.extend_candidates()
+            if not cands:
+                break
+            for c in cands:
+                expected_state = (list(st.prefix), st.lower_bound())
+                bound = st.child_bound(c)
+                assert (list(st.prefix), st.lower_bound()) == expected_state
+                st.place(c)
+                assert bound == st.lower_bound(), (inst, st.prefix)
+                st.unplace()
+                priced += 1
+            st.place(rng.choice(cands))
+    assert priced >= 1000
+
+
+def test_forced_cycle_matches_full_scan():
+    checks = 0
+    hits = 0
+    rng = random.Random(101)
+    for trial in range(80):
+        # disjunctions only come with pairs; dense ones force many survivors
+        b = rng.randint(1, 4)
+        inst = generate(GenParams(b=b, n=rng.randint(0, 9 - 2 * b),
+                                  p_atomic=rng.choice((0.1, 0.25)),
+                                  p_disjunctive=rng.choice((0.3, 0.6)),
+                                  ds_count=rng.randint(0, b), seed=trial,
+                                  mode=ALL_MODES[trial % 2]))
+        st = SearchState(inst)
+        if full_scan_forced_cycle(st):
+            continue  # a hard cycle: the precheck stops such instances
+        # depth-first over cycle-free states, as the search walks them
+        stack = [iter(st.extend_candidates())]
+        visited = 0
+        while stack and visited < 400:
+            c = next(stack[-1], None)
+            if c is None:
+                stack.pop()
+                if st.prefix:
+                    st.unplace()
+                continue
+            visited += 1
+            if st.place(c) > 0:
+                found = st.forced_cycle()
+                assert found == full_scan_forced_cycle(st), (inst, st.prefix)
+                checks += 1
+                hits += found
+            if full_scan_forced_cycle(st):
+                st.unplace()
+            else:
+                stack.append(iter(st.extend_candidates()))
+    assert checks >= 500 and 0 < hits < checks
+
+
+def test_ready_set_candidates_match_full_scan():
+    for rng, inst in random_instances(103, 120):
+        st = SearchState(inst)
+        for _ in range(4 * inst.k):
+            assert st.extend_candidates() == scan_candidates(st)
+            assert st.ready == {c for c in range(1, inst.k + 1)
+                                if st.pos[c] == 0 and st.pred_placed[c] == st.npreds[c]}
+            unplaced = [c for c in range(1, inst.k + 1) if st.pos[c] == 0]
+            roll = rng.random()
+            if st.prefix and (roll < 0.3 or not unplaced):
+                st.unplace()
+            elif roll < 0.85 and st.extend_candidates():
+                st.place(rng.choice(st.extend_candidates()))
+            elif unplaced:
+                st.place(rng.choice(unplaced))  # an illegal move, as from_prefix allows
 
 
 def test_matches_oracle_on_mixed_instances():
