@@ -196,7 +196,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_validate(args) -> int:
     inst = formats.load_instance(args.instance)
-    sol = formats.parse_solution(Path(args.solution).read_text(encoding="utf-8"))
+    sol = formats.parse_solution(Path(args.solution).read_text(encoding="utf-8-sig"))
     doc = {"instance": Path(args.instance).stem, "valid": False,
            "violations": [], "breakdown": None}
     if len(sol.values) != inst.k:
@@ -303,11 +303,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_reduce_mas(args) -> int:
-    g = reduction.parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
+    g = reduction.parse_edge_list(Path(args.graph).read_text(encoding="utf-8-sig"))
     if args.extract:
         if not args.solution:
             raise CtwError("--extract needs --solution FILE")
-        sol = formats.parse_solution(Path(args.solution).read_text(encoding="utf-8"))
+        sol = formats.parse_solution(Path(args.solution).read_text(encoding="utf-8-sig"))
         perm = (Permutation(sol.values) if sol.kind == "tour"
                 else Permutation.from_positions(sol.values))
         kept = reduction.extract_mas(g, perm)

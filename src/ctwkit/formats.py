@@ -15,6 +15,12 @@ Four textual formats are supported:
   comma before ``}`` are accepted, and exactly these six parameters must
   each appear once. Anything else is a hard error.
 
+  The reader splits the whole text into token strings with one regex scan
+  and walks that list by index. A ``ParseError`` carries the line and
+  column of the offending token (lines as ``str.splitlines`` counts them);
+  they are worked out only on that error path, by scanning the text again
+  line by line up to the token.
+
 * ``.dzn`` -- the same data as MiniZinc-style assignments (emit only).
   Non-empty constraint tables use 2-d array literals, empty ones use
   ``array2d``/``array1d`` with explicit index sets so that k = 0 and empty
@@ -39,6 +45,8 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import starmap
+from operator import eq
 
 from .costs import CostBreakdown
 from .errors import ParseError, SchemaError
@@ -93,102 +101,116 @@ METRICS_COLUMNS = (
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?\d+|[={}<>,;]|\S")
 
 
-class _Tok:
-    __slots__ = ("text", "line", "col")
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of token ``index`` of ``_TOKEN.findall(text)``.
 
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
+    Lines are split as ``str.splitlines`` splits them. No token can contain
+    a line separator (each one is whitespace to ``\\S``), so the per-line
+    scan meets the same tokens in the same order as the whole-text scan.
+    A negative index (no tokens at all) gives line 1, column 1.
+    """
+    if index >= 0:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for m in _TOKEN.finditer(line):
+                if not index:
+                    return lineno, m.start() + 1
+                index -= 1
+    return 1, 1
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for m in _TOKEN.finditer(line):
-            toks.append(_Tok(m.group(), lineno, m.start() + 1))
-    return toks
+def _error(text: str, index: int, message: str) -> ParseError:
+    return ParseError(message, *_position(text, index))
 
 
-class _Cursor:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.i = 0
+def _unexpected(text: str, toks: list[str], i: int, expect: str | None) -> ParseError:
+    """The error for token ``i`` when ``expect`` (None: an integer) was due.
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    ``toks`` ends with the empty-string sentinel; reaching it reports the end
+    of input at the last real token.
+    """
+    end = len(toks) - 1
+    if i >= end:
+        return _error(
+            text, end - 1, f"unexpected end of input (expected {expect or 'more input'})"
+        )
+    if expect is None:
+        return _error(text, i, f"expected an integer, found '{toks[i]}'")
+    return _error(text, i, f"expected '{expect}', found '{toks[i]}'")
 
-    def next(self, expect: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else None
-            raise ParseError(
-                f"unexpected end of input (expected {expect or 'more input'})",
-                last.line if last else 1,
-                last.col if last else 1,
-            )
-        if expect is not None and tok.text != expect:
-            raise ParseError(f"expected '{expect}', found '{tok.text}'", tok.line, tok.col)
-        self.i += 1
-        return tok
 
-    def next_int(self) -> tuple[int, _Tok]:
-        tok = self.next()
+def _read_int_set(text: str, toks: list[str], i: int):
+    """Read ``{v, v, ...}`` from token ``i``.
+
+    Returns the values, the token index of each, and the index after ``}``.
+    """
+    if toks[i] != "{":
+        raise _unexpected(text, toks, i, "{")
+    i += 1
+    values: list[int] = []
+    where: list[int] = []
+    while True:
+        tok = toks[i]
+        if tok == "}":
+            return values, where, i + 1
+        if not tok:
+            raise _unexpected(text, toks, i, "}")
         try:
-            return int(tok.text), tok
+            values.append(int(tok))
         except ValueError:
-            raise ParseError(f"expected an integer, found '{tok.text}'", tok.line, tok.col)
+            raise _unexpected(text, toks, i, None) from None
+        where.append(i)
+        i += 1
+        tok = toks[i]
+        if tok == ",":
+            i += 1
+        elif tok and tok != "}":
+            raise _error(text, i, f"expected ',' or '}}', found '{tok}'")
 
 
-def _parse_int_set(cur: _Cursor) -> list[tuple[int, _Tok]]:
-    cur.next("{")
-    items: list[tuple[int, _Tok]] = []
+def _read_tuple_set(text: str, toks: list[str], i: int, arity: int):
+    """Read ``{<v,...>, <v,...>, ...}`` of ``arity``-tuples from token ``i``.
+
+    Returns the tuples, the token index of each ``<``, and the index after
+    ``}``.
+    """
+    if toks[i] != "{":
+        raise _unexpected(text, toks, i, "{")
+    i += 1
+    values: list[tuple[int, ...]] = []
+    where: list[int] = []
     while True:
-        tok = cur.peek()
-        if tok is None or tok.text == "}":
-            cur.next("}")
-            return items
-        items.append(cur.next_int())
-        tok = cur.peek()
-        if tok is not None and tok.text == ",":
-            cur.next()
-        elif tok is not None and tok.text != "}":
-            raise ParseError(f"expected ',' or '}}', found '{tok.text}'", tok.line, tok.col)
-
-
-def _parse_tuple_set(cur: _Cursor, arity: int) -> list[tuple[tuple[int, ...], _Tok]]:
-    cur.next("{")
-    items: list[tuple[tuple[int, ...], _Tok]] = []
-    while True:
-        tok = cur.peek()
-        if tok is None or tok.text == "}":
-            cur.next("}")
-            return items
-        start = cur.next("<")
-        values = []
+        tok = toks[i]
+        if tok == "}":
+            return values, where, i + 1
+        if tok != "<":
+            raise _unexpected(text, toks, i, "<" if tok else "}")
+        where.append(i)
+        row = []
         for pos in range(arity):
+            i += 1
             if pos:
-                cur.next(",")
-            values.append(cur.next_int()[0])
-        cur.next(">")
-        items.append((tuple(values), start))
-        tok = cur.peek()
-        if tok is not None and tok.text == ",":
-            cur.next()
-        elif tok is not None and tok.text != "}":
-            raise ParseError(f"expected ',' or '}}', found '{tok.text}'", tok.line, tok.col)
+                if toks[i] != ",":
+                    raise _unexpected(text, toks, i, ",")
+                i += 1
+            try:
+                row.append(int(toks[i]))
+            except ValueError:
+                raise _unexpected(text, toks, i, None) from None
+        i += 1
+        if toks[i] != ">":
+            raise _unexpected(text, toks, i, ">")
+        values.append(tuple(row))
+        i += 1
+        tok = toks[i]
+        if tok == ",":
+            i += 1
+        elif tok and tok != "}":
+            raise _error(text, i, f"expected ',' or '}}', found '{tok}'")
 
 
-def _dedupe(name: str, items: list):
-    seen = set()
-    out = []
-    dropped = 0
-    for value, tok in items:
-        if value in seen:
-            dropped += 1
-        else:
-            seen.add(value)
-            out.append(value)
+def _dedupe(name: str, values: list) -> list:
+    out = list(dict.fromkeys(values))
+    dropped = len(values) - len(out)
     if dropped:
         warnings.warn(f"{name}: {dropped} duplicate entr{'y' if dropped == 1 else 'ies'} dropped")
     return out
@@ -201,30 +223,41 @@ def parse_dat(text: str) -> Instance:
     invariant breaches (ids out of range, b > k/2, a pair both hard and
     soft, ...) are errors.
     """
-    cur = _Cursor(_tokenize(text))
+    toks = _TOKEN.findall(text)
+    end = len(toks)
+    toks.append("")  # sentinel: equals no expected token and is no integer
     seen: dict[str, object] = {}
-    first_tok: dict[str, _Tok] = {}
-    while cur.peek() is not None:
-        name_tok = cur.next()
-        name = name_tok.text
+    first: dict[str, int] = {}
+    where: dict[str, list[int]] = {}
+    i = 0
+    while i < end:
+        name = toks[i]
         if name not in DAT_PARAMS:
-            raise ParseError(f"unknown parameter '{name}'", name_tok.line, name_tok.col)
+            raise _error(text, i, f"unknown parameter '{name}'")
         if name in seen:
-            raise ParseError(f"parameter '{name}' assigned twice", name_tok.line, name_tok.col)
-        first_tok[name] = name_tok
-        cur.next("=")
+            raise _error(text, i, f"parameter '{name}' assigned twice")
+        first[name] = i
+        i += 1
+        if toks[i] != "=":
+            raise _unexpected(text, toks, i, "=")
+        i += 1
         if name in ("k", "b"):
-            value, vtok = cur.next_int()
+            try:
+                value = int(toks[i])
+            except ValueError:
+                raise _unexpected(text, toks, i, None) from None
             if value < 0:
-                raise ParseError(f"{name} must be >= 0, found {value}", vtok.line, vtok.col)
+                raise _error(text, i, f"{name} must be >= 0, found {value}")
             seen[name] = value
+            i += 1
         elif name == "DirectSuccessors":
-            seen[name] = _parse_int_set(cur)
-        elif name == "DisjunctiveConstraints":
-            seen[name] = _parse_tuple_set(cur, 4)
+            seen[name], where[name], i = _read_int_set(text, toks, i)
         else:
-            seen[name] = _parse_tuple_set(cur, 2)
-        cur.next(";")
+            arity = 4 if name == "DisjunctiveConstraints" else 2
+            seen[name], where[name], i = _read_tuple_set(text, toks, i, arity)
+        if toks[i] != ";":
+            raise _unexpected(text, toks, i, ";")
+        i += 1
     missing = [p for p in DAT_PARAMS if p not in seen]
     if missing:
         raise ParseError(f"missing parameter(s): {', '.join(missing)}")
@@ -232,54 +265,49 @@ def parse_dat(text: str) -> Instance:
     k = seen["k"]
     b = seen["b"]
     if 2 * b > k:
-        tok = first_tok["b"]
-        raise ParseError(f"b = {b} exceeds k/2 (k = {k})", tok.line, tok.col)
+        raise _error(text, first["b"], f"b = {b} exceeds k/2 (k = {k})")
 
-    def check_range(items, name, arity):
-        for value, tok in items:
-            entries = value if arity > 1 else (value,)
-            for j in entries:
-                if not 1 <= j <= k:
-                    raise ParseError(
-                        f"{name}: job {j} is outside 1..{k}", tok.line, tok.col
-                    )
-
-    check_range(seen["AtomicConstraints"], "AtomicConstraints", 2)
-    check_range(seen["SoftAtomicConstraints"], "SoftAtomicConstraints", 2)
-    check_range(seen["DisjunctiveConstraints"], "DisjunctiveConstraints", 4)
-    for value, tok in seen["DirectSuccessors"]:
-        if not 1 <= value <= 2 * b:
-            raise ParseError(
-                f"DirectSuccessors: {value} is not a two-sided cable end (b = {b})",
-                tok.line,
-                tok.col,
-            )
-    for name in ("AtomicConstraints", "SoftAtomicConstraints"):
-        for value, tok in seen[name]:
-            if value[0] == value[1]:
-                raise ParseError(
-                    f"{name}: <{value[0]},{value[1]}> relates a job to itself",
-                    tok.line,
-                    tok.col,
+    for name in ("AtomicConstraints", "SoftAtomicConstraints", "DisjunctiveConstraints"):
+        rows = seen[name]
+        if rows and (min(map(min, rows)) < 1 or max(map(max, rows)) > k):
+            for row, at in zip(rows, where[name]):
+                for j in row:
+                    if not 1 <= j <= k:
+                        raise _error(text, at, f"{name}: job {j} is outside 1..{k}")
+    ds = seen["DirectSuccessors"]
+    if ds and (min(ds) < 1 or max(ds) > 2 * b):
+        for value, at in zip(ds, where["DirectSuccessors"]):
+            if not 1 <= value <= 2 * b:
+                raise _error(
+                    text, at, f"DirectSuccessors: {value} is not a two-sided cable end (b = {b})"
                 )
-    for value, tok in seen["DisjunctiveConstraints"]:
-        if value[0] == value[1] or value[2] == value[3]:
-            raise ParseError(
-                f"DisjunctiveConstraints: <{','.join(map(str, value))}> has a trivial disjunct",
-                tok.line,
-                tok.col,
+    for name in ("AtomicConstraints", "SoftAtomicConstraints"):
+        rows = seen[name]
+        if any(starmap(eq, rows)):
+            for (before, after), at in zip(rows, where[name]):
+                if before == after:
+                    raise _error(
+                        text, at, f"{name}: <{before},{after}> relates a job to itself"
+                    )
+    for row, at in zip(seen["DisjunctiveConstraints"], where["DisjunctiveConstraints"]):
+        if row[0] == row[1] or row[2] == row[3]:
+            raise _error(
+                text,
+                at,
+                f"DisjunctiveConstraints: <{','.join(map(str, row))}> has a trivial disjunct",
             )
 
     atomic = _dedupe("AtomicConstraints", seen["AtomicConstraints"])
     soft = _dedupe("SoftAtomicConstraints", seen["SoftAtomicConstraints"])
     disj = _dedupe("DisjunctiveConstraints", seen["DisjunctiveConstraints"])
-    ds = _dedupe("DirectSuccessors", seen["DirectSuccessors"])
+    ds = _dedupe("DirectSuccessors", ds)
 
     both = set(atomic) & set(soft)
     if both:
-        tok = first_tok["SoftAtomicConstraints"]
-        raise ParseError(
-            f"constraints both hard and soft: {sorted(both)}", tok.line, tok.col
+        raise _error(
+            text,
+            first["SoftAtomicConstraints"],
+            f"constraints both hard and soft: {sorted(both)}",
         )
     return Instance(
         k=k,
@@ -411,11 +439,14 @@ def parse_json(text: str) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    """Parse an instance file, picking the format from the extension."""
+    """Parse an instance file, picking the format from the extension.
+
+    A leading UTF-8 byte-order mark is skipped.
+    """
     from pathlib import Path
 
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    text = p.read_text(encoding="utf-8-sig")
     if p.suffix.lower() == ".json":
         return parse_json(text)
     if p.suffix.lower() == ".dat":

@@ -79,36 +79,35 @@ class Instance:
     direct_successors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "atomic", tuple(map(AtomicConstraint._make, self.atomic)))
         object.__setattr__(
-            self, "atomic", tuple(AtomicConstraint(*c) for c in self.atomic)
+            self, "soft_atomic", tuple(map(AtomicConstraint._make, self.soft_atomic))
         )
         object.__setattr__(
-            self, "soft_atomic", tuple(AtomicConstraint(*c) for c in self.soft_atomic)
+            self, "disjunctive", tuple(map(DisjunctiveConstraint._make, self.disjunctive))
         )
-        object.__setattr__(
-            self,
-            "disjunctive",
-            tuple(DisjunctiveConstraint(*c) for c in self.disjunctive),
-        )
-        object.__setattr__(
-            self, "direct_successors", tuple(int(i) for i in self.direct_successors)
-        )
+        object.__setattr__(self, "direct_successors", tuple(map(int, self.direct_successors)))
         self._check()
 
     def _check(self):
-        if self.b < 0 or self.k < 0:
-            raise InstanceError(f"negative size: k={self.k}, b={self.b}")
-        if 2 * self.b > self.k:
-            raise InstanceError(f"b={self.b} exceeds k/2 (k={self.k})")
+        k = self.k
+        if self.b < 0 or k < 0:
+            raise InstanceError(f"negative size: k={k}, b={self.b}")
+        if 2 * self.b > k:
+            raise InstanceError(f"b={self.b} exceeds k/2 (k={k})")
         for name in ("atomic", "soft_atomic"):
             for c in getattr(self, name):
-                self._check_job(c.before, name)
-                self._check_job(c.after, name)
-                if c.before == c.after:
+                before, after = c
+                if not 1 <= before <= k:
+                    raise InstanceError(f"job {before} in {name} is outside 1..{k}")
+                if not 1 <= after <= k:
+                    raise InstanceError(f"job {after} in {name} is outside 1..{k}")
+                if before == after:
                     raise InstanceError(f"{name} constraint {c} relates a job to itself")
         for d in self.disjunctive:
             for j in d:
-                self._check_job(j, "disjunctive")
+                if not 1 <= j <= k:
+                    raise InstanceError(f"job {j} in disjunctive is outside 1..{k}")
             if d.c1before == d.c1after or d.c2before == d.c2after:
                 raise InstanceError(f"disjunctive constraint {d} has a trivial disjunct")
         for i in self.direct_successors:
@@ -116,19 +115,17 @@ class Instance:
                 raise InstanceError(
                     f"direct successor entry {i} is not a two-sided cable end (b={self.b})"
                 )
+        unique = {}
         for name in ("atomic", "soft_atomic", "disjunctive", "direct_successors"):
             entries = getattr(self, name)
-            if len(set(entries)) != len(entries):
+            unique[name] = set(entries)
+            if len(unique[name]) != len(entries):
                 raise InstanceError(f"duplicate entries in {name}")
-        overlap = set(self.atomic) & set(self.soft_atomic)
+        overlap = unique["atomic"] & unique["soft_atomic"]
         if overlap:
             raise InstanceError(
                 f"constraints both hard and soft: {sorted(overlap)}"
             )
-
-    def _check_job(self, j: int, where: str):
-        if not 1 <= j <= self.k:
-            raise InstanceError(f"job {j} in {where} is outside 1..{self.k}")
 
     @property
     def n(self) -> int:

@@ -222,3 +222,27 @@ def test_solve_twice_byte_identical(five_dat, capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_byte_order_mark_is_skipped(five_job, tmp_path, capsys):
+    # every file the CLI reads, written once without and once with a UTF-8 BOM
+    results = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        folder = tmp_path / encoding
+        folder.mkdir()
+        dat = folder / "five.dat"
+        dat.write_text(emit_dat(five_job), encoding=encoding)
+        sol = folder / "five.sol"
+        sol.write_text("instance five\ntour 5 3 4 2 1\n", encoding=encoding)
+        graph = folder / "g.txt"
+        graph.write_text("1 2\n2 3\n3 1\n", encoding=encoding)
+        tour = folder / "s.sol"
+        tour.write_text("tour 1 2 3\n", encoding=encoding)
+        results.append((
+            run_cli(capsys, "solve", dat, "--no-timestamps"),
+            run_cli(capsys, "validate", dat, "--solution", sol),
+            run_cli(capsys, "reduce-mas", graph, "--extract", "--solution", tour),
+        ))
+    plain, marked = results
+    assert marked == plain
+    assert [code for code, _, _ in plain] == [0, 0, 0]

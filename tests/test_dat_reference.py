@@ -1,0 +1,332 @@
+"""Differential test of ``formats.parse_dat`` against the parser it replaced.
+
+The reference below is the earlier ``.dat`` reader, copied unchanged: a
+per-line tokenizer that builds one ``_Tok`` (text, line, column) per token
+and a ``_Cursor`` walked through method calls. Its module-level name
+``parse_dat`` is the reference; the parser under test is always called as
+``formats.parse_dat``. On every mutated input both must agree: an equal
+Instance and the same warnings, or the same error type, message, line and
+column.
+"""
+
+import random
+import re
+import warnings
+
+from ctwkit import formats
+from ctwkit.errors import ParseError
+from ctwkit.formats import DAT_PARAMS
+from ctwkit.generate import GenMode
+from ctwkit.model import Instance
+
+from conftest import random_instance
+
+# ---------------------------------------------------------------------------
+# Reference parser
+
+
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?\d+|[={}<>,;]|\S")
+
+
+class _Tok:
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    toks = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for m in _TOKEN.finditer(line):
+            toks.append(_Tok(m.group(), lineno, m.start() + 1))
+    return toks
+
+
+class _Cursor:
+    def __init__(self, toks: list[_Tok]):
+        self.toks = toks
+        self.i = 0
+
+    def peek(self) -> _Tok | None:
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def next(self, expect: str | None = None) -> _Tok:
+        tok = self.peek()
+        if tok is None:
+            last = self.toks[-1] if self.toks else None
+            raise ParseError(
+                f"unexpected end of input (expected {expect or 'more input'})",
+                last.line if last else 1,
+                last.col if last else 1,
+            )
+        if expect is not None and tok.text != expect:
+            raise ParseError(f"expected '{expect}', found '{tok.text}'", tok.line, tok.col)
+        self.i += 1
+        return tok
+
+    def next_int(self) -> tuple[int, _Tok]:
+        tok = self.next()
+        try:
+            return int(tok.text), tok
+        except ValueError:
+            raise ParseError(f"expected an integer, found '{tok.text}'", tok.line, tok.col)
+
+
+def _parse_int_set(cur: _Cursor) -> list[tuple[int, _Tok]]:
+    cur.next("{")
+    items: list[tuple[int, _Tok]] = []
+    while True:
+        tok = cur.peek()
+        if tok is None or tok.text == "}":
+            cur.next("}")
+            return items
+        items.append(cur.next_int())
+        tok = cur.peek()
+        if tok is not None and tok.text == ",":
+            cur.next()
+        elif tok is not None and tok.text != "}":
+            raise ParseError(f"expected ',' or '}}', found '{tok.text}'", tok.line, tok.col)
+
+
+def _parse_tuple_set(cur: _Cursor, arity: int) -> list[tuple[tuple[int, ...], _Tok]]:
+    cur.next("{")
+    items: list[tuple[tuple[int, ...], _Tok]] = []
+    while True:
+        tok = cur.peek()
+        if tok is None or tok.text == "}":
+            cur.next("}")
+            return items
+        start = cur.next("<")
+        values = []
+        for pos in range(arity):
+            if pos:
+                cur.next(",")
+            values.append(cur.next_int()[0])
+        cur.next(">")
+        items.append((tuple(values), start))
+        tok = cur.peek()
+        if tok is not None and tok.text == ",":
+            cur.next()
+        elif tok is not None and tok.text != "}":
+            raise ParseError(f"expected ',' or '}}', found '{tok.text}'", tok.line, tok.col)
+
+
+def _dedupe(name: str, items: list):
+    seen = set()
+    out = []
+    dropped = 0
+    for value, tok in items:
+        if value in seen:
+            dropped += 1
+        else:
+            seen.add(value)
+            out.append(value)
+    if dropped:
+        warnings.warn(f"{name}: {dropped} duplicate entr{'y' if dropped == 1 else 'ies'} dropped")
+    return out
+
+
+def parse_dat(text: str) -> Instance:
+    """Parse the tuple-set data format into an Instance.
+
+    Duplicate entries inside one set are dropped with a warning; all other
+    invariant breaches (ids out of range, b > k/2, a pair both hard and
+    soft, ...) are errors.
+    """
+    cur = _Cursor(_tokenize(text))
+    seen: dict[str, object] = {}
+    first_tok: dict[str, _Tok] = {}
+    while cur.peek() is not None:
+        name_tok = cur.next()
+        name = name_tok.text
+        if name not in DAT_PARAMS:
+            raise ParseError(f"unknown parameter '{name}'", name_tok.line, name_tok.col)
+        if name in seen:
+            raise ParseError(f"parameter '{name}' assigned twice", name_tok.line, name_tok.col)
+        first_tok[name] = name_tok
+        cur.next("=")
+        if name in ("k", "b"):
+            value, vtok = cur.next_int()
+            if value < 0:
+                raise ParseError(f"{name} must be >= 0, found {value}", vtok.line, vtok.col)
+            seen[name] = value
+        elif name == "DirectSuccessors":
+            seen[name] = _parse_int_set(cur)
+        elif name == "DisjunctiveConstraints":
+            seen[name] = _parse_tuple_set(cur, 4)
+        else:
+            seen[name] = _parse_tuple_set(cur, 2)
+        cur.next(";")
+    missing = [p for p in DAT_PARAMS if p not in seen]
+    if missing:
+        raise ParseError(f"missing parameter(s): {', '.join(missing)}")
+
+    k = seen["k"]
+    b = seen["b"]
+    if 2 * b > k:
+        tok = first_tok["b"]
+        raise ParseError(f"b = {b} exceeds k/2 (k = {k})", tok.line, tok.col)
+
+    def check_range(items, name, arity):
+        for value, tok in items:
+            entries = value if arity > 1 else (value,)
+            for j in entries:
+                if not 1 <= j <= k:
+                    raise ParseError(
+                        f"{name}: job {j} is outside 1..{k}", tok.line, tok.col
+                    )
+
+    check_range(seen["AtomicConstraints"], "AtomicConstraints", 2)
+    check_range(seen["SoftAtomicConstraints"], "SoftAtomicConstraints", 2)
+    check_range(seen["DisjunctiveConstraints"], "DisjunctiveConstraints", 4)
+    for value, tok in seen["DirectSuccessors"]:
+        if not 1 <= value <= 2 * b:
+            raise ParseError(
+                f"DirectSuccessors: {value} is not a two-sided cable end (b = {b})",
+                tok.line,
+                tok.col,
+            )
+    for name in ("AtomicConstraints", "SoftAtomicConstraints"):
+        for value, tok in seen[name]:
+            if value[0] == value[1]:
+                raise ParseError(
+                    f"{name}: <{value[0]},{value[1]}> relates a job to itself",
+                    tok.line,
+                    tok.col,
+                )
+    for value, tok in seen["DisjunctiveConstraints"]:
+        if value[0] == value[1] or value[2] == value[3]:
+            raise ParseError(
+                f"DisjunctiveConstraints: <{','.join(map(str, value))}> has a trivial disjunct",
+                tok.line,
+                tok.col,
+            )
+
+    atomic = _dedupe("AtomicConstraints", seen["AtomicConstraints"])
+    soft = _dedupe("SoftAtomicConstraints", seen["SoftAtomicConstraints"])
+    disj = _dedupe("DisjunctiveConstraints", seen["DisjunctiveConstraints"])
+    ds = _dedupe("DirectSuccessors", seen["DirectSuccessors"])
+
+    both = set(atomic) & set(soft)
+    if both:
+        tok = first_tok["SoftAtomicConstraints"]
+        raise ParseError(
+            f"constraints both hard and soft: {sorted(both)}", tok.line, tok.col
+        )
+    return Instance(
+        k=k,
+        b=b,
+        atomic=tuple(atomic),
+        soft_atomic=tuple(soft),
+        disjunctive=tuple(disj),
+        direct_successors=tuple(ds),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Mutated inputs
+
+_SEPARATORS = ("\n", "\r\n", "\r", "\t", "\v", "\f", "\x1c", "\x85", "\u2028", " ")
+_TOKEN_POOL = (
+    "{", "}", "<", ">", ",", ";", "=", "-", "#", "x", "_a1", "\u0663", "\ufeff",
+    "0", "1", "2", "3", "-1", "7", "12", "99", *DAT_PARAMS,
+)
+_CHAR_POOL = "{}<>,;=-_#x0123456789" + "".join(_SEPARATORS)
+_ITEM = re.compile(r"<[^<>{};]*>")
+
+
+def _base_text(rng: random.Random) -> str:
+    inst, _ = random_instance(rng, rng.choice(list(GenMode)), max_k=rng.choice((4, 7, 10)))
+    lines = formats.emit_dat(inst).splitlines()
+    if rng.random() < 0.3:
+        rng.shuffle(lines)
+    if rng.random() < 0.3:
+        n = rng.randrange(len(lines))
+        lines[n] = lines[n].replace("};", ",};")
+    sep = rng.choice(("\n", "\n\n", " ", ""))
+    return sep.join(lines) + rng.choice(("\n", ""))
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    # edits that keep the syntax (3, 4, 8) are drawn more often, so that
+    # parsed instances and duplicate warnings stay common
+    op = rng.choice((0, 1, 2, 3, 3, 4, 4, 4, 5, 6, 7, 8, 8, 9, 10))
+    if op == 0 and spans:  # delete a token
+        a, b = rng.choice(spans)
+        return text[:a] + text[b:]
+    if op == 1:  # insert a token before another one, or at the end
+        at = rng.choice([a for a, _ in spans] + [len(text)])
+        return text[:at] + rng.choice(_TOKEN_POOL) + rng.choice(("", " ")) + text[at:]
+    if op == 2 and len(spans) > 1:  # swap two neighbouring tokens
+        n = rng.randrange(len(spans) - 1)
+        (a, b), (c, d) = spans[n], spans[n + 1]
+        return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    if op == 3:  # change a number: range errors, self-loops, duplicates
+        numbers = [(a, b) for a, b in spans if text[a:b].lstrip("-").isdigit()]
+        if numbers:
+            a, b = rng.choice(numbers)
+            return text[:a] + str(rng.choice((-1, 0, 1, 2, 3, 5, 11))) + text[b:]
+    if op == 4:  # copy a tuple into its own or some other set: duplicates, overlap
+        items = list(_ITEM.finditer(text))
+        opens = [m.end() for m in re.finditer(r"\{", text)]
+        if items and opens:
+            item = rng.choice(items)
+            if rng.random() < 0.5:
+                return text[: item.end()] + "," + item.group() + text[item.end():]
+            at = rng.choice(opens)
+            return text[:at] + item.group() + "," + text[at:]
+    if op == 5:  # insert a character
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(_CHAR_POOL) + text[at:]
+    if op == 6 and text:  # delete a character
+        at = rng.randrange(len(text))
+        return text[:at] + text[at + 1:]
+    if op == 7 and len(text) > 1:  # swap two neighbouring characters
+        at = rng.randrange(len(text) - 1)
+        return text[:at] + text[at + 1] + text[at] + text[at + 2:]
+    if op == 8:  # other line separators
+        return text.replace("\n", rng.choice(_SEPARATORS))
+    if op == 9 and "}" in text:  # drop a closing brace
+        closes = [i for i, ch in enumerate(text) if ch == "}"]
+        at = rng.choice(closes)
+        return text[:at] + text[at + 1:]
+    if op == 10:  # truncate
+        return text[: rng.randrange(len(text) + 1)]
+    return text
+
+
+def _outcome(parse, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", parse(text))
+        except Exception as exc:  # compared field by field below
+            result = (
+                type(exc).__name__,
+                str(exc),
+                getattr(exc, "line", None),
+                getattr(exc, "column", None),
+            )
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def test_parse_dat_matches_reference_parser():
+    rng = random.Random(20201126)
+    counts = {"ok": 0, "ParseError": 0, "warned": 0}
+    for _ in range(6000):
+        text = _base_text(rng)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            text = _mutate(rng, text)
+        new = _outcome(formats.parse_dat, text)
+        assert new == _outcome(parse_dat, text), repr(text)
+        kind = new[0][0]
+        counts[kind] = counts.get(kind, 0) + 1
+        counts["warned"] += bool(new[1])
+    # the mix must keep exercising both outcomes and the warnings
+    assert counts["ok"] >= 600, counts
+    assert counts["ParseError"] >= 3000, counts
+    assert counts["warned"] >= 150, counts

@@ -1,3 +1,4 @@
+import codecs
 import random
 import re
 
@@ -13,6 +14,7 @@ from ctwkit import (
     emit_json,
     emit_metrics_csv,
     emit_report_csv,
+    load_instance,
     parse_dat,
     parse_json,
     parse_solution,
@@ -96,6 +98,53 @@ def test_parse_errors_carry_position():
         parse_dat(_dat(atomic="{<1,x>}"))
     with pytest.raises(ParseError, match="trivial disjunct"):
         parse_dat(_dat(disj="{<1,1,2,3>}"))
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        # a line after \r\n, after a lone \r and after a form feed
+        ("k = 5;\r\nb = x;\r\n", "expected an integer, found 'x'", 2, 5),
+        (
+            "k = 5;\rb = 2;\rAtomicConstraints = {<1,2> <2,3>};",
+            "expected ',' or '}', found '<'",
+            3,
+            28,
+        ),
+        ("k = 5;\fb = 2;\f  AtomicConstraints = {<1;2>};", "expected ',', found ';'", 3, 26),
+        # in the middle of a tuple
+        (_dat(disj="{<1,2,3,4>, <2,3 4,5>}"), "expected ',', found '4'", 5, 43),
+        # truncated: the end of input is reported at the last token
+        (
+            "k = 5;\nb = 2;\nAtomicConstraints = {<1,2>, <3,\n\n  ",
+            "unexpected end of input (expected more input)",
+            3,
+            31,
+        ),
+        (R024_EXCERPT[: R024_EXCERPT.index("{<8,15")], "unexpected end of input (expected {)", 9, 24),
+        ("k", "unexpected end of input (expected =)", 1, 1),
+    ],
+    ids=["crlf", "cr", "form-feed", "mid-tuple", "truncated-tuple", "truncated-set", "truncated-name"],
+)
+def test_parse_error_positions(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_dat(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line {line}, column {column}: {message}",
+        line,
+        column,
+    )
+
+
+@pytest.mark.parametrize("emit", [emit_dat, emit_json], ids=["dat", "json"])
+def test_load_instance_skips_byte_order_mark(tmp_path, five_job, emit):
+    suffix = ".dat" if emit is emit_dat else ".json"
+    plain = tmp_path / f"plain{suffix}"
+    marked = tmp_path / f"marked{suffix}"
+    plain.write_text(emit(five_job), encoding="utf-8")
+    marked.write_text(emit(five_job), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+    assert load_instance(marked) == load_instance(plain) == five_job
 
 
 def test_parse_dedupes_with_warning():

@@ -166,3 +166,88 @@ def test_permutation_round_trip():
 def test_canonical_sorts_constraints():
     inst = Instance(k=4, b=0, atomic=[(3, 4), (1, 2)])
     assert inst.canonical().atomic == ((1, 2), (3, 4))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(k=-1, b=0), "negative size: k=-1, b=0"),
+        (dict(k=3, b=-1), "negative size: k=3, b=-1"),
+        (dict(k=3, b=2), "b=2 exceeds k/2 (k=3)"),
+        (dict(k=3, b=0, atomic=[(1, 4)]), "job 4 in atomic is outside 1..3"),
+        (dict(k=3, b=0, atomic=[(0, 2)]), "job 0 in atomic is outside 1..3"),
+        (dict(k=3, b=0, soft_atomic=[(1, 5)]), "job 5 in soft_atomic is outside 1..3"),
+        (
+            dict(k=3, b=0, atomic=[(2, 2)]),
+            "atomic constraint AtomicConstraint(before=2, after=2) relates a job to itself",
+        ),
+        (
+            dict(k=3, b=0, soft_atomic=[(3, 3)]),
+            "soft_atomic constraint AtomicConstraint(before=3, after=3) relates a job to itself",
+        ),
+        (dict(k=4, b=0, disjunctive=[(1, 2, 3, 9)]), "job 9 in disjunctive is outside 1..4"),
+        (
+            dict(k=4, b=0, disjunctive=[(1, 1, 2, 3)]),
+            "disjunctive constraint DisjunctiveConstraint(c1before=1, c1after=1, "
+            "c2before=2, c2after=3) has a trivial disjunct",
+        ),
+        (
+            dict(k=4, b=1, direct_successors=[3]),
+            "direct successor entry 3 is not a two-sided cable end (b=1)",
+        ),
+        (dict(k=3, b=0, atomic=[(1, 2), (1, 2)]), "duplicate entries in atomic"),
+        (dict(k=3, b=0, soft_atomic=[(1, 2), (1, 2)]), "duplicate entries in soft_atomic"),
+        (
+            dict(k=4, b=0, disjunctive=[(1, 2, 3, 4), (1, 2, 3, 4)]),
+            "duplicate entries in disjunctive",
+        ),
+        (dict(k=4, b=2, direct_successors=[1, 1]), "duplicate entries in direct_successors"),
+        (
+            dict(k=3, b=0, atomic=[(1, 2)], soft_atomic=[(1, 2)]),
+            "constraints both hard and soft: [AtomicConstraint(before=1, after=2)]",
+        ),
+        # with several faults, the first one in checking order is reported
+        (dict(k=-1, b=1, atomic=[(1, 4)]), "negative size: k=-1, b=1"),
+        (dict(k=3, b=2, atomic=[(1, 4)]), "b=2 exceeds k/2 (k=3)"),
+        (dict(k=3, b=0, atomic=[(9, 9)]), "job 9 in atomic is outside 1..3"),
+        (dict(k=3, b=0, atomic=[(9, 0)]), "job 9 in atomic is outside 1..3"),
+        (dict(k=3, b=0, atomic=[(1, 0), (7, 1)]), "job 0 in atomic is outside 1..3"),
+        (
+            dict(k=3, b=0, atomic=[(2, 2), (1, 9)]),
+            "atomic constraint AtomicConstraint(before=2, after=2) relates a job to itself",
+        ),
+        (
+            dict(k=3, b=0, atomic=[(2, 2)], soft_atomic=[(1, 9)]),
+            "atomic constraint AtomicConstraint(before=2, after=2) relates a job to itself",
+        ),
+        (
+            dict(k=4, b=0, soft_atomic=[(1, 9)], disjunctive=[(1, 1, 2, 3)]),
+            "job 9 in soft_atomic is outside 1..4",
+        ),
+        (
+            dict(k=4, b=0, disjunctive=[(5, 5, 1, 2)]),
+            "job 5 in disjunctive is outside 1..4",
+        ),
+        (
+            dict(k=4, b=1, disjunctive=[(1, 1, 2, 3)], direct_successors=[4]),
+            "disjunctive constraint DisjunctiveConstraint(c1before=1, c1after=1, "
+            "c2before=2, c2after=3) has a trivial disjunct",
+        ),
+        (
+            dict(k=4, b=1, atomic=[(1, 2), (1, 2)], direct_successors=[4]),
+            "direct successor entry 4 is not a two-sided cable end (b=1)",
+        ),
+        (
+            dict(k=3, b=0, atomic=[(1, 2), (1, 2)], soft_atomic=[(2, 3), (2, 3)]),
+            "duplicate entries in atomic",
+        ),
+        (
+            dict(k=3, b=0, atomic=[(1, 2)], soft_atomic=[(1, 2), (1, 2)]),
+            "duplicate entries in soft_atomic",
+        ),
+    ],
+)
+def test_instance_error_messages(fields, message):
+    with pytest.raises(InstanceError) as err:
+        Instance(**fields)
+    assert str(err.value) == message
