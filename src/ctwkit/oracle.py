@@ -3,16 +3,21 @@
 ``enumerate_solutions`` walks every permutation of an instance's jobs,
 counts the valid ones and reports the exact optimum together with *all*
 optimal permutations. ``brute_mas`` solves maximum acyclic subgraph exactly
-by trying every vertex ordering. Both refuse inputs beyond a small size
-guard; they exist to certify other components, not to scale.
+by trying every vertex ordering. Both draw each permutation from
+``itertools.permutations`` as a position vector (entry j - 1 is the
+position of job or vertex j), which is the same set of orders as drawing
+tours but needs no copy into a position map before checking; the optimal
+set is inverted into tours and reported in lexicographic tour order. Both
+refuse inputs beyond a small size guard; they exist to certify other
+components, not to scale.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .costs import _m_from_pos, objective
 from .digraph import DiGraph
 from .model import Instance, Permutation
 
@@ -31,9 +36,12 @@ class OracleResult:
 def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> OracleResult:
     """Exact census and optimum by enumerating all k! permutations.
 
-    Permutations are visited in lexicographic tour order, so the reported
-    optimal set is deterministic. Raises ValueError when k exceeds the
-    guard.
+    Permutations are drawn as position vectors (entry j - 1 is job j's
+    position), which covers the same k! orders as drawing tours. A valid
+    permutation is priced criterion by criterion and dropped as soon as its
+    S band alone exceeds the best objective so far. The optimal set is
+    reported in lexicographic tour order, so it is deterministic. Raises
+    ValueError when k exceeds the guard.
     """
     k = inst.k
     if k > limit_k:
@@ -41,71 +49,86 @@ def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> Oracl
             f"instance has k={k} jobs; exhaustive enumeration is limited to k<={limit_k}"
         )
     b = inst.b
-    atomic = inst.atomic
-    disjunctive = inst.disjunctive
-    soft = inst.soft_atomic
-    ds = tuple((i, i + b if i <= b else i - b) for i in inst.direct_successors)
-    pairs = tuple((i, i + b) for i in range(1, b + 1))
+    # every job index below is 0-based, to index a drawn position vector
+    atomic = tuple((i - 1, j - 1) for i, j in inst.atomic)
+    disjunctive = tuple(
+        (a1 - 1, b1 - 1, a2 - 1, b2 - 1) for a1, b1, a2, b2 in inst.disjunctive
+    )
+    ds = tuple((i - 1, (i + b if i <= b else i - b) - 1) for i in inst.direct_successors)
+    pairs = tuple((i, i + b) for i in range(b))
+    soft = tuple((i - 1, j - 1) for i, j in inst.soft_atomic)
+    k2 = k * k
+    k3 = k2 * k
 
-    pos = [0] * (k + 1)
     enumerated = 0
     valid_count = 0
-    best: int | None = None
-    best_tours: list[tuple[int, ...]] = []
+    best = math.inf
+    best_pos: list[tuple[int, ...]] = []
 
-    for tour in itertools.permutations(range(1, k + 1)):
+    for p in itertools.permutations(range(1, k + 1)):
         enumerated += 1
-        for x, job in enumerate(tour, start=1):
-            pos[job] = x
-
-        ok = True
         for i, j in atomic:
-            if pos[i] >= pos[j]:
-                ok = False
+            if p[i] >= p[j]:
                 break
-        if ok:
+        else:
             for a1, b1, a2, b2 in disjunctive:
-                if pos[a1] >= pos[b1] and pos[a2] >= pos[b2]:
-                    ok = False
+                if p[a1] >= p[b1] and p[a2] >= p[b2]:
                     break
-        if ok:
-            for i, j in ds:
-                pj = pos[j]
-                pi = pos[i]
-                if pj != pi + 1 and pj >= pi:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        valid_count += 1
+            else:
+                for i, j in ds:
+                    if p[j] > p[i] + 1:
+                        break
+                else:
+                    valid_count += 1
+                    # S counts the open spans; M, L and N cannot lower an
+                    # objective whose S band is already above the best
+                    spans = []
+                    for i, j in pairs:
+                        lo = p[i]
+                        hi = p[j]
+                        if lo > hi:
+                            lo, hi = hi, lo
+                        if hi - lo > 1:
+                            spans.append((lo, hi))
+                    obj = k3 * len(spans)
+                    if obj > best:
+                        continue
+                    if spans:
+                        # the peak load is reached at the first stored
+                        # position of some span
+                        m = 0
+                        widest = 0
+                        for lo, hi in spans:
+                            load = 0
+                            for lo2, hi2 in spans:
+                                if lo2 <= lo and lo + 1 < hi2:
+                                    load += 1
+                            if load > m:
+                                m = load
+                            if hi - lo > widest:
+                                widest = hi - lo
+                        obj += k2 * m + k * (widest - 1)
+                    for i, j in soft:
+                        if p[i] > p[j]:
+                            obj += 1
+                    if obj < best:
+                        best = obj
+                        best_pos = [p]
+                    elif obj == best:
+                        best_pos.append(p)
 
-        s = 0
-        l = 0
-        for i, j in pairs:
-            gap = pos[i] - pos[j]
-            if gap < 0:
-                gap = -gap
-            if gap > 1:
-                s += 1
-            if gap - 1 > l:
-                l = gap - 1
-        m = _m_from_pos(inst, pos) if b else 0
-        n = 0
-        for i, j in soft:
-            if pos[i] > pos[j]:
-                n += 1
-        obj = objective(s, m, l, n, k)
-        if best is None or obj < best:
-            best = obj
-            best_tours = [tour]
-        elif obj == best:
-            best_tours.append(tour)
-
+    # invert each optimal position vector into its tour, in place
+    tour = [0] * k
+    for idx, p in enumerate(best_pos):
+        for job, x in enumerate(p, start=1):
+            tour[x - 1] = job
+        best_pos[idx] = tuple(tour)
+    best_pos.sort()
     return OracleResult(
         valid_count=valid_count,
         enumerated=enumerated,
-        optimal_objective=best,
-        optimal_solutions=tuple(Permutation(t) for t in best_tours),
+        optimal_objective=best if valid_count else None,
+        optimal_solutions=tuple(map(Permutation, best_pos)),
     )
 
 
@@ -114,23 +137,21 @@ def brute_mas(g: DiGraph, limit_v: int = DEFAULT_LIMIT_V) -> int:
 
     Every maximal acyclic edge set is consistent with some linear order of
     the vertices, so trying all n! orders and counting forward edges is
-    exact (and far smaller than trying all edge subsets).
+    exact (and far smaller than trying all edge subsets). Orders are drawn
+    as position vectors, entry v - 1 being vertex v's position.
     """
     n = g.vertex_count
     if n > limit_v:
         raise ValueError(f"graph has {n} vertices; brute force is limited to {limit_v}")
-    edges = tuple(g.edges)
+    edges = tuple((u - 1, v - 1) for u, v in g.edges)
     if not edges:
         return 0
     total = len(edges)
     best = 0
-    pos = [0] * (n + 1)
-    for order in itertools.permutations(range(1, n + 1)):
-        for x, v in enumerate(order):
-            pos[v] = x
+    for p in itertools.permutations(range(n)):
         kept = 0
         for u, v in edges:
-            if pos[u] < pos[v]:
+            if p[u] < p[v]:
                 kept += 1
         if kept > best:
             best = kept

@@ -53,7 +53,7 @@ def parse_edge_list(text: str) -> DiGraph:
             continue
         parts = line.split()
         if parts[0] == "vertices":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError("vertices line must read 'vertices <count>'", lineno, 1)
             declared = int(parts[1])
             continue

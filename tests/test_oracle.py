@@ -1,6 +1,11 @@
+import itertools
+import math
+import operator
 import random
 
 import pytest
+
+import ctwkit.oracle
 
 from ctwkit import (
     DiGraph,
@@ -99,3 +104,38 @@ def test_brute_mas_matches_greedy_free_cases():
         # a maximum acyclic subgraph always keeps at least half the arcs:
         # either direction class of any linear order does
         assert 2 * best >= len(edges)
+
+
+class _CountingItertools:
+    """Counts the orders pulled from ``itertools.permutations``; the same
+    ``zip``-with-counter stand-in the traced benchmark swaps in."""
+
+    def __init__(self):
+        self.counters = []
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    def permutations(self, *args):
+        counter = itertools.count()
+        self.counters.append(counter)
+        return map(operator.itemgetter(0), zip(itertools.permutations(*args), counter))
+
+    def pulled(self) -> int:
+        return sum(next(c) for c in self.counters)
+
+
+def test_enumeration_pulls_every_permutation(monkeypatch, five_job):
+    cases = [
+        five_job,
+        Instance(k=0, b=0),
+        Instance(k=4, b=2, soft_atomic=[(1, 2), (3, 4)]),
+        Instance(k=6, b=0),
+        Instance(k=3, b=0, atomic=[(1, 2), (2, 3), (3, 1)]),  # unsatisfiable
+    ]
+    for inst in cases:
+        counting = _CountingItertools()
+        monkeypatch.setattr(ctwkit.oracle, "itertools", counting)
+        result = enumerate_solutions(inst)
+        assert counting.pulled() == result.enumerated == math.factorial(inst.k)
+    assert result.valid_count == 0

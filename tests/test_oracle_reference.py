@@ -1,0 +1,230 @@
+"""Differential test of the exhaustive oracle against the one it replaced.
+
+The reference below is the earlier ``enumerate_solutions`` and
+``brute_mas``, copied unchanged: each drawn tour is copied into a
+job -> position list before it is checked, and every valid permutation is
+priced in full through ``costs.objective``. The functions under test are
+always called as ``oracle.enumerate_solutions`` and ``oracle.brute_mas``.
+Both must agree on the census, the optimum and the optimal set in order.
+"""
+
+import itertools
+import random
+
+from ctwkit import oracle
+from ctwkit.costs import _m_from_pos, breakdown, objective
+from ctwkit.digraph import DiGraph
+from ctwkit.generate import certification_suite, generate_planted
+from ctwkit.model import Instance, Permutation
+from ctwkit.oracle import DEFAULT_LIMIT_K, DEFAULT_LIMIT_V, OracleResult
+
+# ---------------------------------------------------------------------------
+# Reference oracle
+
+
+def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> OracleResult:
+    """Exact census and optimum by enumerating all k! permutations.
+
+    Permutations are visited in lexicographic tour order, so the reported
+    optimal set is deterministic. Raises ValueError when k exceeds the
+    guard.
+    """
+    k = inst.k
+    if k > limit_k:
+        raise ValueError(
+            f"instance has k={k} jobs; exhaustive enumeration is limited to k<={limit_k}"
+        )
+    b = inst.b
+    atomic = inst.atomic
+    disjunctive = inst.disjunctive
+    soft = inst.soft_atomic
+    ds = tuple((i, i + b if i <= b else i - b) for i in inst.direct_successors)
+    pairs = tuple((i, i + b) for i in range(1, b + 1))
+
+    pos = [0] * (k + 1)
+    enumerated = 0
+    valid_count = 0
+    best: int | None = None
+    best_tours: list[tuple[int, ...]] = []
+
+    for tour in itertools.permutations(range(1, k + 1)):
+        enumerated += 1
+        for x, job in enumerate(tour, start=1):
+            pos[job] = x
+
+        ok = True
+        for i, j in atomic:
+            if pos[i] >= pos[j]:
+                ok = False
+                break
+        if ok:
+            for a1, b1, a2, b2 in disjunctive:
+                if pos[a1] >= pos[b1] and pos[a2] >= pos[b2]:
+                    ok = False
+                    break
+        if ok:
+            for i, j in ds:
+                pj = pos[j]
+                pi = pos[i]
+                if pj != pi + 1 and pj >= pi:
+                    ok = False
+                    break
+        if not ok:
+            continue
+        valid_count += 1
+
+        s = 0
+        l = 0
+        for i, j in pairs:
+            gap = pos[i] - pos[j]
+            if gap < 0:
+                gap = -gap
+            if gap > 1:
+                s += 1
+            if gap - 1 > l:
+                l = gap - 1
+        m = _m_from_pos(inst, pos) if b else 0
+        n = 0
+        for i, j in soft:
+            if pos[i] > pos[j]:
+                n += 1
+        obj = objective(s, m, l, n, k)
+        if best is None or obj < best:
+            best = obj
+            best_tours = [tour]
+        elif obj == best:
+            best_tours.append(tour)
+
+    return OracleResult(
+        valid_count=valid_count,
+        enumerated=enumerated,
+        optimal_objective=best,
+        optimal_solutions=tuple(Permutation(t) for t in best_tours),
+    )
+
+
+def brute_mas(g: DiGraph, limit_v: int = DEFAULT_LIMIT_V) -> int:
+    """Maximum number of edges of ``g`` that fit an acyclic subgraph.
+
+    Every maximal acyclic edge set is consistent with some linear order of
+    the vertices, so trying all n! orders and counting forward edges is
+    exact (and far smaller than trying all edge subsets).
+    """
+    n = g.vertex_count
+    if n > limit_v:
+        raise ValueError(f"graph has {n} vertices; brute force is limited to {limit_v}")
+    edges = tuple(g.edges)
+    if not edges:
+        return 0
+    total = len(edges)
+    best = 0
+    pos = [0] * (n + 1)
+    for order in itertools.permutations(range(1, n + 1)):
+        for x, v in enumerate(order):
+            pos[v] = x
+        kept = 0
+        for u, v in edges:
+            if pos[u] < pos[v]:
+                kept += 1
+        if kept > best:
+            best = kept
+            if best == total:
+                break
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Differential checks
+
+
+def _assert_same(inst: Instance) -> OracleResult:
+    got = oracle.enumerate_solutions(inst)
+    want = enumerate_solutions(inst)
+    assert got.valid_count == want.valid_count, inst
+    assert got.enumerated == want.enumerated, inst
+    assert got.optimal_objective == want.optimal_objective, inst
+    assert [p.tour for p in got.optimal_solutions] == [
+        p.tour for p in want.optimal_solutions
+    ], inst
+    return got
+
+
+def test_certification_suite_matches_reference():
+    modes = set()
+    for seed in range(6):
+        for _, params in certification_suite(seed=seed, count=40):
+            inst, _ = generate_planted(params)
+            _assert_same(inst)
+            modes.add(params.mode)
+    assert len(modes) == 4
+
+
+def test_trivial_sizes_match_reference():
+    for k in (0, 1):
+        result = _assert_same(Instance(k=k, b=0))
+        assert result.valid_count == 1
+
+
+def test_unconstrained_instance_ties_everywhere():
+    result = _assert_same(Instance(k=7, b=0))
+    assert result.valid_count == result.enumerated == 5040
+    assert len(result.optimal_solutions) == 5040
+    assert result.optimal_objective == 0
+
+
+def _soft_heavy(rng: random.Random, k: int) -> Instance:
+    b = rng.randint(0, k // 2)
+    pool = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+    rng.shuffle(pool)
+    hard = pool[: rng.randint(0, k // 2)]
+    soft = pool[len(hard):][: rng.randint(k, 3 * k)]
+    ends = list(range(1, 2 * b + 1))
+    ds = rng.sample(ends, rng.randint(0, min(2, len(ends))))
+    disjunctive = []
+    for _ in range(rng.randint(0, 2)):
+        a1, b1, a2, b2 = rng.sample(range(1, k + 1), 4)
+        disjunctive.append((a1, b1, a2, b2))
+    return Instance(k=k, b=b, atomic=hard, soft_atomic=soft,
+                    disjunctive=disjunctive, direct_successors=ds)
+
+
+def test_soft_heavy_instances_match_reference():
+    # N >= k lets N overflow into the L band: the S-band skip must only
+    # drop permutations whose objective is strictly worse anyway
+    rng = random.Random(4111)
+    heavy = 0
+    for _ in range(60):
+        inst = _soft_heavy(rng, rng.randint(4, 7))
+        result = _assert_same(inst)
+        if result.optimal_solutions:
+            heavy += breakdown(inst, result.optimal_solutions[0]).N >= inst.k
+    assert heavy > 0
+
+
+def test_pairs_heavy_instances_match_reference():
+    # b = k/2 gives the most open spans, so M sees overlapping spans
+    rng = random.Random(877)
+    for _ in range(30):
+        k = rng.choice((4, 6, 8))
+        pool = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+        rng.shuffle(pool)
+        hard = pool[: rng.randint(0, 2)]
+        soft = pool[2: 2 + rng.randint(0, k)]
+        _assert_same(Instance(k=k, b=k // 2, atomic=hard, soft_atomic=soft))
+
+
+def test_brute_mas_matches_reference():
+    rng = random.Random(2203)
+    sizes = {0: 0, 1: 0}
+    for case in range(320):
+        n = rng.randint(0, 8)
+        pool = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+        if case % 4 == 0:
+            count = rng.randint(0, min(1, len(pool)))
+        else:
+            count = rng.randint(0, len(pool))
+        g = DiGraph(n, frozenset(rng.sample(pool, count)))
+        if len(g.edges) in sizes:
+            sizes[len(g.edges)] += 1
+        assert oracle.brute_mas(g) == brute_mas(g), g
+    assert sizes[0] and sizes[1]

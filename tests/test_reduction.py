@@ -141,3 +141,13 @@ def test_parse_edge_list():
         parse_edge_list("a b\n")
     with pytest.raises(ParseError):
         parse_edge_list("vertices five\n")
+
+
+def test_parse_edge_list_vertex_count_digits():
+    # a superscript two is a digit to str.isdigit but not to int()
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("vertices ²\n1 2\n")
+    assert str(err.value) == "line 1, column 1: vertices line must read 'vertices <count>'"
+    assert (err.value.line, err.value.column) == (1, 1)
+    # fullwidth digits are decimal digits, and int() reads them
+    assert parse_edge_list("vertices ３\n1 2\n").vertex_count == 3
