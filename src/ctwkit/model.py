@@ -254,11 +254,11 @@ def validate(inst: Instance, perm: Permutation) -> list[Violation]:
 
 
 def satisfies(inst: Instance, pos: Sequence[int]) -> bool:
-    """Fast hard-constraint check against a position array (index = job id).
+    """Hard-constraint check against a position array (index = job id).
 
-    ``pos`` must describe a bijection; this is the hot path used by the
-    exhaustive enumerator and agrees with ``validate`` by construction
-    (property-tested).
+    ``pos`` must describe a bijection. It agrees with ``validate`` by
+    construction (property-tested); the exhaustive enumerator checks the
+    drawn position vectors itself, so only tests call this.
     """
     for i, j in inst.atomic:
         if pos[i] >= pos[j]:

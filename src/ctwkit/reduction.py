@@ -28,12 +28,16 @@ def extract_mas(g: DiGraph, perm: Permutation) -> frozenset[tuple[int, int]]:
     """Edges whose soft precedence the permutation satisfies.
 
     For any bijection the result is acyclic (all kept edges point forward in
-    one linear order); for an optimal permutation it is maximum.
+    one linear order); for an optimal permutation it is maximum. Raises
+    ValueError when the permutation's length differs from the vertex count
+    or it is not a bijection of 1..n.
     """
     if len(perm) != g.vertex_count:
         raise ValueError(
             f"permutation length {len(perm)} does not match {g.vertex_count} vertices"
         )
+    if not perm.is_bijection():
+        raise ValueError(f"permutation {list(perm.tour)} is not a bijection of 1..{len(perm)}")
     pos = perm._pos
     return frozenset((u, v) for u, v in g.edges if pos[u] < pos[v])
 

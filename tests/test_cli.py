@@ -191,6 +191,18 @@ def test_reduce_mas_and_extract(tmp_path, capsys):
     assert code == 4
 
 
+def test_reduce_mas_extract_rejects_non_bijective_tour(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n2 3\n3 1\n")
+    sol = tmp_path / "s.sol"
+    sol.write_text("tour 1 1 2\n")
+    code, out, err = run_cli(capsys, "reduce-mas", graph, "--extract",
+                             "--solution", sol)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "not a bijection" in err
+
+
 def test_usage_errors_exit_4(capsys, tmp_path):
     assert run_cli(capsys, "no-such-command")[0] == 4
     assert run_cli(capsys, "solve")[0] == 4  # missing instance

@@ -88,8 +88,63 @@ def test_brute_mas_complete_digraph_on_three_vertices():
 
 
 def test_brute_mas_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="graph has 11 vertices; brute force is limited to 10"):
         brute_mas(DiGraph(11, frozenset()))
+    # the guard applies before the edgeless early return, and a custom one is honoured
+    assert brute_mas(DiGraph(10, frozenset())) == 0
+    with pytest.raises(ValueError, match="limited to 4"):
+        brute_mas(DiGraph(5, frozenset({(1, 2)})), limit_v=4)
+
+
+def test_brute_mas_complete_symmetric_digraph_at_the_guard():
+    # every order keeps exactly one edge of each of the 45 two-cycles
+    edges = {(u, v) for u in range(1, 11) for v in range(1, 11) if u != v}
+    assert brute_mas(DiGraph(10, frozenset(edges))) == 45
+
+
+def _relabel(rng, n, edges):
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return frozenset((label[u - 1], label[v - 1]) for u, v in edges)
+
+
+def test_brute_mas_disjoint_cycles_lose_one_edge_each():
+    rng = random.Random(61)
+    for lengths in ([2], [3], [10], [2, 2, 2, 2, 2], [3, 3, 4], [5, 4], [2, 3], [6, 2, 2]):
+        edges = []
+        start = 1
+        for length in lengths:
+            ring = list(range(start, start + length))
+            edges += zip(ring, ring[1:] + ring[:1])
+            start += length
+        n = start - 1
+        g = DiGraph(n, _relabel(rng, n, edges))
+        assert brute_mas(g) == len(edges) - len(lengths), lengths
+
+
+def test_brute_mas_dag_keeps_all_edges_and_two_cycles_cost_one_each():
+    rng = random.Random(67)
+    for _ in range(20):
+        n = rng.randint(2, 10)
+        forward = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        dag = rng.sample(forward, rng.randint(1, len(forward)))
+        dag_edges = _relabel(rng, n, dag)
+        assert brute_mas(DiGraph(n, dag_edges)) == len(dag_edges)
+        # reversing some DAG edges as well makes two-cycles; the DAG is still best
+        backs = {(v, u) for u, v in rng.sample(sorted(dag_edges), rng.randint(1, len(dag_edges)))}
+        assert brute_mas(DiGraph(n, dag_edges | backs)) == len(dag_edges)
+
+
+def test_brute_mas_ignores_trailing_isolated_vertices():
+    rng = random.Random(71)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        pool = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+        edges = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+        last = max(max(e) for e in edges)
+        want = brute_mas(DiGraph(last, edges))
+        for count in range(last + 1, 11):
+            assert brute_mas(DiGraph(count, edges)) == want
 
 
 def test_brute_mas_matches_greedy_free_cases():

@@ -2,10 +2,13 @@
 
 The reference below is the earlier ``enumerate_solutions`` and
 ``brute_mas``, copied unchanged: each drawn tour is copied into a
-job -> position list before it is checked, and every valid permutation is
-priced in full through ``costs.objective``. The functions under test are
-always called as ``oracle.enumerate_solutions`` and ``oracle.brute_mas``.
-Both must agree on the census, the optimum and the optimal set in order.
+job -> position list before it is checked, every valid permutation is
+priced in full through ``costs.objective``, and maximum acyclic subgraph is
+found by counting forward edges under all n! vertex orders (the oracle now
+uses a subset recurrence instead). The functions under test are always
+called as ``oracle.enumerate_solutions`` and ``oracle.brute_mas``. They
+must agree on the census, the optimum and the optimal set in order, and on
+the maximum acyclic subgraph size.
 """
 
 import itertools
@@ -228,3 +231,13 @@ def test_brute_mas_matches_reference():
             sizes[len(g.edges)] += 1
         assert oracle.brute_mas(g) == brute_mas(g), g
     assert sizes[0] and sizes[1]
+
+
+def test_brute_mas_matches_reference_on_nine_vertices():
+    # the reference walks all 9! orders, about a second per graph
+    rng = random.Random(2207)
+    n = 9
+    pool = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    for density in (0.25, 0.5, 0.75):
+        g = DiGraph(n, frozenset(e for e in pool if rng.random() < density))
+        assert oracle.brute_mas(g) == brute_mas(g), g

@@ -88,6 +88,17 @@ def test_extract_dimension_mismatch():
         extract_mas(g, Permutation((1, 2)))
 
 
+def test_extract_rejects_non_bijection():
+    g = DiGraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+    # a repeated vertex leaves another without a position
+    for tour in ((1, 1, 2), (3, 3, 3), (0, 1, 2), (1, 2, 4)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            extract_mas(g, Permutation(tour))
+    # the length check still comes first, with its own message
+    with pytest.raises(ValueError, match="does not match 3 vertices"):
+        extract_mas(g, Permutation((1, 1)))
+
+
 def test_extraction_is_acyclic_for_any_bijection():
     rng = random.Random(97)
     for _ in range(100):
