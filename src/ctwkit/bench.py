@@ -20,7 +20,7 @@ from . import polycases
 from .costs import CostBreakdown, breakdown
 from .errors import CtwError
 from .formats import SolutionFile, load_instance
-from .model import Instance, Permutation, validate
+from .model import Instance, validate
 from .solver import ResultState, SolveResult, SolveStats, SolverConfig, solve
 
 ENGINES = ("bb", "topo", "ds-only", "oracle")
@@ -169,6 +169,12 @@ def _solve_one(path_str: str, engine: str, cfg: SolverConfig) -> BenchRow:
                     result.stats.nodes_expanded, m, tuple(flags))
 
 
+def instance_paths(directory) -> list[Path]:
+    """The *.dat / *.json files in ``directory``, sorted by stem."""
+    paths = (p for p in Path(directory).iterdir() if p.suffix.lower() in (".dat", ".json"))
+    return sorted(paths, key=lambda p: p.stem)
+
+
 def run_suite(directory, cfg: SolverConfig | None = None, engine: str = "bb",
               jobs: int = 1) -> list[BenchRow]:
     """One row per *.dat / *.json instance under ``directory``, ordered by id.
@@ -180,18 +186,13 @@ def run_suite(directory, cfg: SolverConfig | None = None, engine: str = "bb",
     """
     if cfg is None:
         cfg = SolverConfig()
-    root = Path(directory)
-    paths = sorted(
-        [p for p in root.iterdir() if p.suffix.lower() in (".dat", ".json")],
-        key=lambda p: p.stem,
-    )
+    paths = instance_paths(directory)
     if jobs > 1 and len(paths) > 1:
+        # map yields results in input order, and the paths are sorted by id
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_solve_one, [str(p) for p in paths],
+            return list(pool.map(_solve_one, [str(p) for p in paths],
                                  [engine] * len(paths), [cfg] * len(paths)))
-    else:
-        rows = [_solve_one(str(p), engine, cfg) for p in paths]
-    return sorted(rows, key=lambda r: r.instance_id)
+    return [_solve_one(str(p), engine, cfg) for p in paths]
 
 
 def validate_external(inst: Instance, sol: SolutionFile,
@@ -209,8 +210,7 @@ def validate_external(inst: Instance, sol: SolutionFile,
         return BenchRow(rid, ResultState.UNDEFINED, None, 0, 0, m,
                         (f"error:solution has {len(sol.values)} entries, instance has k={inst.k}",))
     try:
-        perm = (Permutation(sol.values) if sol.kind == "tour"
-                else Permutation.from_positions(sol.values))
+        perm = sol.permutation()
     except ValueError as exc:
         return BenchRow(rid, ResultState.UNDEFINED, None, 0, 0, m, (f"error:{exc}",))
     violations = validate(inst, perm)

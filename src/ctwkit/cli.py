@@ -30,7 +30,7 @@ from . import formats, oracle, reduction
 from .errors import CtwError
 from .generate import GenMode, GenParams, anytime_suite, certification_suite
 from .generate import generate as generate_instance
-from .model import Permutation, validate
+from .model import validate
 from .costs import breakdown
 from .solver import ResultState, SolverConfig, solve
 
@@ -206,8 +206,7 @@ def _cmd_validate(args) -> int:
         _write(_dump_json(doc), args.out)
         return 4
     try:
-        perm = (Permutation(sol.values) if sol.kind == "tour"
-                else Permutation.from_positions(sol.values))
+        perm = sol.permutation()
     except ValueError as exc:
         doc["violations"] = [f"not-bijective: {exc}"]
         _write(_dump_json(doc), args.out)
@@ -292,11 +291,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    root = Path(args.dir)
-    paths = sorted(
-        [p for p in root.iterdir() if p.suffix.lower() in (".dat", ".json")],
-        key=lambda p: p.stem,
-    )
+    paths = bench_mod.instance_paths(args.dir)
     items = [(p.stem, bench_mod.metrics(formats.load_instance(p))) for p in paths]
     _write(formats.emit_metrics_csv(items), args.out)
     return 0
@@ -308,8 +303,7 @@ def _cmd_reduce_mas(args) -> int:
         if not args.solution:
             raise CtwError("--extract needs --solution FILE")
         sol = formats.parse_solution(Path(args.solution).read_text(encoding="utf-8-sig"))
-        perm = (Permutation(sol.values) if sol.kind == "tour"
-                else Permutation.from_positions(sol.values))
+        perm = sol.permutation()
         kept = reduction.extract_mas(g, perm)
         doc = {
             "vertices": g.vertex_count,

@@ -1,6 +1,7 @@
 """The four optimisation criteria and the weighted objective.
 
-For a bijective permutation of k = 2b + n jobs:
+For a bijective permutation of k = 2b + n jobs (the functions that take a
+Permutation raise ValueError for any other):
 
 * S - number of interrupted job pairs: pairs whose two ends sit more than
   one position apart, so one end waits in storage.
@@ -41,6 +42,15 @@ def objective(S: int, M: int, L: int, N: int, k: int) -> int:
     if k < 0:
         raise ValueError("k must be non-negative")
     return k ** 3 * S + k ** 2 * M + k * L + N
+
+
+def _checked_pos(inst: Instance, perm: Permutation) -> tuple[int, ...]:
+    """``perm``'s position array; ValueError unless it is a bijection of 1..k."""
+    if len(perm) != inst.k:
+        raise ValueError(f"permutation has length {len(perm)}, instance has k={inst.k}")
+    if not perm.is_bijection():
+        raise ValueError(f"permutation is not a bijection of 1..{inst.k}")
+    return perm._pos
 
 
 def _s_from_pos(inst: Instance, pos: Sequence[int]) -> int:
@@ -96,24 +106,24 @@ def _n_from_pos(inst: Instance, pos: Sequence[int]) -> int:
 
 
 def cost_s(inst: Instance, perm: Permutation) -> int:
-    return _s_from_pos(inst, perm._pos)
+    return _s_from_pos(inst, _checked_pos(inst, perm))
 
 
 def cost_m(inst: Instance, perm: Permutation) -> int:
-    return _m_from_pos(inst, perm._pos)
+    return _m_from_pos(inst, _checked_pos(inst, perm))
 
 
 def cost_l(inst: Instance, perm: Permutation) -> int:
-    return _l_from_pos(inst, perm._pos)
+    return _l_from_pos(inst, _checked_pos(inst, perm))
 
 
 def cost_n(inst: Instance, perm: Permutation) -> int:
-    return _n_from_pos(inst, perm._pos)
+    return _n_from_pos(inst, _checked_pos(inst, perm))
 
 
 def breakdown(inst: Instance, perm: Permutation) -> CostBreakdown:
     """All four criteria plus the weighted objective."""
-    pos = perm._pos
+    pos = _checked_pos(inst, perm)
     s = _s_from_pos(inst, pos)
     m = _m_from_pos(inst, pos)
     l = _l_from_pos(inst, pos)
@@ -129,8 +139,8 @@ def edge_cost_s(inst: Instance, perm: Permutation) -> int:
     x + 1; each interrupted pair contributes that cost once, at its earlier
     end, so the sum equals ``cost_s`` on every bijection.
     """
+    pos = _checked_pos(inst, perm)
     tour = perm.tour
-    pos = perm._pos
     b = inst.b
     two_sided = 2 * b
     total = 0

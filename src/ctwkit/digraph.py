@@ -3,7 +3,8 @@
 Used for the hard-precedence constraint graph of an instance and for the
 maximum-acyclic-subgraph machinery. Deliberately minimal: vertices are
 implicit (1..vertex_count), edges are a frozen set of (tail, head) pairs,
-self-loops are rejected.
+self-loops are rejected. The algorithms take a vertex count and a plain
+edge sequence, so callers need not build a DiGraph.
 """
 
 from __future__ import annotations
@@ -30,63 +31,39 @@ class DiGraph:
             if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
                 raise InstanceError(f"edge ({u}, {v}) leaves 1..{self.vertex_count}")
 
-    def successors(self) -> dict[int, list[int]]:
-        """Adjacency lists with deterministically sorted neighbours."""
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.vertex_count + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-        for lst in adj.values():
-            lst.sort()
-        return adj
 
-
-def from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> DiGraph:
-    return DiGraph(vertex_count, frozenset(edges))
-
-
-def find_cycle(g: DiGraph) -> list[int] | None:
+def find_cycle(vertex_count: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:
     """Return one directed cycle [v1, ..., vm] (vm -> v1 closes it), or None.
 
-    Iterative DFS with three-colour marking; deterministic because vertices
-    and neighbours are visited in ascending order.
+    Iterative DFS over flat lists; a back edge to w closes the path from w.
+    Deterministic because vertices and neighbours are visited in ascending
+    order.
     """
-    adj = g.successors()
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {v: WHITE for v in adj}
-    parent: dict[int, int] = {}
-    for root in range(1, g.vertex_count + 1):
-        if colour[root] != WHITE:
+    succ: list[list[int]] = [[] for _ in range(vertex_count + 1)]
+    for u, v in edges:
+        succ[u].append(v)
+    for lst in succ:
+        lst.sort()
+    state = [0] * (vertex_count + 1)  # 0 unvisited, 1 on the path, 2 done
+    for root in range(1, vertex_count + 1):
+        if state[root]:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        colour[root] = GREY
+        state[root] = 1
+        path = [root]
+        stack = [iter(succ[root])]
         while stack:
-            v, i = stack[-1]
-            if i < len(adj[v]):
-                stack[-1] = (v, i + 1)
-                w = adj[v][i]
-                if colour[w] == GREY:
-                    # walk the grey chain back from v to w
-                    cycle = [v]
-                    while cycle[-1] != w:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()
-                    return cycle
-                if colour[w] == WHITE:
-                    colour[w] = GREY
-                    parent[w] = v
-                    stack.append((w, 0))
+            for w in stack[-1]:
+                if state[w] == 1:
+                    return path[path.index(w):]
+                if state[w] == 0:
+                    state[w] = 1
+                    path.append(w)
+                    stack.append(iter(succ[w]))
+                    break
             else:
-                colour[v] = BLACK
+                state[path.pop()] = 2
                 stack.pop()
     return None
-
-
-def topological_order(g: DiGraph) -> list[int] | None:
-    """Kahn's algorithm; smallest vertex id first among the ready ones.
-
-    Returns the order, or None when the graph has a cycle.
-    """
-    return lexicographic_order(g.vertex_count, g.edges)
 
 
 def lexicographic_order(

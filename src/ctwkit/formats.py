@@ -50,7 +50,7 @@ from operator import eq
 
 from .costs import CostBreakdown
 from .errors import ParseError, SchemaError
-from .model import Instance
+from .model import Instance, Permutation
 
 DAT_PARAMS = (
     "k",
@@ -463,8 +463,8 @@ class SolutionFile:
     """A permutation claimed by some solver, before any checking.
 
     ``kind`` is ``"tour"`` (values are jobs by position) or ``"positions"``
-    (values are positions by job). Bijectivity is checked downstream when
-    the file is audited against an instance.
+    (values are positions by job). A tour's bijectivity is checked
+    downstream when the file is audited against an instance.
     """
 
     instance_id: str | None
@@ -472,17 +472,11 @@ class SolutionFile:
     values: tuple[int, ...]
     claimed: CostBreakdown | None = None
 
-    def pfc(self) -> tuple[int, ...]:
-        """Position-per-job view; raises ValueError when not invertible."""
-        if self.kind == "positions":
-            return self.values
-        k = len(self.values)
-        pos = [0] * k
-        for x, job in enumerate(self.values, start=1):
-            if not 1 <= job <= k or pos[job - 1] != 0:
-                raise ValueError(f"tour is not a bijection at position {x}")
-            pos[job - 1] = x
-        return tuple(pos)
+    def permutation(self) -> Permutation:
+        """The values as a Permutation; ValueError when positions are not invertible."""
+        if self.kind == "tour":
+            return Permutation(self.values)
+        return Permutation.from_positions(self.values)
 
 
 _CLAIMED = re.compile(

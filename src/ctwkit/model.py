@@ -157,17 +157,13 @@ class Permutation:
     The dual view -- position of each job -- is derived once and cached.
     A Permutation may hold a non-bijective tour (e.g. read from a defective
     solution file); ``validate`` reports that instead of the constructor
-    rejecting it.
+    rejecting it, and the cost functions refuse it with ValueError.
     """
 
     tour: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "tour", tuple(int(j) for j in self.tour))
-
-    @classmethod
-    def from_tour(cls, jobs: Sequence[int]) -> "Permutation":
-        return cls(tuple(jobs))
 
     @classmethod
     def from_positions(cls, positions: Sequence[int]) -> "Permutation":
@@ -189,10 +185,16 @@ class Permutation:
     @cached_property
     def _pos(self) -> tuple[int, ...]:
         # index = job id (entry 0 unused); meaningful only for bijective tours
-        pos = [0] * (len(self.tour) + 1)
+        k = len(self.tour)
+        pos = [0] * (k + 1)
+        distinct = 0
         for x, job in enumerate(self.tour, start=1):
-            if 1 <= job < len(pos):
+            if 1 <= job <= k:
+                if not pos[job]:
+                    distinct += 1
                 pos[job] = x
+        # k distinct jobs from 1..k: the same pass decides is_bijection
+        self.__dict__["_bijective"] = distinct == k
         return tuple(pos)
 
     def position_of(self, job: int) -> int:
@@ -206,8 +208,8 @@ class Permutation:
         return self._pos[1:]
 
     def is_bijection(self) -> bool:
-        k = len(self.tour)
-        return sorted(self.tour) == list(range(1, k + 1))
+        self._pos  # sets _bijective on first use
+        return self.__dict__["_bijective"]
 
 
 class ViolationKind(Enum):
@@ -251,28 +253,6 @@ def validate(inst: Instance, perm: Permutation) -> list[Violation]:
         if not (pos[j] == pos[i] + 1 or pos[j] < pos[i]):
             out.append(Violation(ViolationKind.DIRECT_SUCCESSOR, i))
     return out
-
-
-def satisfies(inst: Instance, pos: Sequence[int]) -> bool:
-    """Hard-constraint check against a position array (index = job id).
-
-    ``pos`` must describe a bijection. It agrees with ``validate`` by
-    construction (property-tested); the exhaustive enumerator checks the
-    drawn position vectors itself, so only tests call this.
-    """
-    for i, j in inst.atomic:
-        if pos[i] >= pos[j]:
-            return False
-    for a1, b1, a2, b2 in inst.disjunctive:
-        if pos[a1] >= pos[b1] and pos[a2] >= pos[b2]:
-            return False
-    b = inst.b
-    for i in inst.direct_successors:
-        j = i + b if i <= b else i - b
-        pj, pi = pos[j], pos[i]
-        if pj != pi + 1 and pj >= pi:
-            return False
-    return True
 
 
 def hard_atomic_graph(inst: Instance) -> digraph.DiGraph:

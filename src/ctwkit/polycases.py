@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import digraph
-from .model import Instance, Permutation, hard_atomic_graph
+from .model import Instance, Permutation
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def topo_solve(inst: Instance) -> Permutation | UnsatCertificate:
         )
     order = digraph.lexicographic_order(inst.k, inst.atomic)
     if order is None:
-        cycle = digraph.find_cycle(hard_atomic_graph(inst))
+        cycle = digraph.find_cycle(inst.k, inst.atomic)
         assert cycle is not None
         return UnsatCertificate(tuple(cycle))
     return Permutation(tuple(order))
@@ -79,7 +79,7 @@ def unsat_precheck(inst: Instance) -> UnsatCertificate | None:
     Run before every solve as a cheap filter. Silence is not a
     satisfiability proof.
     """
-    cycle = digraph.find_cycle(hard_atomic_graph(inst))
+    cycle = digraph.find_cycle(inst.k, inst.atomic)
     if cycle is None:
         return None
     return UnsatCertificate(tuple(cycle))

@@ -30,7 +30,6 @@ first.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -39,8 +38,6 @@ from typing import Sequence
 from .costs import CostBreakdown, breakdown
 from .model import Instance, Permutation, validate
 from .polycases import unsat_precheck
-
-logger = logging.getLogger(__name__)
 
 _TIME_CHECK_MASK = 1023  # timer polled every 1024 children priced
 
@@ -55,20 +52,15 @@ class ResultState(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Limits and knobs for one solve call.
+    """Limits for one solve call.
 
-    ``heuristic_dive`` is kept for configuration compatibility: the
-    depth-first order already descends greedily to a first incumbent, so
-    the flag changes nothing for this engine. ``seed`` likewise has no
-    effect on the deterministic search and is recorded for reproducibility
-    of surrounding tooling.
+    ``seed`` has no effect on the deterministic search; it is recorded for
+    reproducibility of surrounding tooling.
     """
 
     time_limit_ms: int = 300_000
     seed: int = 0
     node_limit: int | None = None
-    heuristic_dive: bool = True
-    log_every_nodes: int | None = None
 
     def __post_init__(self):
         if self.time_limit_ms <= 0:
@@ -510,8 +502,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             assert not validate(inst, perm), "propagation admitted an invalid leaf"
             # the bound test above lets only improving leaves through
             best_tour, best_bd = perm.tour, bd
-            if cfg.log_every_nodes:
-                logger.info("incumbent %d after %d nodes", bd.objective, nodes)
             state.unplace()
             continue
         if cfg.node_limit is not None and nodes >= cfg.node_limit:
@@ -519,13 +509,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             break
         frames.append([clb, state.extend_candidates(), 0])
         nodes += 1
-        if cfg.log_every_nodes and nodes % cfg.log_every_nodes == 0:
-            logger.info(
-                "%d nodes, depth %d, incumbent %s",
-                nodes,
-                len(state.prefix),
-                best_bd.objective if best_bd else "-",
-            )
 
     if interrupted:
         open_lbs = [f[0] for f in frames]

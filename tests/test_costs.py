@@ -179,3 +179,41 @@ def test_breakdown_is_consistent():
         inst, plant = random_instance(rng)
         bd = breakdown(inst, plant)
         assert bd.objective == objective(bd.S, bd.M, bd.L, bd.N, inst.k)
+
+
+PRICED = (breakdown, cost_s, cost_m, cost_l, cost_n, edge_cost_s)
+
+
+def test_non_bijective_tour_is_refused():
+    inst = Instance(k=4, b=2, atomic=[(1, 3)])
+    for fn in PRICED:
+        with pytest.raises(ValueError, match="not a bijection"):
+            fn(inst, Permutation((1, 1, 2, 2)))
+        with pytest.raises(ValueError, match="not a bijection"):
+            fn(inst, Permutation((0, 1, 2, 3)))
+
+
+def test_wrong_length_tour_is_refused():
+    inst = Instance(k=4, b=2)
+    for fn in PRICED:
+        with pytest.raises(ValueError, match="length 3"):
+            fn(inst, Permutation((1, 2, 3)))
+        with pytest.raises(ValueError, match="length 5"):
+            fn(inst, Permutation((1, 2, 3, 4, 5)))
+
+
+def test_is_bijection_matches_sorting():
+    rng = random.Random(47)
+    for _ in range(3000):
+        k = rng.randint(0, 9)
+        tour = list(range(1, k + 1))
+        rng.shuffle(tour)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            if tour:
+                # a repeat, 0, k+1 or a negative id
+                tour[rng.randrange(k)] = rng.choice((rng.randint(1, k), 0, k + 1, -rng.randint(1, 5)))
+        perm = Permutation(tuple(tour))
+        assert perm.is_bijection() == (sorted(tour) == list(range(1, k + 1)))
+        # asking again, or after the positions were read, gives the same answer
+        perm.positions_by_job()
+        assert perm.is_bijection() == (sorted(tour) == list(range(1, k + 1)))

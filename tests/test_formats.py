@@ -8,6 +8,7 @@ from ctwkit import (
     CostBreakdown,
     Instance,
     ParseError,
+    Permutation,
     SchemaError,
     emit_dat,
     emit_dzn,
@@ -252,13 +253,14 @@ def test_parse_solution_tour_inverts():
     sol = parse_solution("instance R\ntour 5 3 4 2 1\n")
     assert sol.kind == "tour"
     assert sol.instance_id == "R"
-    assert sol.pfc() == (5, 4, 2, 3, 1)
+    assert sol.permutation() == Permutation((5, 3, 4, 2, 1))
+    assert sol.permutation().positions_by_job() == (5, 4, 2, 3, 1)
 
 
 def test_parse_solution_positions_and_claims():
     text = "positions 5 4 2 3 1\nclaimed S=1 M=1 L=2 N=1 objective=161\n"
     sol = parse_solution(text)
-    assert sol.pfc() == (5, 4, 2, 3, 1)
+    assert sol.permutation() == Permutation((5, 3, 4, 2, 1))
     assert sol.claimed == CostBreakdown(1, 1, 2, 1, 161)
 
 
@@ -271,10 +273,11 @@ def test_parse_solution_errors():
         parse_solution("tour 1 2\nwat 3\n")
     with pytest.raises(ParseError, match="claimed line"):
         parse_solution("tour 1 2\nclaimed 161\n")
-    # a duplicated tour is not a bijection; parse keeps it, pfc() refuses
-    sol = parse_solution("tour 1 1 2\n")
-    with pytest.raises(ValueError):
-        sol.pfc()
+    # a duplicated tour is kept as it stands for validate to report; a
+    # duplicated position map cannot be inverted at all
+    assert not parse_solution("tour 1 1 2\n").permutation().is_bijection()
+    with pytest.raises(ValueError, match="not a bijection at job 2"):
+        parse_solution("positions 1 1 2\n").permutation()
 
 
 def test_report_csv_header_only_when_empty():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import Sequence
 
 import pytest
 
@@ -13,7 +14,6 @@ from ctwkit import (
     validate,
 )
 from ctwkit.generate import GenMode
-from ctwkit.model import satisfies
 
 from conftest import random_instance
 
@@ -86,6 +86,30 @@ def test_soft_constraints_never_affect_validity():
         rng.shuffle(tour)
         perm = Permutation(tuple(tour))
         assert bool(validate(inst, perm)) == bool(validate(stripped, perm))
+
+
+# Reference hard-constraint check over a position array, kept here as the
+# spec that ``validate`` is property-tested against.
+def satisfies(inst: Instance, pos: Sequence[int]) -> bool:
+    """Hard-constraint check against a position array (index = job id).
+
+    ``pos`` must describe a bijection. It agrees with ``validate`` by
+    construction (property-tested); the exhaustive enumerator checks the
+    drawn position vectors itself, so only tests call this.
+    """
+    for i, j in inst.atomic:
+        if pos[i] >= pos[j]:
+            return False
+    for a1, b1, a2, b2 in inst.disjunctive:
+        if pos[a1] >= pos[b1] and pos[a2] >= pos[b2]:
+            return False
+    b = inst.b
+    for i in inst.direct_successors:
+        j = i + b if i <= b else i - b
+        pj, pi = pos[j], pos[i]
+        if pj != pi + 1 and pj >= pi:
+            return False
+    return True
 
 
 def test_satisfies_agrees_with_validate():
