@@ -197,12 +197,6 @@ class Permutation:
         self.__dict__["_bijective"] = distinct == k
         return tuple(pos)
 
-    def position_of(self, job: int) -> int:
-        return self._pos[job]
-
-    def job_at(self, position: int) -> int:
-        return self.tour[position - 1]
-
     def positions_by_job(self) -> tuple[int, ...]:
         """positions_by_job()[i-1] is the position of job i."""
         return self._pos[1:]

@@ -4,7 +4,10 @@ Depth-first branch-and-bound over prefix extensions of the tour. A search
 node is a prefix that breaks no hard constraint so far; children are the
 jobs that may legally take the next position. Pruning uses a committed-cost
 lower bound: the part of each criterion that every completion of the prefix
-must already pay.
+must already pay. Its S part includes a floor worked out once per solve: a
+pair whose ends a hard chain links through a third job (i -> x -> i+b, or
+the reverse) is interrupted in every valid order, so it counts before
+either end is placed.
 
 Propagation baked into candidate generation:
 
@@ -36,6 +39,7 @@ from enum import Enum
 from typing import Sequence
 
 from .costs import CostBreakdown, breakdown
+from .digraph import lexicographic_order
 from .model import Instance, Permutation, validate
 from .polycases import unsat_precheck
 
@@ -73,8 +77,9 @@ class SolverConfig:
 class SolveStats:
     """``proven_lower_bound`` is the strongest bound established for the
     whole instance: the optimum on completed runs, None when unsatisfiable,
-    and for interrupted runs the weakest open subtree bound (depth-first
-    search proves little globally until it exhausts)."""
+    and for interrupted runs the weakest open subtree bound, which is at
+    least the root floor (the S charge of the separated pairs); depth-first
+    search proves little more globally until it exhausts."""
 
     nodes_expanded: int
     time_ms: int
@@ -93,8 +98,10 @@ class SearchState:
 
     Tracks, per prefix, the committed part of each criterion:
 
-    * S: pairs already closed with a gap, plus open pairs whose placed end
-      is no longer last (their partner can never be adjacent anymore);
+    * S: pairs already closed with a gap, open pairs (a pair whose placed
+      end is last is exempt unless it is separated: its partner may still
+      come next), and separated pairs with no end placed yet (a hard chain
+      through a third job keeps their ends apart in every valid order);
     * M: the storage load at each placed position is already final, so the
       running maximum is exact on the prefix;
     * L: gaps of closed pairs, and for open pairs the distance from their
@@ -148,19 +155,27 @@ class SearchState:
 
         self.disjuncts = [d.disjuncts() for d in inst.disjunctive]
         self.dstate = [[0, 0] for _ in inst.disjunctive]  # 0 open, 1 true, -1 false
-        by_before: dict[int, list[tuple[int, int]]] = {}
-        by_after: dict[int, list[tuple[int, int]]] = {}
+        by_before: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
+        by_after: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
         for idx, (d1, d2) in enumerate(self.disjuncts):
             for slot, (a, c) in enumerate((d1, d2)):
-                by_before.setdefault(a, []).append((idx, slot))
-                by_after.setdefault(c, []).append((idx, slot))
+                by_before[a].append((idx, slot))
+                by_after[c].append((idx, slot))
         self.by_before = by_before
         self.by_after = by_after
 
-        soft_before_of: dict[int, list[int]] = {}
+        soft_before_of: list[list[int]] = [[] for _ in range(k + 1)]
         for i, j in inst.soft_atomic:
-            soft_before_of.setdefault(j, []).append(i)
+            soft_before_of[j].append(i)
         self.soft_before_of = soft_before_of
+
+        # per pair, indexed by its lower end: 1 when a hard chain runs
+        # through a third job between its ends, so they are never adjacent
+        deep = chain_reach(k, inst.atomic)
+        self.separated = [0] + [
+            (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
+        ]
+        self.sep_unplaced = sum(self.separated)  # separated pairs, no end placed
 
         self.open_pos: dict[int, int] = {}  # pair start -> position of its placed end
         self.closed_s = 0
@@ -204,12 +219,13 @@ class SearchState:
             else:
                 self.open_pos[pair] = t1
                 opened = pair
+                self.sep_unplaced -= self.separated[pair]
         spans_here = open_before - (1 if closed_rec else 0)
         if spans_here > self.m_committed:
             self.m_committed = spans_here
 
         n_delta = 0
-        for i in self.soft_before_of.get(c, ()):
+        for i in self.soft_before_of[c]:
             if self.pos[i] == 0:
                 n_delta += 1
         self.n_committed += n_delta
@@ -232,12 +248,12 @@ class SearchState:
 
         transitions = []
         forced_added = 0
-        for idx, slot in self.by_before.get(c, ()):
+        for idx, slot in self.by_before[c]:
             st = self.dstate[idx]
             if st[slot] == 0 and self.pos[self.disjuncts[idx][slot][1]] == 0:
                 st[slot] = 1
                 transitions.append((idx, slot))
-        for idx, slot in self.by_after.get(c, ()):
+        for idx, slot in self.by_after[c]:
             st = self.dstate[idx]
             if st[slot] == 0 and self.pos[self.disjuncts[idx][slot][0]] == 0:
                 st[slot] = -1
@@ -285,6 +301,7 @@ class SearchState:
             self.open_pos[pair] = q
         elif opened:
             del self.open_pos[opened]
+            self.sep_unplaced += self.separated[opened]
 
     def forced_cycle(self) -> bool:
         """True when mandatory precedences over the unplaced jobs conflict.
@@ -324,7 +341,7 @@ class SearchState:
     def _legal(self, c: int) -> bool:
         if self.pred_placed[c] < self.npreds[c]:
             return False
-        for idx, slot in self.by_after.get(c, ()):
+        for idx, slot in self.by_after[c]:
             st = self.dstate[idx]
             if st[slot] != 0:
                 continue
@@ -357,7 +374,7 @@ class SearchState:
                     return [p] if self._legal(p) else []
         # only jobs that watch a disjunct can be ruled out once ready
         by_after = self.by_after
-        legal = [c for c in self.ready if c not in by_after or self._legal(c)]
+        legal = [c for c in self.ready if not by_after[c] or self._legal(c)]
         # (-waiting[c], c) order as one integer key: c < k + 1
         waiting = self.waiting
         span = self.k + 1
@@ -373,15 +390,20 @@ class SearchState:
     # -- bounding ------------------------------------------------------------
 
     def lower_bound(self) -> int:
-        """Objective that every valid completion of this prefix must reach."""
+        """Objective that every valid completion of this prefix must reach.
+
+        S counts closed pairs with a gap, open pairs, and separated pairs
+        with no end placed yet. The last job's open pair is exempt only
+        when it is not separated: its partner may still come next.
+        """
         t = len(self.prefix)
         open_count = len(self.open_pos)
-        s_c = self.closed_s + open_count
+        s_c = self.closed_s + open_count + self.sep_unplaced
         if open_count and t:
             last = self.prefix[-1]
             if last <= self.two_sided:
                 pair = last if last <= self.b else last - self.b
-                if pair in self.open_pos:
+                if pair in self.open_pos and not self.separated[pair]:
                     s_c -= 1  # the last job's pair can still close adjacently
         l_c = self.closed_l
         if open_count:
@@ -395,13 +417,15 @@ class SearchState:
         """``lower_bound()`` of the prefix extended by c; changes no state.
 
         Applies the S/M/L/N deltas that ``place(c)`` would commit. After
-        the placement c is last, so its pair is exempt from S exactly when
-        c opens it, and every other open pair counts.
+        the placement c is last, so a pair c opens adds nothing to S: it is
+        exempt when not separated, and when separated it moves from the
+        unplaced separated pairs to the open ones. Every other open pair
+        and every unplaced separated pair counts.
         """
         t1 = len(self.prefix) + 1
         open_pos = self.open_pos
         open_count = len(open_pos)
-        s_c = self.closed_s
+        s_c = self.closed_s + self.sep_unplaced
         l_c = self.closed_l
         m_c = self.m_committed
         lowest = 0  # smallest open position after placing c; 0: none
@@ -428,11 +452,37 @@ class SearchState:
             l_c = t1 - lowest
         n_c = self.n_committed
         pos = self.pos
-        for i in self.soft_before_of.get(c, ()):
+        for i in self.soft_before_of[c]:
             if pos[i] == 0:
                 n_c += 1
         k = self.k
         return k * (k * (k * s_c + m_c) + l_c) + n_c
+
+
+def chain_reach(k: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Per job v, the jobs at the end of a path of two or more edges from v.
+
+    Entry v is a bitset over jobs 1..k: bit w is set when some path
+    v -> x -> ... -> w exists, so every order that keeps the edges puts a
+    third job x between v and w. Built over a topological order walked
+    backwards, so ``reach[w]`` (the jobs strictly after w) is complete
+    before any predecessor of w is visited. A graph with a cycle has no
+    such order and gets empty sets: an instance with an atomic cycle has
+    no valid order, so only a bound that nothing needs is weakened.
+    """
+    succ: list[list[int]] = [[] for _ in range(k + 1)]
+    for u, w in edges:
+        succ[u].append(w)
+    reach = [0] * (k + 1)
+    deep = [0] * (k + 1)
+    for v in reversed(lexicographic_order(k, edges) or ()):
+        d = r = 0
+        for w in succ[v]:
+            d |= reach[w]
+            r |= 1 << w
+        deep[v] = d
+        reach[v] = r | d
+    return deep
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:

@@ -181,8 +181,8 @@ def test_permutation_round_trip():
     perm = Permutation((5, 3, 4, 2, 1))
     assert perm.positions_by_job() == (5, 4, 2, 3, 1)
     assert Permutation.from_positions(perm.positions_by_job()) == perm
-    assert perm.job_at(1) == 5
-    assert perm.position_of(5) == 1
+    assert perm.tour[0] == 5
+    assert perm.positions_by_job()[5 - 1] == 1
     with pytest.raises(ValueError):
         Permutation.from_positions((1, 1, 2))
 

@@ -1,0 +1,178 @@
+"""The separated-pair floor only prunes: it never changes the improving leaves.
+
+``FloorlessSearchState`` keeps the bound the solver had before the floor:
+S counts closed pairs with a gap and open pairs, and exempts the last
+job's open pair whether or not a hard chain separates it. Running
+``solve`` with it in place of ``SearchState`` gives the reference search.
+
+The floor is admissible, pruning stays ``>= incumbent`` and the candidate
+order does not depend on the bound, so the stronger bound visits a subset
+of the reference's nodes in the same order and reaches every improving
+leaf the reference reaches, at a node count no higher. Under a node
+budget it may then go on to further incumbents; run to proof, both
+searches end with the same trajectory and state.
+"""
+
+import random
+
+import pytest
+
+import ctwkit.solver
+from ctwkit import ResultState, SolverConfig, solve
+from ctwkit.generate import GenParams, generate_planted
+
+from test_search_golden import (ANYTIME_NODE_LIMIT, anytime_cases,
+                                exact_cases)
+
+
+class FloorlessSearchState(ctwkit.solver.SearchState):
+    """``lower_bound`` and ``child_bound`` without the separated-pair floor.
+
+    Verbatim from the solver before the floor, except that the soft
+    predecessors of c are read as ``soft_before_of[c]`` (a per-job list
+    now, a dict then).
+    """
+
+    def lower_bound(self) -> int:
+        """Objective that every valid completion of this prefix must reach."""
+        t = len(self.prefix)
+        open_count = len(self.open_pos)
+        s_c = self.closed_s + open_count
+        if open_count and t:
+            last = self.prefix[-1]
+            if last <= self.two_sided:
+                pair = last if last <= self.b else last - self.b
+                if pair in self.open_pos:
+                    s_c -= 1  # the last job's pair can still close adjacently
+        l_c = self.closed_l
+        if open_count:
+            stretch = t - min(self.open_pos.values())
+            if stretch > l_c:
+                l_c = stretch
+        k = self.k
+        return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
+
+    def child_bound(self, c: int) -> int:
+        """``lower_bound()`` of the prefix extended by c; changes no state.
+
+        Applies the S/M/L/N deltas that ``place(c)`` would commit. After
+        the placement c is last, so its pair is exempt from S exactly when
+        c opens it, and every other open pair counts.
+        """
+        t1 = len(self.prefix) + 1
+        open_pos = self.open_pos
+        open_count = len(open_pos)
+        s_c = self.closed_s
+        l_c = self.closed_l
+        m_c = self.m_committed
+        lowest = 0  # smallest open position after placing c; 0: none
+        if open_count:
+            mins = self._open_mins
+            if mins is None:
+                mins = self._open_mins = sorted(open_pos.values())[:2]
+            lowest = mins[0]
+            if c <= self.two_sided:
+                q = open_pos.get(c if c <= self.b else c - self.b)
+                if q is not None:  # c closes its pair
+                    if t1 - q > 1:
+                        s_c += 1
+                    if t1 - q - 1 > l_c:
+                        l_c = t1 - q - 1
+                    open_count -= 1
+                    if q == lowest:
+                        lowest = mins[1] if open_count else 0
+        # storage load at c's position: the pairs spanning it
+        if open_count > m_c:
+            m_c = open_count
+        s_c += open_count
+        if lowest and t1 - lowest > l_c:
+            l_c = t1 - lowest
+        n_c = self.n_committed
+        pos = self.pos
+        for i in self.soft_before_of[c]:
+            if pos[i] == 0:
+                n_c += 1
+        k = self.k
+        return k * (k * (k * s_c + m_c) + l_c) + n_c
+
+
+def traced_solve(monkeypatch, state_cls, inst, node_limit):
+    """Solve with ``state_cls``; return the result and the incumbent
+    trajectory as (nodes so far, tour, objective) per improving leaf.
+
+    Nodes are counted as ``extend_candidates`` calls, and ``solve`` prices
+    a full tour with ``breakdown`` only at an improving leaf.
+    """
+    nodes = [0]
+    trajectory = []
+
+    class Counting(state_cls):
+        def extend_candidates(self):
+            nodes[0] += 1
+            return super().extend_candidates()
+
+    price = ctwkit.solver.breakdown
+
+    def recording_breakdown(inst, perm):
+        bd = price(inst, perm)
+        trajectory.append((nodes[0], perm.tour, bd.objective))
+        return bd
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ctwkit.solver, "SearchState", Counting)
+        patch.setattr(ctwkit.solver, "breakdown", recording_breakdown)
+        res = solve(inst, SolverConfig(time_limit_ms=3_600_000, node_limit=node_limit))
+    return res, trajectory
+
+
+def dominance_cases():
+    """The golden pins' instances, plus seeded ones of k = 14..40 over the
+    benchmark's atomic densities, with and without a node budget."""
+    cases = [(p, ANYTIME_NODE_LIMIT) for p in anytime_cases()]
+    cases += [(p, None) for p in exact_cases()]
+    rng = random.Random(2027)
+    for idx in range(60):
+        k = rng.randint(14, 40)
+        b = rng.randint(k // 4, k // 2)
+        cases.append((GenParams(b=b, n=k - 2 * b,
+                                p_atomic=(0.08, 0.18, 0.3)[idx % 3],
+                                p_soft=rng.choice((0.01, 0.02)),
+                                p_disjunctive=rng.choice((0.05, 0.1)),
+                                ds_count=rng.randint(0, b), seed=9_000 + idx),
+                      ANYTIME_NODE_LIMIT))
+    return cases
+
+
+def test_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
+    finished = 0
+    further = 0
+    nodes_floor = nodes_reference = 0
+    for params, node_limit in dominance_cases():
+        inst, _ = generate_planted(params)
+        ref, ref_traj = traced_solve(monkeypatch, FloorlessSearchState, inst, node_limit)
+        new, new_traj = traced_solve(monkeypatch, ctwkit.solver.SearchState, inst,
+                                     node_limit)
+        assert [t[1:] for t in new_traj[:len(ref_traj)]] == [t[1:] for t in ref_traj], params
+        for (n_new, _, _), (n_ref, _, _) in zip(new_traj, ref_traj):
+            assert n_new <= n_ref, params
+        if ref.state in (ResultState.OPTIMAL, ResultState.UNSATISFIABLE):
+            finished += 1
+            assert new.state is ref.state, params
+            assert [t[1:] for t in new_traj] == [t[1:] for t in ref_traj], params
+            assert new.stats.nodes_expanded <= ref.stats.nodes_expanded, params
+            nodes_floor += new.stats.nodes_expanded
+            nodes_reference += ref.stats.nodes_expanded
+        else:
+            assert new.stats.proven_lower_bound >= ref.stats.proven_lower_bound, params
+        further += len(new_traj) > len(ref_traj)
+    assert finished >= 20
+    assert nodes_floor < nodes_reference
+    # under the budget the saved nodes buy incumbents the reference misses
+    assert further >= 1
+
+
+@pytest.mark.parametrize("prefix, bound", [([], 0), ([3], 0), ([3, 5], 155)])
+def test_floorless_reference_keeps_the_previous_bound(five_job, prefix, bound):
+    # before the floor, the separated pair (1, 3) cost nothing until job 3
+    # stopped being last
+    assert FloorlessSearchState.from_prefix(five_job, prefix).lower_bound() == bound

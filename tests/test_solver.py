@@ -14,7 +14,8 @@ from ctwkit import (
     solve,
     validate,
 )
-from ctwkit.generate import GenMode, GenParams, generate
+from ctwkit.generate import GenMode, GenParams, generate, generate_planted
+from ctwkit.solver import chain_reach
 
 from conftest import random_instance
 
@@ -85,20 +86,40 @@ def test_extend_candidates_reference_cases(five_job):
 
 
 def test_lower_bound_reference_cases(five_job):
-    assert SearchState.from_prefix(five_job, []).lower_bound() == 0
-    # open pair whose placed end is still last: nothing committed
-    assert SearchState.from_prefix(five_job, [3]).lower_bound() == 0
+    # pair (1, 3) is separated by the hard chain 3 -> 4 -> 1: it is broken
+    # in every valid order, so S = 1 (k^3 = 125) from the root on, and its
+    # placed end being last exempts nothing
+    assert SearchState.from_prefix(five_job, []).lower_bound() == 125
+    assert SearchState.from_prefix(five_job, [3]).lower_bound() == 125
     # job 3's partner can no longer be adjacent: S and L and M committed
     st = SearchState.from_prefix(five_job, [3, 5])
     assert st.lower_bound() == 155
     assert st.lower_bound() >= 130
+    # a direct edge 1 -> 2 separates nothing: the open pair whose placed
+    # end is still last is exempt, so nothing is committed
+    adjacent = Instance(k=3, b=1, atomic=[(1, 2)])
+    assert SearchState.from_prefix(adjacent, []).lower_bound() == 0
+    assert SearchState.from_prefix(adjacent, [1]).lower_bound() == 0
+
+
+def chain_dense_instances(rng, count, max_k):
+    """Satisfiable planted instances with pairs, a one-sided job and dense
+    hard chains, so many pairs are separated."""
+    for _ in range(count):
+        b = rng.randint(1, (max_k - 1) // 2)
+        yield generate_planted(GenParams(
+            b=b, n=rng.randint(1, max_k - 2 * b), p_atomic=0.6,
+            p_soft=rng.choice((0.0, 0.1)), p_disjunctive=rng.choice((0.0, 0.15)),
+            ds_count=rng.randint(0, b), seed=rng.randrange(2 ** 30)))
 
 
 def test_lower_bound_admissible_against_exhaustive_completion():
     rng = random.Random(73)
+    cases = [random_instance(rng, max_k=6) for _ in range(50)]
+    cases += chain_dense_instances(rng, 40, max_k=7)
     checked = 0
-    for _ in range(50):
-        inst, plant = random_instance(rng, max_k=6)
+    separated = 0
+    for inst, plant in cases:
         if plant is None or inst.k == 0:
             continue
         # prefixes of a valid permutation are consistent search states
@@ -110,7 +131,80 @@ def test_lower_bound_admissible_against_exhaustive_completion():
         assert best is not None  # the plant itself completes it
         assert lb <= best
         checked += 1
-    assert checked >= 30
+        separated += any(st.separated)
+    assert checked >= 80
+    assert separated >= 20  # the separated-pair floor is exercised
+
+
+def floyd_warshall(k, edges):
+    """Reference closure: reach[v][w] when a path of one or more edges
+    leads from v to w."""
+    reach = [[False] * (k + 1) for _ in range(k + 1)]
+    for u, w in edges:
+        reach[u][w] = True
+    for x in range(1, k + 1):
+        for v in range(1, k + 1):
+            if reach[v][x]:
+                for w in range(1, k + 1):
+                    if reach[x][w]:
+                        reach[v][w] = True
+    return reach
+
+
+def test_chain_reach_matches_floyd_warshall():
+    rng = random.Random(107)
+    for _ in range(200):
+        k = rng.randint(0, 12)
+        rank = list(range(1, k + 1))
+        rng.shuffle(rank)  # a DAG over a random vertex order
+        density = rng.choice((0.1, 0.3, 0.6))
+        edges = [(rank[i], rank[j]) for i in range(k) for j in range(i + 1, k)
+                 if rng.random() < density]
+        reach = floyd_warshall(k, edges)
+        deep = chain_reach(k, edges)
+        for v in range(1, k + 1):
+            beyond = {w for u, w in edges if u == v}
+            expected = sum(1 << w for w in range(1, k + 1)
+                           if any(reach[s][w] for s in beyond))
+            assert deep[v] == expected, (k, edges, v)
+    # a cycle leaves no topological order, so no chain is recorded
+    assert chain_reach(3, [(1, 2), (2, 3), (3, 1)]) == [0, 0, 0, 0]
+
+
+def test_separated_pairs_match_chains_and_are_never_adjacent():
+    rng = random.Random(109)
+    cases = [random_instance(rng, ALL_MODES[t % 4], max_k=7) for t in range(80)]
+    cases += chain_dense_instances(rng, 60, max_k=7)
+    cases += chain_dense_instances(rng, 60, max_k=12)
+    marked = 0
+    exhausted = 0
+    apart = 0
+    for inst, _ in cases:
+        k, b = inst.k, inst.b
+        reach = floyd_warshall(k, inst.atomic)
+        if any(reach[v][v] for v in range(1, k + 1)):
+            continue  # no valid order; the floor is not built for cycles
+        sep = SearchState(inst).separated
+        for p in range(1, b + 1):
+            chained = any(reach[u][x] and reach[x][w]
+                          for u, w in ((p, p + b), (p + b, p))
+                          for x in range(1, k + 1))
+            assert sep[p] == chained, (inst, p)
+            marked += sep[p]
+        if k > 7 or not any(sep):
+            continue
+        # every order that keeps the hard atomic constraints (the valid
+        # ones among them) keeps a separated pair's ends apart; pos[j - 1]
+        # is job j's position
+        exhausted += 1
+        for pos in itertools.permutations(range(1, k + 1)):
+            if any(pos[i - 1] > pos[j - 1] for i, j in inst.atomic):
+                continue
+            for p in range(1, b + 1):
+                if sep[p]:
+                    assert abs(pos[p - 1] - pos[p + b - 1]) > 1, (inst, pos, p)
+                    apart += 1
+    assert marked >= 100 and exhausted >= 30 and apart >= 200
 
 
 def test_leaf_bound_equals_objective():
