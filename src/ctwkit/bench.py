@@ -20,7 +20,7 @@ from . import polycases
 from .costs import CostBreakdown, breakdown
 from .errors import CtwError
 from .formats import SolutionFile, load_instance
-from .model import Instance, validate
+from .model import Instance, Violation, validate
 from .solver import ResultState, SolveResult, SolveStats, SolverConfig, solve
 
 ENGINES = ("bb", "topo", "ds-only", "oracle")
@@ -195,6 +195,30 @@ def run_suite(directory, cfg: SolverConfig | None = None, engine: str = "bb",
     return [_solve_one(str(p), engine, cfg) for p in paths]
 
 
+def audit_solution(
+    inst: Instance, sol: SolutionFile
+) -> tuple[tuple[str, str] | None, list[Violation], CostBreakdown | None]:
+    """Check a solution file against ``inst`` and re-price it.
+
+    Returns ``(fault, violations, breakdown)``. A solution that is no
+    permutation of the instance's jobs gives the fault ``("dimension",
+    message)`` (wrong length) or ``("not-bijective", message)`` (positions
+    that cannot be inverted), with no violations and no breakdown.
+    Otherwise ``fault`` is None, ``violations`` is what ``validate``
+    reports and ``breakdown`` the recomputed cost, None for a tour that is
+    not a bijection.
+    """
+    if len(sol.values) != inst.k:
+        fault = ("dimension", f"solution has {len(sol.values)} entries, instance has k={inst.k}")
+        return fault, [], None
+    try:
+        perm = sol.permutation()
+    except ValueError as exc:
+        return ("not-bijective", str(exc)), [], None
+    bd = breakdown(inst, perm) if perm.is_bijection() else None
+    return None, validate(inst, perm), bd
+
+
 def validate_external(inst: Instance, sol: SolutionFile,
                       instance_id: str | None = None) -> BenchRow:
     """Audit a solution produced elsewhere.
@@ -206,18 +230,12 @@ def validate_external(inst: Instance, sol: SolutionFile,
     """
     m = metrics(inst)
     rid = instance_id or sol.instance_id or "external"
-    if len(sol.values) != inst.k:
-        return BenchRow(rid, ResultState.UNDEFINED, None, 0, 0, m,
-                        (f"error:solution has {len(sol.values)} entries, instance has k={inst.k}",))
-    try:
-        perm = sol.permutation()
-    except ValueError as exc:
-        return BenchRow(rid, ResultState.UNDEFINED, None, 0, 0, m, (f"error:{exc}",))
-    violations = validate(inst, perm)
+    fault, violations, bd = audit_solution(inst, sol)
+    if fault:
+        return BenchRow(rid, ResultState.UNDEFINED, None, 0, 0, m, (f"error:{fault[1]}",))
     if violations:
         return BenchRow(rid, ResultState.UNDEFINED, None, 0, 0, m,
                         tuple(f"invalid:{v}" for v in violations))
-    bd = breakdown(inst, perm)
     flags = []
     if sol.claimed is not None and sol.claimed != bd:
         flags.append("claim-mismatch")

@@ -30,7 +30,6 @@ from . import formats, oracle, reduction
 from .errors import CtwError
 from .generate import GenMode, GenParams, anytime_suite, certification_suite
 from .generate import generate as generate_instance
-from .model import validate
 from .costs import breakdown
 from .solver import ResultState, SolverConfig, solve
 
@@ -199,24 +198,16 @@ def _cmd_validate(args) -> int:
     sol = formats.parse_solution(Path(args.solution).read_text(encoding="utf-8-sig"))
     doc = {"instance": Path(args.instance).stem, "valid": False,
            "violations": [], "breakdown": None}
-    if len(sol.values) != inst.k:
-        doc["violations"] = [
-            f"dimension: solution has {len(sol.values)} entries, instance has k={inst.k}"
-        ]
+    fault, violations, bd = bench_mod.audit_solution(inst, sol)
+    if fault:
+        doc["violations"] = [f"{fault[0]}: {fault[1]}"]
         _write(_dump_json(doc), args.out)
         return 4
-    try:
-        perm = sol.permutation()
-    except ValueError as exc:
-        doc["violations"] = [f"not-bijective: {exc}"]
-        _write(_dump_json(doc), args.out)
-        return 4
-    violations = validate(inst, perm)
     doc["violations"] = [str(v) for v in violations]
-    if perm.is_bijection():
-        doc["breakdown"] = _breakdown_doc(breakdown(inst, perm))
+    if bd is not None:
+        doc["breakdown"] = _breakdown_doc(bd)
     doc["valid"] = not violations
-    if sol.claimed is not None and doc["breakdown"] is not None:
+    if sol.claimed is not None and bd is not None:
         doc["claim_matches"] = _breakdown_doc(sol.claimed) == doc["breakdown"]
     _write(_dump_json(doc), args.out)
     return 0 if not violations else 4

@@ -15,11 +15,17 @@ Four textual formats are supported:
   comma before ``}`` are accepted, and exactly these six parameters must
   each appear once. Anything else is a hard error.
 
-  The reader splits the whole text into token strings with one regex scan
-  and walks that list by index. A ``ParseError`` carries the line and
-  column of the offending token (lines as ``str.splitlines`` counts them);
-  they are worked out only on that error path, by scanning the text again
-  line by line up to the token.
+  A well-formed, valid text is accepted by a scanner that makes a few
+  C-level passes per statement: one anchored regex per statement, one
+  ``subn`` per set that replaces every entry with a placeholder to check
+  the set's shape, ``translate`` and ``split`` to read the integers, and
+  ``min``/``max`` tests for the ranges. No pattern repeats a group, so the
+  regex engine keeps no state per entry. A text the scanner rejects is
+  read again from the start by a token walk: one regex scan into token
+  strings, walked by index. Only the walk raises a ``ParseError``, which
+  carries the line and column of the offending token (lines as
+  ``str.splitlines`` counts them); they are worked out only on that error
+  path, by scanning the text again line by line up to the token.
 
 * ``.dzn`` -- the same data as MiniZinc-style assignments (emit only).
   Non-empty constraint tables use 2-d array literals, empty ones use
@@ -45,7 +51,6 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import starmap
 from operator import eq
 
 from .costs import CostBreakdown
@@ -99,6 +104,82 @@ METRICS_COLUMNS = (
 
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?\d+|[={}<>,;]|\S")
+
+# One statement for ``_scan_dat``: ``k`` or ``b`` with an integer, or a set
+# name with a brace body that holds no brace and no semicolon.
+_STATEMENT = re.compile(
+    r"\s*(?:(k|b)\s*=\s*(-?\d+)|(%s)\s*=\s*\{([^{};]*)\})\s*;" % "|".join(DAT_PARAMS[2:])
+)
+# One set entry. Each pattern starts with a fixed character and repeats
+# only single characters: a leading ``\s*`` would make ``subn`` quadratic
+# in a run of whitespace, and a repeated group would keep backtracking
+# state for every entry of a set.
+_PAIR = re.compile(r"<\s*\d+\s*,\s*\d+\s*>")
+_ENTRY = {
+    "AtomicConstraints": _PAIR,
+    "SoftAtomicConstraints": _PAIR,
+    "DisjunctiveConstraints": re.compile(r"<\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*>"),
+    "DirectSuccessors": re.compile(r"\d+"),
+}
+_TUPLE_SETS = (
+    ("AtomicConstraints", 2),
+    ("SoftAtomicConstraints", 2),
+    ("DisjunctiveConstraints", 4),
+)
+_TO_SPACE = str.maketrans("<>,", "   ")
+
+
+def _scan_dat(text: str) -> dict[str, object] | None:
+    """The six values of ``text`` when it is well-formed and valid, else None.
+
+    Tuple sets come back as lists of tuples and DirectSuccessors as a list
+    of ints, duplicates kept. A set's shape is checked by replacing every
+    entry with ``x`` and comparing what is left, whitespace removed, with
+    ``x,x,...,x`` (one ``x`` per replaced entry) and an optional trailing
+    comma after at least one entry; an ``x`` in the input itself makes the
+    lengths differ. The integers are then read by ``split``. Entries carry
+    no sign, because no negative id is in range. Every check ``_walk_dat``
+    makes is made here in bulk, so a text accepted here is one that
+    ``_walk_dat`` reads to the same values.
+    """
+    seen: dict[str, object] = {}
+    pos = 0
+    while m := _STATEMENT.match(text, pos):
+        size, number, name, body = m.groups()
+        pos = m.end()
+        if size:
+            name, value = size, int(number)
+        else:
+            marked, count = _ENTRY[name].subn("x", body)
+            shape = "x," * count
+            if "".join(marked.split()) not in (shape, shape[:-1]):
+                return None
+            value = list(map(int, body.translate(_TO_SPACE).split()))
+        if name in seen:
+            return None
+        seen[name] = value
+    if len(seen) < len(DAT_PARAMS) or text[pos:].strip():
+        return None
+    k = seen["k"]
+    b = seen["b"]
+    if b < 0 or 2 * b > k:  # together these also give k >= 0
+        return None
+    ds = seen["DirectSuccessors"]
+    if ds and (min(ds) < 1 or max(ds) > 2 * b):
+        return None
+    for name, arity in _TUPLE_SETS:
+        flat = seen[name]
+        if flat and (min(flat) < 1 or max(flat) > k):
+            return None
+        # a self-loop or a trivial disjunct: columns 0 and 1 (or 2 and 3) agree
+        for col in range(0, arity, 2):
+            if any(map(eq, flat[col::arity], flat[col + 1::arity])):
+                return None
+        values = iter(flat)
+        seen[name] = list(zip(*[values] * arity))
+    if not set(seen["SoftAtomicConstraints"]).isdisjoint(seen["AtomicConstraints"]):
+        return None
+    return seen
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
@@ -208,8 +289,8 @@ def _read_tuple_set(text: str, toks: list[str], i: int, arity: int):
             raise _error(text, i, f"expected ',' or '}}', found '{tok}'")
 
 
-def _dedupe(name: str, values: list) -> list:
-    out = list(dict.fromkeys(values))
+def _dedupe(name: str, values: list) -> tuple:
+    out = tuple(dict.fromkeys(values))
     dropped = len(values) - len(out)
     if dropped:
         warnings.warn(f"{name}: {dropped} duplicate entr{'y' if dropped == 1 else 'ies'} dropped")
@@ -222,7 +303,27 @@ def parse_dat(text: str) -> Instance:
     Duplicate entries inside one set are dropped with a warning; all other
     invariant breaches (ids out of range, b > k/2, a pair both hard and
     soft, ...) are errors.
+
+    ``_scan_dat`` accepts a well-formed, valid text. A text it rejects is
+    read again from the start by the token walk, ``_walk_dat``, which
+    explains the rejection with a ``ParseError`` (and would return the
+    Instance of a valid spelling the scan did not know).
     """
+    seen = _scan_dat(text)
+    if seen is None:
+        return _walk_dat(text)
+    return Instance(
+        k=seen["k"],
+        b=seen["b"],
+        atomic=_dedupe("AtomicConstraints", seen["AtomicConstraints"]),
+        soft_atomic=_dedupe("SoftAtomicConstraints", seen["SoftAtomicConstraints"]),
+        disjunctive=_dedupe("DisjunctiveConstraints", seen["DisjunctiveConstraints"]),
+        direct_successors=_dedupe("DirectSuccessors", seen["DirectSuccessors"]),
+    )
+
+
+def _walk_dat(text: str) -> Instance:
+    """Read ``text`` token by token, raising a ``ParseError`` at the first fault."""
     toks = _TOKEN.findall(text)
     end = len(toks)
     toks.append("")  # sentinel: equals no expected token and is no integer
@@ -267,28 +368,20 @@ def parse_dat(text: str) -> Instance:
     if 2 * b > k:
         raise _error(text, first["b"], f"b = {b} exceeds k/2 (k = {k})")
 
-    for name in ("AtomicConstraints", "SoftAtomicConstraints", "DisjunctiveConstraints"):
-        rows = seen[name]
-        if rows and (min(map(min, rows)) < 1 or max(map(max, rows)) > k):
-            for row, at in zip(rows, where[name]):
-                for j in row:
-                    if not 1 <= j <= k:
-                        raise _error(text, at, f"{name}: job {j} is outside 1..{k}")
-    ds = seen["DirectSuccessors"]
-    if ds and (min(ds) < 1 or max(ds) > 2 * b):
-        for value, at in zip(ds, where["DirectSuccessors"]):
-            if not 1 <= value <= 2 * b:
-                raise _error(
-                    text, at, f"DirectSuccessors: {value} is not a two-sided cable end (b = {b})"
-                )
+    for name, _ in _TUPLE_SETS:
+        for row, at in zip(seen[name], where[name]):
+            for j in row:
+                if not 1 <= j <= k:
+                    raise _error(text, at, f"{name}: job {j} is outside 1..{k}")
+    for value, at in zip(seen["DirectSuccessors"], where["DirectSuccessors"]):
+        if not 1 <= value <= 2 * b:
+            raise _error(
+                text, at, f"DirectSuccessors: {value} is not a two-sided cable end (b = {b})"
+            )
     for name in ("AtomicConstraints", "SoftAtomicConstraints"):
-        rows = seen[name]
-        if any(starmap(eq, rows)):
-            for (before, after), at in zip(rows, where[name]):
-                if before == after:
-                    raise _error(
-                        text, at, f"{name}: <{before},{after}> relates a job to itself"
-                    )
+        for (before, after), at in zip(seen[name], where[name]):
+            if before == after:
+                raise _error(text, at, f"{name}: <{before},{after}> relates a job to itself")
     for row, at in zip(seen["DisjunctiveConstraints"], where["DisjunctiveConstraints"]):
         if row[0] == row[1] or row[2] == row[3]:
             raise _error(
@@ -300,7 +393,7 @@ def parse_dat(text: str) -> Instance:
     atomic = _dedupe("AtomicConstraints", seen["AtomicConstraints"])
     soft = _dedupe("SoftAtomicConstraints", seen["SoftAtomicConstraints"])
     disj = _dedupe("DisjunctiveConstraints", seen["DisjunctiveConstraints"])
-    ds = _dedupe("DirectSuccessors", ds)
+    ds = _dedupe("DirectSuccessors", seen["DirectSuccessors"])
 
     both = set(atomic) & set(soft)
     if both:
@@ -309,14 +402,8 @@ def parse_dat(text: str) -> Instance:
             first["SoftAtomicConstraints"],
             f"constraints both hard and soft: {sorted(both)}",
         )
-    return Instance(
-        k=k,
-        b=b,
-        atomic=tuple(atomic),
-        soft_atomic=tuple(soft),
-        disjunctive=tuple(disj),
-        direct_successors=tuple(ds),
-    )
+    return Instance(k=k, b=b, atomic=atomic, soft_atomic=soft, disjunctive=disj,
+                    direct_successors=ds)
 
 
 def emit_dat(inst: Instance) -> str:
@@ -493,8 +580,8 @@ def parse_solution(text: str) -> SolutionFile:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, *tail = line.split(None, 1)
+        rest = tail[0] if tail else ""
         if head == "instance":
             instance_id = rest or None
         elif head in ("tour", "positions"):

@@ -83,6 +83,75 @@ def test_validate_good_and_bad_solutions(five_dat, tmp_path, capsys):
     assert code == 4
 
 
+_VALID_160 = {"S": 1, "M": 1, "L": 2, "N": 0, "objective": 160}
+
+
+@pytest.mark.parametrize(
+    "text, code, doc, flags",
+    [
+        (
+            "tour 5 3 4 2\n",
+            4,
+            {"violations": ["dimension: solution has 4 entries, instance has k=5"]},
+            ("error:solution has 4 entries, instance has k=5",),
+        ),
+        (
+            "positions 1 1 2 3 4\n",
+            4,
+            {"violations": ["not-bijective: position map is not a bijection at job 2"]},
+            ("error:position map is not a bijection at job 2",),
+        ),
+        (
+            "tour 1 1 2 3 4\n",
+            4,
+            {"violations": ["not-bijective: (1, 1, 2, 3, 4)"]},
+            ("invalid:not-bijective: (1, 1, 2, 3, 4)",),
+        ),
+        (
+            "tour 1 2 3 4 5\n",
+            4,
+            {
+                "violations": [
+                    "atomic: AtomicConstraint(before=4, after=1)",
+                    "atomic: AtomicConstraint(before=5, after=4)",
+                ],
+                "breakdown": {"S": 2, "M": 1, "L": 1, "N": 0, "objective": 280},
+            },
+            (
+                "invalid:atomic: AtomicConstraint(before=4, after=1)",
+                "invalid:atomic: AtomicConstraint(before=5, after=4)",
+            ),
+        ),
+        (
+            "tour 5 3 4 2 1\nclaimed S=1 M=1 L=2 N=0 objective=161\n",
+            0,
+            {"valid": True, "breakdown": _VALID_160, "claim_matches": False},
+            ("claim-mismatch",),
+        ),
+        ("positions 5 4 2 3 1\n", 0, {"valid": True, "breakdown": _VALID_160}, ()),
+        (
+            "instance\tfive\ntour\t5 3\t4 2 1\nclaimed\tS=1 M=1 L=2 N=0 objective=160\n",
+            0,
+            {"valid": True, "breakdown": _VALID_160, "claim_matches": True},
+            (),
+        ),
+    ],
+    ids=["short", "positions-not-invertible", "tour-not-bijective", "atomic", "claim-mismatch",
+         "positions", "tab-separated"],
+)
+def test_validate_and_bench_report_one_audit(five_dat, five_job, tmp_path, capsys,
+                                             text, code, doc, flags):
+    from ctwkit import bench, parse_solution
+
+    sol = tmp_path / "s.sol"
+    sol.write_text(text)
+    got_code, out, _ = run_cli(capsys, "validate", five_dat, "--solution", sol)
+    assert got_code == code
+    expected = {"instance": "five", "valid": False, "violations": [], "breakdown": None}
+    assert json.loads(out) == {**expected, **doc}
+    assert bench.validate_external(five_job, parse_solution(text)).flags == flags
+
+
 def test_oracle_subcommand(five_dat, capsys):
     code, out, _ = run_cli(capsys, "oracle", five_dat)
     assert code == 0

@@ -6,17 +6,22 @@ and a ``_Cursor`` walked through method calls. Its module-level name
 ``parse_dat`` is the reference; the parser under test is always called as
 ``formats.parse_dat``. On every mutated input both must agree: an equal
 Instance and the same warnings, or the same error type, message, line and
-column.
+column. The scanner that ``formats.parse_dat`` tries before its token walk
+must accept exactly the texts the reference accepts.
 """
 
 import random
 import re
+import time
+import tracemalloc
 import warnings
+
+import pytest
 
 from ctwkit import formats
 from ctwkit.errors import ParseError
 from ctwkit.formats import DAT_PARAMS
-from ctwkit.generate import GenMode
+from ctwkit.generate import GenMode, GenParams, generate_planted
 from ctwkit.model import Instance
 
 from conftest import random_instance
@@ -316,7 +321,7 @@ def _outcome(parse, text):
 
 def test_parse_dat_matches_reference_parser():
     rng = random.Random(20201126)
-    counts = {"ok": 0, "ParseError": 0, "warned": 0}
+    counts = {"ok": 0, "ParseError": 0, "warned": 0, "scanned": 0}
     for _ in range(6000):
         text = _base_text(rng)
         for _ in range(rng.choice((1, 1, 2, 3))):
@@ -326,7 +331,138 @@ def test_parse_dat_matches_reference_parser():
         kind = new[0][0]
         counts[kind] = counts.get(kind, 0) + 1
         counts["warned"] += bool(new[1])
+        # the scanner accepts exactly the texts the reference accepts
+        scanned = formats._scan_dat(text) is not None
+        assert scanned == (kind == "ok"), repr(text)
+        counts["scanned"] += scanned
     # the mix must keep exercising both outcomes and the warnings
     assert counts["ok"] >= 600, counts
     assert counts["ParseError"] >= 3000, counts
     assert counts["warned"] >= 150, counts
+    assert counts["scanned"] == counts["ok"], counts
+
+
+# ---------------------------------------------------------------------------
+# Hand-written spellings, for the scanner in front of the token walk
+
+_STATEMENTS = (
+    "k = 5;",
+    "b = 2;",
+    "AtomicConstraints = {<1,2>, <3,4>};",
+    "SoftAtomicConstraints = {<2,1>};",
+    "DisjunctiveConstraints = {<1,5,2,5>};",
+    "DirectSuccessors = {1,3};",
+)
+_PLAIN = "\n".join(_STATEMENTS) + "\n"
+_CRUSHED = "".join(_PLAIN.split())
+
+
+def _spaced(sep: str) -> str:
+    return sep + sep.join(_TOKEN.findall(_PLAIN)) + sep
+
+
+_VALID_SPELLINGS = {
+    "no whitespace": _CRUSHED,
+    **{f"separator {sep!r}": _spaced(sep) for sep in ("\x1c", "\x85", "\xa0", "　", "\f")},
+    "unicode digits": _PLAIN.replace("5", "５").replace("<1,2>", "<١,２>"),
+    "leading zeros": _PLAIN.replace("k = 5", "k = 005").replace("<3,4>", "<03,0004>")
+    .replace("{1,3}", "{0001,3}"),
+    "trailing commas": _PLAIN.replace("<3,4>}", "<3,4>,}").replace("<2,1>}", "<2,1> ,\n}")
+    .replace("{1,3}", "{1,3,}"),
+    "empty sets": "k=3;b=0;AtomicConstraints={};SoftAtomicConstraints={ };"
+    "DisjunctiveConstraints={\n};DirectSuccessors={\t};",
+    "negative zero": "k = -0; b = -00; AtomicConstraints = {}; SoftAtomicConstraints = {};"
+    "DisjunctiveConstraints = {}; DirectSuccessors = {};",
+    "any order": "\n".join(reversed(_STATEMENTS)),
+    "b before k": "\n".join(_STATEMENTS[1::-1] + _STATEMENTS[2:]),
+    "duplicates": _PLAIN.replace("<3,4>}", "<3,4>, <1,2>, <3,4>, <1,2>}")
+    .replace("{1,3}", "{1,3,1}").replace("<1,5,2,5>}", "<1,5,2,5>,<1,5,2,5>}"),
+}
+
+# Texts that a shape check by placeholders could take for valid ones: a
+# literal ``x`` (the placeholder), a set of commas only, and duplicates in
+# a text that a later check rejects (their warnings must come once).
+_TRAPS = {
+    "placeholder alone": _PLAIN.replace("{<2,1>}", "{x}"),
+    "placeholder after an entry": _PLAIN.replace("{<2,1>}", "{<2,1>,x}"),
+    "placeholder before an entry": _PLAIN.replace("{<2,1>}", "{x,<2,1>}"),
+    "placeholder glued to an entry": _PLAIN.replace("{<2,1>}", "{<2,1>x}"),
+    "placeholder with a trailing comma": _PLAIN.replace("{<2,1>}", "{x,}"),
+    "placeholder among integers": _PLAIN.replace("{1,3}", "{1,x}"),
+    "placeholder as the only integer": _PLAIN.replace("{1,3}", "{x}"),
+    "comma only": _PLAIN.replace("{<2,1>}", "{,}"),
+    "spaced comma only": _PLAIN.replace("{<1,5,2,5>}", "{ , }"),
+    "comma only among integers": _PLAIN.replace("{1,3}", "{,}"),
+    "two trailing commas": _PLAIN.replace("{1,3}", "{1,3,,}"),
+    "double comma": _PLAIN.replace("<3,4>}", "<3,4>,,<4,5>}"),
+    "duplicates, then an overlap": _PLAIN.replace("{<1,2>, <3,4>}", "{<1,2>, <1,2>, <2,1>}"),
+    "duplicates, then a self-loop": _PLAIN.replace("{1,3}", "{1,3,3}").replace("<2,1>", "<2,2>"),
+}
+
+
+def test_valid_spellings_are_scanned():
+    for name, text in _VALID_SPELLINGS.items():
+        new = _outcome(formats.parse_dat, text)
+        assert new == _outcome(parse_dat, text), name
+        assert new[0][0] == "ok", name
+        assert formats._scan_dat(text) is not None, name
+    warned = _outcome(formats.parse_dat, _VALID_SPELLINGS["duplicates"])[1]
+    assert [message for _, message in warned] == [
+        "AtomicConstraints: 3 duplicate entries dropped",
+        "DisjunctiveConstraints: 1 duplicate entry dropped",
+        "DirectSuccessors: 1 duplicate entry dropped",
+    ]
+
+
+def test_traps_are_rejected_and_explained_once():
+    for name, text in _TRAPS.items():
+        new = _outcome(formats.parse_dat, text)
+        assert new == _outcome(parse_dat, text), name
+        assert new[0][0] == "ParseError", name
+        assert formats._scan_dat(text) is None, name
+    warned = _outcome(formats.parse_dat, _TRAPS["duplicates, then an overlap"])[1]
+    assert [message for _, message in warned] == [
+        "AtomicConstraints: 1 duplicate entry dropped"
+    ]
+
+
+def _audit_shaped():
+    # the shape of the largest audit benchmark files: k = 3000, about 144 KB
+    k, b = 3000, 750
+    inst, _ = generate_planted(GenParams(b=b, n=k - 2 * b, p_atomic=0.001, p_soft=0.0003,
+                                         p_disjunctive=0.002, ds_count=b // 4, seed=300_009))
+    return inst.canonical()
+
+
+def _long_chain():
+    # one set of 25,000 entries: a regex that repeats a group once per entry
+    # keeps backtracking state for each, more than the walk's tokens take
+    return Instance(k=25_001, b=0, atomic=[(j, j + 1) for j in range(1, 25_001)])
+
+
+@pytest.mark.parametrize("make", [_audit_shaped, _long_chain])
+def test_scan_peaks_no_higher_than_the_token_walk(make):
+    inst = make()
+    text = formats.emit_dat(inst)
+    peaks = []
+    for parse in (formats.parse_dat, formats._walk_dat):
+        tracemalloc.start()
+        try:
+            assert parse(text) == inst
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+
+
+def test_long_whitespace_runs_scan_in_linear_time():
+    # An entry pattern that started with \s* would retry each run from every
+    # one of its positions: minutes for these runs instead of milliseconds.
+    run = " " * 100_000
+    text = (
+        _PLAIN.replace("<3,4>}", f"<3,{run}4>,{run}}}").replace("{1,3}", f"{{1,{run}3{run}}}")
+        + run
+    )
+    start = time.perf_counter()
+    assert formats._scan_dat(text) is not None
+    assert time.perf_counter() - start < 5

@@ -280,6 +280,22 @@ def test_parse_solution_errors():
         parse_solution("positions 1 1 2\n").permutation()
 
 
+def test_parse_solution_keywords_may_be_followed_by_any_whitespace():
+    text = (
+        "instance\tR024\n"
+        "tour\t5 3\t4 2 1\n"
+        "claimed\tS=1\tM=1 L=2 N=1 objective=161\n"
+    )
+    sol = parse_solution(text)
+    assert sol.instance_id == "R024"
+    assert sol.permutation() == Permutation((5, 3, 4, 2, 1))
+    assert sol.claimed == CostBreakdown(1, 1, 2, 1, 161)
+    assert parse_solution("positions\xa0\t5 4 2 3 1\n").values == (5, 4, 2, 3, 1)
+    assert parse_solution("instance\ntour 1\n").instance_id is None
+    with pytest.raises(ParseError, match="^line 2, column 1: unknown line 'wat'$"):
+        parse_solution("tour 1 2\nwat\t3\n")
+
+
 def test_report_csv_header_only_when_empty():
     text = emit_report_csv([])
     assert text.splitlines() == [
