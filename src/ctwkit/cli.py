@@ -178,6 +178,11 @@ def _cmd_solve(args) -> int:
                 "nodes_expanded": result.stats.nodes_expanded,
                 "time_ms": time_ms,
                 "proven_lower_bound": result.stats.proven_lower_bound,
+                "children_priced": result.stats.children_priced,
+                "bound_prunes": result.stats.bound_prunes,
+                "cycle_prunes": result.stats.cycle_prunes,
+                "leaves": result.stats.leaves,
+                "max_depth": result.stats.max_depth,
             },
         }
         _write(_dump_json(doc), args.out)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 from . import digraph
@@ -63,6 +63,18 @@ def partner(i: int, b: int) -> int:
     return i + b if i <= b else i - b
 
 
+def _constraints(kind, rows) -> tuple:
+    """``tuple(map(kind._make, rows))`` built at C level: ``tuple.__new__``
+    per row, then one arity check over the list, which raises ``_make``'s
+    TypeError for the first row of the wrong length."""
+    out = tuple(map(partial(tuple.__new__, kind), rows))
+    arity = len(kind._fields)
+    if not set(map(len, out)) <= {arity}:
+        bad = next(row for row in out if len(row) != arity)
+        raise TypeError(f"Expected {arity} arguments, got {len(bad)}")
+    return out
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable problem statement.
@@ -79,13 +91,9 @@ class Instance:
     direct_successors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "atomic", tuple(map(AtomicConstraint._make, self.atomic)))
-        object.__setattr__(
-            self, "soft_atomic", tuple(map(AtomicConstraint._make, self.soft_atomic))
-        )
-        object.__setattr__(
-            self, "disjunctive", tuple(map(DisjunctiveConstraint._make, self.disjunctive))
-        )
+        for name, kind in (("atomic", AtomicConstraint), ("soft_atomic", AtomicConstraint),
+                           ("disjunctive", DisjunctiveConstraint)):
+            object.__setattr__(self, name, _constraints(kind, getattr(self, name)))
         object.__setattr__(self, "direct_successors", tuple(map(int, self.direct_successors)))
         self._check()
 

@@ -48,7 +48,8 @@ def topo_solve(inst: Instance) -> Permutation | UnsatCertificate:
     order = digraph.lexicographic_order(inst.k, inst.atomic)
     if order is None:
         cycle = digraph.find_cycle(inst.k, inst.atomic)
-        assert cycle is not None
+        if cycle is None:
+            raise AssertionError("no topological order, yet no precedence cycle found")
         return UnsatCertificate(tuple(cycle))
     return Permutation(tuple(order))
 

@@ -18,13 +18,16 @@ Propagation baked into candidate generation:
 * when the job just placed carries a direct successor constraint and its
   partner is still open, the partner is the only legal next job.
 
-The per-node work is incremental. Each child is priced with
-``SearchState.child_bound`` before it is placed, so a child the bound
-prunes is never placed and undone. Candidates come from a ready set of
-unplaced jobs whose hard predecessors are all placed, which
-``place``/``unplace`` keep up to date. The forced-edge cycle check
-searches only from the edges the last placement added, by reachability,
-instead of rescanning every atomic edge.
+The per-node work is incremental. ``SearchState.extend_candidates`` prices
+every child of a node in one pass: a base bound shared by the children
+that close no pair, plus each child's own soft or closing delta. A child
+whose bound reaches the incumbent's objective is dropped before its
+legality is checked, and no child is placed to be priced. Candidates come
+from a ready set of unplaced jobs whose hard predecessors are all placed,
+and the open pairs' positions from an ascending list, both kept by
+``place``/``unplace``. The forced-edge cycle check searches only from the
+edges the last placement added, by reachability, instead of rescanning
+every atomic edge.
 
 The search is deterministic for a fixed instance and configuration; wall
 clock only decides when a limited run stops, never which branch comes
@@ -34,6 +37,7 @@ first.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -43,7 +47,7 @@ from .digraph import lexicographic_order
 from .model import Instance, Permutation, validate
 from .polycases import unsat_precheck
 
-_TIME_CHECK_MASK = 1023  # timer polled every 1024 children priced
+_TIME_CHECK_MASK = 1023  # timer polled every 1024 children tried
 
 
 class ResultState(Enum):
@@ -79,11 +83,27 @@ class SolveStats:
     whole instance: the optimum on completed runs, None when unsatisfiable,
     and for interrupted runs the weakest open subtree bound, which is at
     least the root floor (the S charge of the separated pairs); depth-first
-    search proves little more globally until it exhausts."""
+    search proves little more globally until it exhausts.
+
+    The search counters are deterministic; engines other than the
+    branch-and-bound leave them 0. ``children_priced`` counts the children
+    given a bound and not then found illegal. Each is one of:
+    ``bound_prunes`` (bound at or above the incumbent's objective),
+    ``cycle_prunes`` (placed, then a forced-precedence cycle), ``leaves``
+    (complete tours, each an improving incumbent), a new node
+    (``nodes_expanded`` minus the root), or the one child a node or time
+    limit stopped at. ``max_depth`` is the longest prefix expanded or
+    completed.
+    """
 
     nodes_expanded: int
     time_ms: int
     proven_lower_bound: int | None
+    children_priced: int = 0
+    bound_prunes: int = 0
+    cycle_prunes: int = 0
+    leaves: int = 0
+    max_depth: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,14 +130,19 @@ class SearchState:
       the 'before' job is not, or both placed in the wrong order).
 
     At a full prefix the committed values equal the exact criteria, so the
-    bound of a leaf is its objective. ``child_bound(c)`` gives the bound
-    the prefix would have after ``place(c)`` without placing anything; it
-    reads the two smallest open-pair positions from a cache that
-    ``place``/``unplace`` clear.
+    bound of a leaf is its objective. ``extend_candidates`` prices every
+    child in one pass from these values without placing anything.
 
-    Alongside, each placement keeps the ready set (unplaced jobs whose
-    hard predecessors are all placed) and, per job, its count of unplaced
-    hard successors, so candidate generation never scans all k jobs.
+    ``place``/``unplace`` keep, alongside:
+
+    * ``open_list``, the positions of the placed ends of open pairs in
+      ascending order: its first entry sets the open pairs' L stretch, its
+      last one is the most recently opened pair;
+    * the ready set (unplaced jobs whose hard predecessors are all placed)
+      and, per job, its count of unplaced hard successors, so candidate
+      generation never scans all k jobs;
+    * per job, its count of unplaced soft predecessors: the N that placing
+      it next commits.
 
     ``forced_cycle`` relies on an invariant of the search: over the
     unplaced jobs, atomic edges plus the disjunction survivors forced
@@ -133,9 +158,16 @@ class SearchState:
         b = inst.b
         self.k = k
         self.b = b
-        self.two_sided = 2 * b
-        self.pos = [0] * (k + 1)
+        self.pos = [0] * (k + 1)  # entry 0 stays 0: the partner of a one-sided job
         self.prefix: list[int] = []
+        # per job: its pair (numbered by the lower end) and the pair's other
+        # end; 0 for one-sided jobs
+        ends = range(1, 2 * b + 1)
+        self.pair_of = [0] + [c if c <= b else c - b for c in ends] + [0] * (k - 2 * b)
+        self.partner = [0] + [c + b if c <= b else c - b for c in ends] + [0] * (k - 2 * b)
+        # above every bound: S, M <= b and L < k, so the objective is below
+        # k^4 + k^3 + k^2 + the number of soft constraints
+        self.unbounded = (k + 1) ** 4 + len(inst.soft_atomic)
 
         preds: list[list[int]] = [[] for _ in range(k + 1)]
         succs: list[list[int]] = [[] for _ in range(k + 1)]
@@ -151,23 +183,33 @@ class SearchState:
         # per job: hard successors not yet placed
         self.waiting = [len(s) for s in succs]
 
-        self.ds = frozenset(inst.direct_successors)
+        self.direct = [False] * (k + 1)
+        for i in inst.direct_successors:
+            self.direct[i] = True
 
-        self.disjuncts = [d.disjuncts() for d in inst.disjunctive]
-        self.dstate = [[0, 0] for _ in inst.disjunctive]  # 0 open, 1 true, -1 false
+        # two state cells per disjunction, 2 * index + slot: 0 undecided,
+        # 1 true, -1 false. A job's watch entries name the cell of each
+        # disjunct it ends, with the other jobs involved.
+        self.dstate = [0] * (2 * len(inst.disjunctive))
         by_before: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
-        by_after: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
-        for idx, (d1, d2) in enumerate(self.disjuncts):
-            for slot, (a, c) in enumerate((d1, d2)):
-                by_before[a].append((idx, slot))
-                by_after[c].append((idx, slot))
+        by_after: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(k + 1)]
+        for idx, d in enumerate(inst.disjunctive):
+            for cell, (a, c), (oa, oc) in ((2 * idx, d[:2], d[2:]),
+                                          (2 * idx + 1, d[2:], d[:2])):
+                by_before[a].append((cell, c))
+                # the other disjunct's cell and jobs: it is forced when
+                # this one dies undecided
+                by_after[c].append((cell, a, cell ^ 1, oa, oc))
         self.by_before = by_before
         self.by_after = by_after
 
-        soft_before_of: list[list[int]] = [[] for _ in range(k + 1)]
+        soft_after_of: list[list[int]] = [[] for _ in range(k + 1)]
+        soft_pending = [0] * (k + 1)
         for i, j in inst.soft_atomic:
-            soft_before_of[j].append(i)
-        self.soft_before_of = soft_before_of
+            soft_after_of[i].append(j)
+            soft_pending[j] += 1
+        self.soft_after_of = soft_after_of
+        self.soft_pending = soft_pending  # per job: soft predecessors unplaced
 
         # per pair, indexed by its lower end: 1 when a hard chain runs
         # through a third job between its ends, so they are never adjacent
@@ -177,7 +219,7 @@ class SearchState:
         ]
         self.sep_unplaced = sum(self.separated)  # separated pairs, no end placed
 
-        self.open_pos: dict[int, int] = {}  # pair start -> position of its placed end
+        self.open_list: list[int] = []  # placed-end positions of open pairs, ascending
         self.closed_s = 0
         self.closed_l = 0
         self.m_committed = 0
@@ -188,7 +230,8 @@ class SearchState:
         self.forced: list[tuple[int, int]] = []
         self.forced_out: list[list[int]] = [[] for _ in range(k + 1)]
         self._undo: list[tuple] = []
-        self._open_mins: list[int] | None = None  # two smallest open_pos values
+        # children extend_candidates dropped for a bound at or above the cutoff
+        self.bound_drops = 0
 
     @classmethod
     def from_prefix(cls, inst: Instance, prefix: Sequence[int]) -> "SearchState":
@@ -201,39 +244,34 @@ class SearchState:
     # -- placement ---------------------------------------------------------
 
     def place(self, c: int):
+        pos = self.pos
         t1 = len(self.prefix) + 1
-        open_before = len(self.open_pos)
-        closed_rec = None
-        opened = 0
-        prev_s, prev_l, prev_m = self.closed_s, self.closed_l, self.m_committed
-        if c <= self.two_sided:
-            pair = c if c <= self.b else c - self.b
-            if pair in self.open_pos:
-                q = self.open_pos.pop(pair)
-                closed_rec = (pair, q)
-                gap = t1 - q
-                if gap > 1:
-                    self.closed_s += 1
-                if gap - 1 > self.closed_l:
-                    self.closed_l = gap - 1
-            else:
-                self.open_pos[pair] = t1
-                opened = pair
-                self.sep_unplaced -= self.separated[pair]
-        spans_here = open_before - (1 if closed_rec else 0)
+        open_list = self.open_list
+        spans_here = len(open_list)  # pairs open across c's position
+        opened = False
+        prev = (self.closed_s, self.closed_l, self.m_committed, self.n_committed)
+        other_end = self.partner[c]
+        q = pos[other_end]  # c closes the pair opened at q; 0: it does not
+        if q:
+            open_list.remove(q)
+            spans_here -= 1
+            if t1 - q > 1:
+                self.closed_s += 1
+            if t1 - q - 1 > self.closed_l:
+                self.closed_l = t1 - q - 1
+        elif other_end:
+            open_list.append(t1)
+            opened = True
+            self.sep_unplaced -= self.separated[self.pair_of[c]]
         if spans_here > self.m_committed:
             self.m_committed = spans_here
+        soft_pending = self.soft_pending
+        self.n_committed += soft_pending[c]
+        for s in self.soft_after_of[c]:
+            soft_pending[s] -= 1
 
-        n_delta = 0
-        for i in self.soft_before_of[c]:
-            if self.pos[i] == 0:
-                n_delta += 1
-        self.n_committed += n_delta
-
-        pos = self.pos
         pos[c] = t1
         self.prefix.append(c)
-        self._open_mins = None
         ready = self.ready
         ready.discard(c)
         pred_placed = self.pred_placed
@@ -246,39 +284,34 @@ class SearchState:
         for p in self.preds[c]:
             waiting[p] -= 1
 
+        dstate = self.dstate
         transitions = []
         forced_added = 0
-        for idx, slot in self.by_before[c]:
-            st = self.dstate[idx]
-            if st[slot] == 0 and self.pos[self.disjuncts[idx][slot][1]] == 0:
-                st[slot] = 1
-                transitions.append((idx, slot))
-        for idx, slot in self.by_after[c]:
-            st = self.dstate[idx]
-            if st[slot] == 0 and self.pos[self.disjuncts[idx][slot][0]] == 0:
-                st[slot] = -1
-                transitions.append((idx, slot))
-                if st[1 - slot] == 0:  # the survivor is now mandatory
-                    a, b = self.disjuncts[idx][1 - slot]
-                    self.forced.append((a, b))
-                    self.forced_out[a].append(b)
+        for cell, after in self.by_before[c]:
+            if dstate[cell] == 0 and pos[after] == 0:
+                dstate[cell] = 1
+                transitions.append(cell)
+        for cell, before, ocell, oa, oc in self.by_after[c]:
+            if dstate[cell] == 0 and pos[before] == 0:
+                dstate[cell] = -1
+                transitions.append(cell)
+                if dstate[ocell] == 0:  # the survivor is now mandatory
+                    self.forced.append((oa, oc))
+                    self.forced_out[oa].append(oc)
                     forced_added += 1
 
-        self._undo.append(
-            (c, prev_s, prev_l, prev_m, n_delta, opened, closed_rec, transitions,
-             forced_added)
-        )
+        self._undo.append((c, prev, opened, q, transitions, forced_added))
         return forced_added
 
     def unplace(self):
-        (c, prev_s, prev_l, prev_m, n_delta, opened, closed_rec, transitions,
-         forced_added) = self._undo.pop()
+        c, prev, opened, q, transitions, forced_added = self._undo.pop()
         if forced_added:
             for a, _ in self.forced[-forced_added:]:
                 self.forced_out[a].pop()
             del self.forced[-forced_added:]
-        for idx, slot in transitions:
-            self.dstate[idx][slot] = 0
+        dstate = self.dstate
+        for cell in transitions:
+            dstate[cell] = 0
         ready = self.ready
         pred_placed = self.pred_placed
         npreds = self.npreds
@@ -293,15 +326,15 @@ class SearchState:
             ready.add(c)
         self.prefix.pop()
         self.pos[c] = 0
-        self._open_mins = None
-        self.n_committed -= n_delta
-        self.closed_s, self.closed_l, self.m_committed = prev_s, prev_l, prev_m
-        if closed_rec is not None:
-            pair, q = closed_rec
-            self.open_pos[pair] = q
+        soft_pending = self.soft_pending
+        for s in self.soft_after_of[c]:
+            soft_pending[s] += 1
+        self.closed_s, self.closed_l, self.m_committed, self.n_committed = prev
+        if q:
+            insort(self.open_list, q)
         elif opened:
-            del self.open_pos[opened]
-            self.sep_unplaced += self.separated[opened]
+            self.open_list.pop()
+            self.sep_unplaced += self.separated[self.pair_of[c]]
 
     def forced_cycle(self) -> bool:
         """True when mandatory precedences over the unplaced jobs conflict.
@@ -336,56 +369,119 @@ class SearchState:
                             stack.append(w)
         return False
 
-    # -- candidate generation ----------------------------------------------
+    # -- candidate generation and pricing ----------------------------------
 
     def _legal(self, c: int) -> bool:
-        if self.pred_placed[c] < self.npreds[c]:
-            return False
-        for idx, slot in self.by_after[c]:
-            st = self.dstate[idx]
-            if st[slot] != 0:
-                continue
-            # this undecided disjunct dies when c is placed
-            oslot = 1 - slot
-            other = st[oslot]
-            if other == -1:
-                return False
-            if other == 0 and self.disjuncts[idx][oslot][1] == c:
-                return False
+        """True when placing c kills no disjunction; for a job whose hard
+        predecessors are all placed."""
+        dstate = self.dstate
+        for cell, _, ocell, _, oc in self.by_after[c]:
+            if dstate[cell] == 0:
+                # this undecided disjunct dies when c is placed
+                other = dstate[ocell]
+                if other == -1 or (other == 0 and oc == c):
+                    return False
         return True
 
-    def extend_candidates(self) -> list[int]:
-        """Legal next jobs, strongest branch first; empty at leaves/dead ends.
+    def extend_candidates(self, cutoff: int | None = None) -> list[tuple[int, int]]:
+        """Legal next jobs whose bound is below ``cutoff``, strongest branch
+        first, each as (job, ``lower_bound()`` after placing it); empty at
+        leaves and dead ends. ``cutoff`` None keeps every legal job.
 
         Order: a partner forced by a direct successor constraint; else the
         unplaced end of the most recently opened pair; else jobs with the
         most unplaced hard successors (they need room after them), ties by
         ascending id.
+
+        One pass prices every child. The base bound is that of a child
+        that closes no pair: after it every open pair counts in S (a pair
+        the child opens is exempt while the child is last, and a separated
+        one only moves from the unplaced to the open pairs), the storage
+        load at its position is the open pair count, and the oldest open
+        pair stretches L. Such a child adds only its unplaced soft
+        predecessors. A child that closes a pair may lower the base: S when
+        the pair was opened by the last job (adjacent ends), M when the open
+        pairs set the load, L when it closes the oldest pair. A child at or
+        above ``cutoff`` is dropped before its legality is checked; when the
+        base alone reaches it, only the open pairs' unplaced ends are priced.
         """
-        t = len(self.prefix)
-        if t == self.k:
+        prefix = self.prefix
+        t = len(prefix)
+        k = self.k
+        if t == k:
             return []
+        if cutoff is None:
+            cutoff = self.unbounded
         pos = self.pos
-        if t:
-            last = self.prefix[-1]
-            if last in self.ds:
-                p = last + self.b if last <= self.b else last - self.b
-                if pos[p] == 0:
-                    return [p] if self._legal(p) else []
-        # only jobs that watch a disjunct can be ruled out once ready
+        partner = self.partner
+        soft = self.soft_pending
+        open_list = self.open_list
+        n_open = len(open_list)
+        t1 = t + 1
+        k2 = k * k
+        m = self.m_committed
+        l = self.closed_l
+        if n_open:
+            lowest = open_list[0]
+            if n_open > m:
+                m = n_open
+            if t1 - lowest > l:
+                l = t1 - lowest
+        s = self.closed_s + self.sep_unplaced + n_open
+        base = k * (k * (k * s + m) + l) + self.n_committed
+        if n_open:
+            close = base - k2 if n_open > self.m_committed else base
+            # closing the oldest pair shortens its stretch by one
+            close_low = close - k if t1 - lowest > self.closed_l else close
+            k3 = k2 * k
+
+        if t and self.direct[prefix[-1]]:
+            p = partner[prefix[-1]]
+            if pos[p] == 0:
+                # the last job opened this pair: p closes it adjacently
+                bound = (close_low if n_open == 1 else close) - k3 + soft[p]
+                if bound >= cutoff:
+                    self.bound_drops += 1
+                    return []
+                return [(p, bound)] if p in self.ready and self._legal(p) else []
+
+        ready = self.ready
         by_after = self.by_after
-        legal = [c for c in self.ready if not by_after[c] or self._legal(c)]
-        # (-waiting[c], c) order as one integer key: c < k + 1
         waiting = self.waiting
-        span = self.k + 1
-        legal.sort(key=lambda c: c - span * waiting[c])
-        if self.open_pos:
-            freshest = max(self.open_pos, key=self.open_pos.__getitem__)
-            unplaced_end = freshest if pos[freshest] == 0 else freshest + self.b
-            if pos[unplaced_end] == 0 and unplaced_end in legal:
-                legal.remove(unplaced_end)
-                legal.insert(0, unplaced_end)
-        return legal
+        span = k + 1
+        # the unplaced end of the most recently opened pair
+        fresh = partner[prefix[open_list[-1] - 1]] if n_open else 0
+        if base < cutoff:
+            children = ready
+            drops = 0
+        else:
+            # only a child that closes a pair can price below the base
+            children = [c for q in open_list if (c := partner[prefix[q - 1]]) in ready]
+            drops = len(ready) - len(children)
+        head = None
+        ranked = []  # (-waiting[c], c) as one integer key, c, bound
+        for c in children:
+            q = pos[partner[c]]
+            if q:
+                bound = close_low if q == lowest else close
+                if q == t:
+                    bound -= k3
+                bound += soft[c]
+            else:
+                bound = base + soft[c]
+            if bound >= cutoff:
+                drops += 1
+            elif not by_after[c] or self._legal(c):
+                if c == fresh:
+                    head = (c, bound)
+                else:
+                    ranked.append((c - span * waiting[c], c, bound))
+        if drops:
+            self.bound_drops += drops
+        ranked.sort()
+        out = [head] if head else []
+        out += [(c, bound) for _, c, bound in ranked]
+        return out
 
     # -- bounding ------------------------------------------------------------
 
@@ -397,66 +493,18 @@ class SearchState:
         when it is not separated: its partner may still come next.
         """
         t = len(self.prefix)
-        open_count = len(self.open_pos)
-        s_c = self.closed_s + open_count + self.sep_unplaced
-        if open_count and t:
-            last = self.prefix[-1]
-            if last <= self.two_sided:
-                pair = last if last <= self.b else last - self.b
-                if pair in self.open_pos and not self.separated[pair]:
-                    s_c -= 1  # the last job's pair can still close adjacently
+        open_list = self.open_list
+        s_c = self.closed_s + len(open_list) + self.sep_unplaced
         l_c = self.closed_l
-        if open_count:
-            stretch = t - min(self.open_pos.values())
-            if stretch > l_c:
-                l_c = stretch
+        if open_list:
+            # the last job opened a pair exactly when it sits at the newest
+            # open position
+            if open_list[-1] == t and not self.separated[self.pair_of[self.prefix[-1]]]:
+                s_c -= 1  # the last job's pair can still close adjacently
+            if t - open_list[0] > l_c:
+                l_c = t - open_list[0]
         k = self.k
         return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
-
-    def child_bound(self, c: int) -> int:
-        """``lower_bound()`` of the prefix extended by c; changes no state.
-
-        Applies the S/M/L/N deltas that ``place(c)`` would commit. After
-        the placement c is last, so a pair c opens adds nothing to S: it is
-        exempt when not separated, and when separated it moves from the
-        unplaced separated pairs to the open ones. Every other open pair
-        and every unplaced separated pair counts.
-        """
-        t1 = len(self.prefix) + 1
-        open_pos = self.open_pos
-        open_count = len(open_pos)
-        s_c = self.closed_s + self.sep_unplaced
-        l_c = self.closed_l
-        m_c = self.m_committed
-        lowest = 0  # smallest open position after placing c; 0: none
-        if open_count:
-            mins = self._open_mins
-            if mins is None:
-                mins = self._open_mins = sorted(open_pos.values())[:2]
-            lowest = mins[0]
-            if c <= self.two_sided:
-                q = open_pos.get(c if c <= self.b else c - self.b)
-                if q is not None:  # c closes its pair
-                    if t1 - q > 1:
-                        s_c += 1
-                    if t1 - q - 1 > l_c:
-                        l_c = t1 - q - 1
-                    open_count -= 1
-                    if q == lowest:
-                        lowest = mins[1] if open_count else 0
-        # storage load at c's position: the pairs spanning it
-        if open_count > m_c:
-            m_c = open_count
-        s_c += open_count
-        if lowest and t1 - lowest > l_c:
-            l_c = t1 - lowest
-        n_c = self.n_committed
-        pos = self.pos
-        for i in self.soft_before_of[c]:
-            if pos[i] == 0:
-                n_c += 1
-        k = self.k
-        return k * (k * (k * s_c + m_c) + l_c) + n_c
 
 
 def chain_reach(k: int, edges: Sequence[tuple[int, int]]) -> list[int]:
@@ -518,67 +566,75 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     state = SearchState(inst)
     best_tour: tuple[int, ...] | None = None
     best_bd: CostBreakdown | None = None
-    frames: list[list] = [[state.lower_bound(), state.extend_candidates(), 0]]
+    cutoff = state.unbounded  # the incumbent's objective once there is one
+    # frame: [node bound, [(child, bound), ...], next child index]
+    frames: list[list] = [[state.lower_bound(), state.extend_candidates(cutoff), 0]]
     nodes = 1
-    priced = 0
+    tried = 0
+    loop_prunes = cycle_prunes = leaves = max_depth = 0
     interrupted = False
 
     while frames:
         frame = frames[-1]
         cands = frame[1]
-        if frame[2] >= len(cands):
+        i = frame[2]
+        if i == len(cands):
             frames.pop()
             if frames:
                 state.unplace()
             continue
-        c = cands[frame[2]]
-        frame[2] += 1
+        frame[2] = i + 1
+        c, clb = cands[i]
 
-        priced += 1
-        if priced & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
+        tried += 1
+        if tried & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
             interrupted = True
             break
 
-        clb = state.child_bound(c)
-        if best_bd is not None and clb >= best_bd.objective:
+        # the incumbent may have improved since this node was priced
+        if clb >= cutoff:
+            loop_prunes += 1
             continue
         if state.place(c) and state.forced_cycle():
+            cycle_prunes += 1
             state.unplace()
             continue
         if len(state.prefix) == k:
+            leaves += 1
+            max_depth = k
             perm = Permutation(tuple(state.prefix))
             bd = breakdown(inst, perm)
-            assert bd.objective == clb, "committed cost disagrees with recomputation"
-            assert not validate(inst, perm), "propagation admitted an invalid leaf"
-            # the bound test above lets only improving leaves through
+            if bd.objective != clb:
+                raise AssertionError("committed cost disagrees with recomputation")
+            if validate(inst, perm):
+                raise AssertionError("propagation admitted an invalid leaf")
+            # only children below the incumbent are tried: every leaf improves
             best_tour, best_bd = perm.tour, bd
+            cutoff = bd.objective
             state.unplace()
             continue
         if cfg.node_limit is not None and nodes >= cfg.node_limit:
             interrupted = True
             break
-        frames.append([clb, state.extend_candidates(), 0])
+        frames.append([clb, state.extend_candidates(cutoff), 0])
         nodes += 1
+        if len(state.prefix) > max_depth:
+            max_depth = len(state.prefix)
+
+    drops = state.bound_drops
+
+    def stats(proven: int | None) -> SolveStats:
+        return SolveStats(nodes, elapsed_ms(), proven, tried + drops,
+                          loop_prunes + drops, cycle_prunes, leaves, max_depth)
 
     if interrupted:
         open_lbs = [f[0] for f in frames]
         if best_bd is not None:
             proven = min(open_lbs + [best_bd.objective])
-            perm = Permutation(best_tour)
-            return SolveResult(
-                ResultState.SUBOPTIMAL,
-                (perm, best_bd),
-                SolveStats(nodes, elapsed_ms(), proven),
-            )
-        return SolveResult(
-            ResultState.UNSOLVED,
-            None,
-            SolveStats(nodes, elapsed_ms(), min(open_lbs) if open_lbs else 0),
-        )
+            return SolveResult(ResultState.SUBOPTIMAL, (Permutation(best_tour), best_bd),
+                               stats(proven))
+        return SolveResult(ResultState.UNSOLVED, None, stats(min(open_lbs) if open_lbs else 0))
     if best_bd is not None:
-        return SolveResult(
-            ResultState.OPTIMAL,
-            (Permutation(best_tour), best_bd),
-            SolveStats(nodes, elapsed_ms(), best_bd.objective),
-        )
-    return SolveResult(ResultState.UNSATISFIABLE, None, SolveStats(nodes, elapsed_ms(), None))
+        return SolveResult(ResultState.OPTIMAL, (Permutation(best_tour), best_bd),
+                           stats(best_bd.objective))
+    return SolveResult(ResultState.UNSATISFIABLE, None, stats(None))

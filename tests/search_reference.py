@@ -1,0 +1,505 @@
+"""The solver's search state as it was before one-pass pricing, verbatim.
+
+``ReferenceSearchState`` is ``ctwkit.solver.SearchState`` from before
+``extend_candidates`` priced the children itself: it returns the legal
+jobs in branch order, and ``child_bound(c)`` prices one child at a time.
+The tests walk it in lockstep with the solver's state and require the
+same jobs, order and bounds. ``FloorlessReferenceState`` is the bound from
+before the separated-pair floor, on the same state.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from ctwkit.model import Instance
+from ctwkit.solver import chain_reach
+
+
+class ReferenceSearchState:
+    """Incremental prefix state with do/undo placement.
+
+    Tracks, per prefix, the committed part of each criterion:
+
+    * S: pairs already closed with a gap, open pairs (a pair whose placed
+      end is last is exempt unless it is separated: its partner may still
+      come next), and separated pairs with no end placed yet (a hard chain
+      through a third job keeps their ends apart in every valid order);
+    * M: the storage load at each placed position is already final, so the
+      running maximum is exact on the prefix;
+    * L: gaps of closed pairs, and for open pairs the distance from their
+      placed end to the current last position;
+    * N: soft constraints violated for sure (the 'after' job placed while
+      the 'before' job is not, or both placed in the wrong order).
+
+    At a full prefix the committed values equal the exact criteria, so the
+    bound of a leaf is its objective. ``child_bound(c)`` gives the bound
+    the prefix would have after ``place(c)`` without placing anything; it
+    reads the two smallest open-pair positions from a cache that
+    ``place``/``unplace`` clear.
+
+    Alongside, each placement keeps the ready set (unplaced jobs whose
+    hard predecessors are all placed) and, per job, its count of unplaced
+    hard successors, so candidate generation never scans all k jobs.
+
+    ``forced_cycle`` relies on an invariant of the search: over the
+    unplaced jobs, atomic edges plus the disjunction survivors forced
+    before the last placement form an acyclic graph (the precheck covers
+    the atomic edges, earlier checks the survivors, and placing a job only
+    removes edges). It therefore holds for states reached by search, not
+    for an arbitrary ``from_prefix`` replay.
+    """
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        k = inst.k
+        b = inst.b
+        self.k = k
+        self.b = b
+        self.two_sided = 2 * b
+        self.pos = [0] * (k + 1)
+        self.prefix: list[int] = []
+
+        preds: list[list[int]] = [[] for _ in range(k + 1)]
+        succs: list[list[int]] = [[] for _ in range(k + 1)]
+        for i, j in inst.atomic:
+            preds[j].append(i)
+            succs[i].append(j)
+        self.npreds = [len(p) for p in preds]
+        self.preds = preds
+        self.succs = succs
+        self.pred_placed = [0] * (k + 1)
+        # unplaced jobs whose hard predecessors are all placed
+        self.ready = {c for c in range(1, k + 1) if not preds[c]}
+        # per job: hard successors not yet placed
+        self.waiting = [len(s) for s in succs]
+
+        self.ds = frozenset(inst.direct_successors)
+
+        self.disjuncts = [d.disjuncts() for d in inst.disjunctive]
+        self.dstate = [[0, 0] for _ in inst.disjunctive]  # 0 open, 1 true, -1 false
+        by_before: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
+        by_after: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
+        for idx, (d1, d2) in enumerate(self.disjuncts):
+            for slot, (a, c) in enumerate((d1, d2)):
+                by_before[a].append((idx, slot))
+                by_after[c].append((idx, slot))
+        self.by_before = by_before
+        self.by_after = by_after
+
+        soft_before_of: list[list[int]] = [[] for _ in range(k + 1)]
+        for i, j in inst.soft_atomic:
+            soft_before_of[j].append(i)
+        self.soft_before_of = soft_before_of
+
+        # per pair, indexed by its lower end: 1 when a hard chain runs
+        # through a third job between its ends, so they are never adjacent
+        deep = chain_reach(k, inst.atomic)
+        self.separated = [0] + [
+            (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
+        ]
+        self.sep_unplaced = sum(self.separated)  # separated pairs, no end placed
+
+        self.open_pos: dict[int, int] = {}  # pair start -> position of its placed end
+        self.closed_s = 0
+        self.closed_l = 0
+        self.m_committed = 0
+        self.n_committed = 0
+        # disjuncts whose alternative died: now mandatory precedences, both
+        # endpoints unplaced at creation time; forced_out indexes them by
+        # their 'before' job
+        self.forced: list[tuple[int, int]] = []
+        self.forced_out: list[list[int]] = [[] for _ in range(k + 1)]
+        self._undo: list[tuple] = []
+        self._open_mins: list[int] | None = None  # two smallest open_pos values
+
+    @classmethod
+    def from_prefix(cls, inst: Instance, prefix: Sequence[int]) -> "ReferenceSearchState":
+        """Replay a consistent prefix (no legality re-checking)."""
+        st = cls(inst)
+        for job in prefix:
+            st.place(job)
+        return st
+
+    # -- placement ---------------------------------------------------------
+
+    def place(self, c: int):
+        t1 = len(self.prefix) + 1
+        open_before = len(self.open_pos)
+        closed_rec = None
+        opened = 0
+        prev_s, prev_l, prev_m = self.closed_s, self.closed_l, self.m_committed
+        if c <= self.two_sided:
+            pair = c if c <= self.b else c - self.b
+            if pair in self.open_pos:
+                q = self.open_pos.pop(pair)
+                closed_rec = (pair, q)
+                gap = t1 - q
+                if gap > 1:
+                    self.closed_s += 1
+                if gap - 1 > self.closed_l:
+                    self.closed_l = gap - 1
+            else:
+                self.open_pos[pair] = t1
+                opened = pair
+                self.sep_unplaced -= self.separated[pair]
+        spans_here = open_before - (1 if closed_rec else 0)
+        if spans_here > self.m_committed:
+            self.m_committed = spans_here
+
+        n_delta = 0
+        for i in self.soft_before_of[c]:
+            if self.pos[i] == 0:
+                n_delta += 1
+        self.n_committed += n_delta
+
+        pos = self.pos
+        pos[c] = t1
+        self.prefix.append(c)
+        self._open_mins = None
+        ready = self.ready
+        ready.discard(c)
+        pred_placed = self.pred_placed
+        npreds = self.npreds
+        for s in self.succs[c]:
+            pred_placed[s] += 1
+            if pred_placed[s] == npreds[s] and pos[s] == 0:
+                ready.add(s)
+        waiting = self.waiting
+        for p in self.preds[c]:
+            waiting[p] -= 1
+
+        transitions = []
+        forced_added = 0
+        for idx, slot in self.by_before[c]:
+            st = self.dstate[idx]
+            if st[slot] == 0 and self.pos[self.disjuncts[idx][slot][1]] == 0:
+                st[slot] = 1
+                transitions.append((idx, slot))
+        for idx, slot in self.by_after[c]:
+            st = self.dstate[idx]
+            if st[slot] == 0 and self.pos[self.disjuncts[idx][slot][0]] == 0:
+                st[slot] = -1
+                transitions.append((idx, slot))
+                if st[1 - slot] == 0:  # the survivor is now mandatory
+                    a, b = self.disjuncts[idx][1 - slot]
+                    self.forced.append((a, b))
+                    self.forced_out[a].append(b)
+                    forced_added += 1
+
+        self._undo.append(
+            (c, prev_s, prev_l, prev_m, n_delta, opened, closed_rec, transitions,
+             forced_added)
+        )
+        return forced_added
+
+    def unplace(self):
+        (c, prev_s, prev_l, prev_m, n_delta, opened, closed_rec, transitions,
+         forced_added) = self._undo.pop()
+        if forced_added:
+            for a, _ in self.forced[-forced_added:]:
+                self.forced_out[a].pop()
+            del self.forced[-forced_added:]
+        for idx, slot in transitions:
+            self.dstate[idx][slot] = 0
+        ready = self.ready
+        pred_placed = self.pred_placed
+        npreds = self.npreds
+        for s in self.succs[c]:
+            if pred_placed[s] == npreds[s]:
+                ready.discard(s)
+            pred_placed[s] -= 1
+        waiting = self.waiting
+        for p in self.preds[c]:
+            waiting[p] += 1
+        if pred_placed[c] == npreds[c]:
+            ready.add(c)
+        self.prefix.pop()
+        self.pos[c] = 0
+        self._open_mins = None
+        self.n_committed -= n_delta
+        self.closed_s, self.closed_l, self.m_committed = prev_s, prev_l, prev_m
+        if closed_rec is not None:
+            pair, q = closed_rec
+            self.open_pos[pair] = q
+        elif opened:
+            del self.open_pos[opened]
+            self.sep_unplaced += self.separated[opened]
+
+    def forced_cycle(self) -> bool:
+        """True when mandatory precedences over the unplaced jobs conflict.
+
+        Atomic edges plus disjunction survivors, restricted to unplaced
+        jobs; a cycle there means no completion of this prefix can be
+        valid. Called only after placements that created forced edges.
+
+        By the invariant in the class docstring, a new cycle must run
+        through a survivor (a, b) that the last placement added, and it
+        exists exactly when a is reachable from b over unplaced jobs. Each
+        such edge gets one depth-first search along atomic successors and
+        current survivors.
+        """
+        fresh = self._undo[-1][-1] if self._undo else 0  # its forced_added
+        if not fresh:
+            return False
+        pos = self.pos
+        succs = self.succs
+        forced_out = self.forced_out
+        for a, b in self.forced[-fresh:]:
+            seen = {b}
+            stack = [b]
+            while stack:
+                v = stack.pop()
+                for nxt in (succs[v], forced_out[v]):
+                    for w in nxt:
+                        if pos[w] == 0 and w not in seen:
+                            if w == a:
+                                return True
+                            seen.add(w)
+                            stack.append(w)
+        return False
+
+    # -- candidate generation ----------------------------------------------
+
+    def _legal(self, c: int) -> bool:
+        if self.pred_placed[c] < self.npreds[c]:
+            return False
+        for idx, slot in self.by_after[c]:
+            st = self.dstate[idx]
+            if st[slot] != 0:
+                continue
+            # this undecided disjunct dies when c is placed
+            oslot = 1 - slot
+            other = st[oslot]
+            if other == -1:
+                return False
+            if other == 0 and self.disjuncts[idx][oslot][1] == c:
+                return False
+        return True
+
+    def extend_candidates(self) -> list[int]:
+        """Legal next jobs, strongest branch first; empty at leaves/dead ends.
+
+        Order: a partner forced by a direct successor constraint; else the
+        unplaced end of the most recently opened pair; else jobs with the
+        most unplaced hard successors (they need room after them), ties by
+        ascending id.
+        """
+        t = len(self.prefix)
+        if t == self.k:
+            return []
+        pos = self.pos
+        if t:
+            last = self.prefix[-1]
+            if last in self.ds:
+                p = last + self.b if last <= self.b else last - self.b
+                if pos[p] == 0:
+                    return [p] if self._legal(p) else []
+        # only jobs that watch a disjunct can be ruled out once ready
+        by_after = self.by_after
+        legal = [c for c in self.ready if not by_after[c] or self._legal(c)]
+        # (-waiting[c], c) order as one integer key: c < k + 1
+        waiting = self.waiting
+        span = self.k + 1
+        legal.sort(key=lambda c: c - span * waiting[c])
+        if self.open_pos:
+            freshest = max(self.open_pos, key=self.open_pos.__getitem__)
+            unplaced_end = freshest if pos[freshest] == 0 else freshest + self.b
+            if pos[unplaced_end] == 0 and unplaced_end in legal:
+                legal.remove(unplaced_end)
+                legal.insert(0, unplaced_end)
+        return legal
+
+    # -- bounding ------------------------------------------------------------
+
+    def lower_bound(self) -> int:
+        """Objective that every valid completion of this prefix must reach.
+
+        S counts closed pairs with a gap, open pairs, and separated pairs
+        with no end placed yet. The last job's open pair is exempt only
+        when it is not separated: its partner may still come next.
+        """
+        t = len(self.prefix)
+        open_count = len(self.open_pos)
+        s_c = self.closed_s + open_count + self.sep_unplaced
+        if open_count and t:
+            last = self.prefix[-1]
+            if last <= self.two_sided:
+                pair = last if last <= self.b else last - self.b
+                if pair in self.open_pos and not self.separated[pair]:
+                    s_c -= 1  # the last job's pair can still close adjacently
+        l_c = self.closed_l
+        if open_count:
+            stretch = t - min(self.open_pos.values())
+            if stretch > l_c:
+                l_c = stretch
+        k = self.k
+        return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
+
+    def child_bound(self, c: int) -> int:
+        """``lower_bound()`` of the prefix extended by c; changes no state.
+
+        Applies the S/M/L/N deltas that ``place(c)`` would commit. After
+        the placement c is last, so a pair c opens adds nothing to S: it is
+        exempt when not separated, and when separated it moves from the
+        unplaced separated pairs to the open ones. Every other open pair
+        and every unplaced separated pair counts.
+        """
+        t1 = len(self.prefix) + 1
+        open_pos = self.open_pos
+        open_count = len(open_pos)
+        s_c = self.closed_s + self.sep_unplaced
+        l_c = self.closed_l
+        m_c = self.m_committed
+        lowest = 0  # smallest open position after placing c; 0: none
+        if open_count:
+            mins = self._open_mins
+            if mins is None:
+                mins = self._open_mins = sorted(open_pos.values())[:2]
+            lowest = mins[0]
+            if c <= self.two_sided:
+                q = open_pos.get(c if c <= self.b else c - self.b)
+                if q is not None:  # c closes its pair
+                    if t1 - q > 1:
+                        s_c += 1
+                    if t1 - q - 1 > l_c:
+                        l_c = t1 - q - 1
+                    open_count -= 1
+                    if q == lowest:
+                        lowest = mins[1] if open_count else 0
+        # storage load at c's position: the pairs spanning it
+        if open_count > m_c:
+            m_c = open_count
+        s_c += open_count
+        if lowest and t1 - lowest > l_c:
+            l_c = t1 - lowest
+        n_c = self.n_committed
+        pos = self.pos
+        for i in self.soft_before_of[c]:
+            if pos[i] == 0:
+                n_c += 1
+        k = self.k
+        return k * (k * (k * s_c + m_c) + l_c) + n_c
+
+
+class FloorlessReferenceState(ReferenceSearchState):
+    """``lower_bound`` and ``child_bound`` without the separated-pair floor.
+
+    Verbatim from the solver before the floor, except that the soft
+    predecessors of c are read as ``soft_before_of[c]`` (a per-job list
+    now, a dict then).
+    """
+
+    def lower_bound(self) -> int:
+        """Objective that every valid completion of this prefix must reach."""
+        t = len(self.prefix)
+        open_count = len(self.open_pos)
+        s_c = self.closed_s + open_count
+        if open_count and t:
+            last = self.prefix[-1]
+            if last <= self.two_sided:
+                pair = last if last <= self.b else last - self.b
+                if pair in self.open_pos:
+                    s_c -= 1  # the last job's pair can still close adjacently
+        l_c = self.closed_l
+        if open_count:
+            stretch = t - min(self.open_pos.values())
+            if stretch > l_c:
+                l_c = stretch
+        k = self.k
+        return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
+
+    def child_bound(self, c: int) -> int:
+        """``lower_bound()`` of the prefix extended by c; changes no state.
+
+        Applies the S/M/L/N deltas that ``place(c)`` would commit. After
+        the placement c is last, so its pair is exempt from S exactly when
+        c opens it, and every other open pair counts.
+        """
+        t1 = len(self.prefix) + 1
+        open_pos = self.open_pos
+        open_count = len(open_pos)
+        s_c = self.closed_s
+        l_c = self.closed_l
+        m_c = self.m_committed
+        lowest = 0  # smallest open position after placing c; 0: none
+        if open_count:
+            mins = self._open_mins
+            if mins is None:
+                mins = self._open_mins = sorted(open_pos.values())[:2]
+            lowest = mins[0]
+            if c <= self.two_sided:
+                q = open_pos.get(c if c <= self.b else c - self.b)
+                if q is not None:  # c closes its pair
+                    if t1 - q > 1:
+                        s_c += 1
+                    if t1 - q - 1 > l_c:
+                        l_c = t1 - q - 1
+                    open_count -= 1
+                    if q == lowest:
+                        lowest = mins[1] if open_count else 0
+        # storage load at c's position: the pairs spanning it
+        if open_count > m_c:
+            m_c = open_count
+        s_c += open_count
+        if lowest and t1 - lowest > l_c:
+            l_c = t1 - lowest
+        n_c = self.n_committed
+        pos = self.pos
+        for i in self.soft_before_of[c]:
+            if pos[i] == 0:
+                n_c += 1
+        k = self.k
+        return k * (k * (k * s_c + m_c) + l_c) + n_c
+
+
+def reference_children(ref: ReferenceSearchState, cutoff: int | None) -> list[tuple[int, int]]:
+    """(job, child_bound) in the reference's branch order, bound below the
+    cutoff: what ``SearchState.extend_candidates(cutoff)`` must return."""
+    priced = [(c, ref.child_bound(c)) for c in ref.extend_candidates()]
+    return [(c, bound) for c, bound in priced if cutoff is None or bound < cutoff]
+
+
+def pricing_pool(ref: ReferenceSearchState) -> list[int]:
+    """The jobs priced before legality: a partner forced by a direct
+    successor constraint, else every ready job."""
+    if ref.prefix:
+        last = ref.prefix[-1]
+        if last in ref.ds:
+            p = last + ref.b if last <= ref.b else last - ref.b
+            if ref.pos[p] == 0:
+                return [p]
+    return sorted(ref.ready)
+
+
+def check_pricing_in_lockstep(state, ref, rng, moves: int) -> int:
+    """Walk ``state`` and ``ref`` through the same random reachable prefixes
+    (place a legal child, or undo) and compare the priced children at each,
+    with no cutoff and with cutoffs at and around the node's bound and
+    every child's bound. Returns the number of states compared."""
+    compared = 0
+    for _ in range(moves):
+        lb = ref.lower_bound()
+        assert state.lower_bound() == lb, state.prefix
+        children = reference_children(ref, None)
+        cutoffs = {None, lb - 1, lb, lb + 1}
+        cutoffs.update(bound + d for _, bound in children for d in (0, 1))
+        for cutoff in cutoffs:
+            drops = state.bound_drops
+            assert state.extend_candidates(cutoff) == reference_children(ref, cutoff), \
+                (state.inst, state.prefix, cutoff)
+            # a drop is a child, legal or not, priced at or above the cutoff
+            assert state.bound_drops - drops == sum(
+                cutoff is not None and ref.child_bound(c) >= cutoff
+                for c in pricing_pool(ref))
+        compared += 1
+        if state.prefix and (rng.random() < 0.3 or not children):
+            state.unplace()
+            ref.unplace()
+        elif children:
+            c = rng.choice(children)[0]
+            state.place(c)
+            ref.place(c)
+        else:
+            break
+    return compared

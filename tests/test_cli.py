@@ -305,6 +305,17 @@ def test_solve_twice_byte_identical(five_dat, capsys):
     assert first == second
 
 
+def test_solve_json_reports_search_counters(five_dat, capsys):
+    code, out, _ = run_cli(capsys, "solve", five_dat, "--no-timestamps")
+    assert code == 0
+    assert json.loads(out)["stats"] == {
+        "nodes_expanded": 14, "time_ms": 0, "proven_lower_bound": 160,
+        # 21 children priced = 6 bound prunes + 2 leaves + 13 nodes below the root
+        "children_priced": 21, "bound_prunes": 6, "cycle_prunes": 0,
+        "leaves": 2, "max_depth": 5,
+    }
+
+
 def test_byte_order_mark_is_skipped(five_job, tmp_path, capsys):
     # every file the CLI reads, written once without and once with a UTF-8 BOM
     results = []

@@ -14,6 +14,7 @@ from ctwkit import (
     validate,
 )
 from ctwkit.generate import GenMode
+from ctwkit.model import AtomicConstraint, DisjunctiveConstraint
 
 from conftest import random_instance
 
@@ -159,6 +160,42 @@ def test_instance_rejects_bad_shapes():
         Instance(k=3, b=0, atomic=[(1, 2), (1, 2)])  # duplicates
     with pytest.raises(InstanceError):
         Instance(k=4, b=1, disjunctive=[(1, 1, 2, 3)])  # trivial disjunct
+
+
+@pytest.mark.parametrize("fields, kind, bad, message", [
+    (dict(atomic=[(1, 2), (1, 2, 3)]), AtomicConstraint, (1, 2, 3),
+     "Expected 2 arguments, got 3"),
+    (dict(soft_atomic=[(1,)]), AtomicConstraint, (1,), "Expected 2 arguments, got 1"),
+    (dict(disjunctive=[(1, 2, 3, 4), (1, 2, 3)]), DisjunctiveConstraint, (1, 2, 3),
+     "Expected 4 arguments, got 3"),
+])
+def test_instance_rejects_wrong_arity_like_make(fields, kind, bad, message):
+    with pytest.raises(TypeError, match=message):
+        Instance(k=4, b=1, **fields)
+    with pytest.raises(TypeError, match=message):  # NamedTuple._make's own text
+        kind._make(bad)
+
+
+def test_instance_constraints_equal_and_hash_as_before():
+    rows = dict(atomic=[(1, 2), (3, 4)], soft_atomic=[(2, 1)], disjunctive=[(1, 3, 2, 4)])
+    inst = Instance(k=5, b=2, direct_successors=[1], **rows)
+    as_made = Instance(k=5, b=2, direct_successors=(1,),
+                       atomic=tuple(map(AtomicConstraint._make, rows["atomic"])),
+                       soft_atomic=tuple(map(AtomicConstraint._make, rows["soft_atomic"])),
+                       disjunctive=tuple(map(DisjunctiveConstraint._make,
+                                             rows["disjunctive"])))
+    from_lists = Instance(k=5, b=2, direct_successors=[1],
+                          **{name: [list(r) for r in v] for name, v in rows.items()})
+    assert inst == as_made == from_lists
+    assert hash(inst) == hash(as_made) == hash(from_lists)
+    for name, kind in (("atomic", AtomicConstraint), ("soft_atomic", AtomicConstraint),
+                       ("disjunctive", DisjunctiveConstraint)):
+        built = getattr(inst, name)
+        assert type(built) is tuple
+        assert all(type(c) is kind for c in built)
+        assert built == tuple(rows[name])
+        assert [hash(c) for c in built] == [hash(r) for r in rows[name]]
+    assert inst.atomic[0].before == 1 and inst.disjunctive[0].c2after == 4
 
 
 def test_instance_allows_reverse_pair_in_both_sets():

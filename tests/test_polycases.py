@@ -40,6 +40,12 @@ def test_topo_cycle_certificate():
     assert_is_cycle(cert, inst)
 
 
+def test_topo_raises_when_no_cycle_explains_a_missing_order(monkeypatch):
+    monkeypatch.setattr(digraph, "find_cycle", lambda k, edges: None)
+    with pytest.raises(AssertionError, match="no precedence cycle found"):
+        topo_solve(Instance(k=2, b=0, atomic=[(1, 2), (2, 1)]))
+
+
 def test_topo_tie_break_ascending():
     assert topo_solve(Instance(k=4, b=0)) == Permutation((1, 2, 3, 4))
     # 3 must wait for 4; everything else ascends

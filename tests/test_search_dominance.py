@@ -4,6 +4,9 @@
 S counts closed pairs with a gap and open pairs, and exempts the last
 job's open pair whether or not a hard chain separates it. Running
 ``solve`` with it in place of ``SearchState`` gives the reference search.
+It prices through the solver's one-pass ``extend_candidates``; it is held
+to the pre-floor ``child_bound``, kept unchanged in
+``search_reference.FloorlessReferenceState``, on random states.
 
 The floor is admissible, pruning stays ``>= incumbent`` and the candidate
 order does not depend on the bound, so the stronger bound visits a subset
@@ -21,79 +24,25 @@ import ctwkit.solver
 from ctwkit import ResultState, SolverConfig, solve
 from ctwkit.generate import GenParams, generate_planted
 
+from search_reference import FloorlessReferenceState, check_pricing_in_lockstep
 from test_search_golden import (ANYTIME_NODE_LIMIT, anytime_cases,
                                 exact_cases)
+from test_solver import pricing_cases
 
 
 class FloorlessSearchState(ctwkit.solver.SearchState):
-    """``lower_bound`` and ``child_bound`` without the separated-pair floor.
+    """The solver's state with the separated-pair floor set to zero.
 
-    Verbatim from the solver before the floor, except that the soft
-    predecessors of c are read as ``soft_before_of[c]`` (a per-job list
-    now, a dict then).
+    No pair counts as separated, so S counts closed pairs with a gap and
+    open pairs, and exempts the last job's open pair whether or not a hard
+    chain separates it: the bound of ``FloorlessReferenceState``, priced
+    through the solver's own one-pass ``extend_candidates``.
     """
 
-    def lower_bound(self) -> int:
-        """Objective that every valid completion of this prefix must reach."""
-        t = len(self.prefix)
-        open_count = len(self.open_pos)
-        s_c = self.closed_s + open_count
-        if open_count and t:
-            last = self.prefix[-1]
-            if last <= self.two_sided:
-                pair = last if last <= self.b else last - self.b
-                if pair in self.open_pos:
-                    s_c -= 1  # the last job's pair can still close adjacently
-        l_c = self.closed_l
-        if open_count:
-            stretch = t - min(self.open_pos.values())
-            if stretch > l_c:
-                l_c = stretch
-        k = self.k
-        return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
-
-    def child_bound(self, c: int) -> int:
-        """``lower_bound()`` of the prefix extended by c; changes no state.
-
-        Applies the S/M/L/N deltas that ``place(c)`` would commit. After
-        the placement c is last, so its pair is exempt from S exactly when
-        c opens it, and every other open pair counts.
-        """
-        t1 = len(self.prefix) + 1
-        open_pos = self.open_pos
-        open_count = len(open_pos)
-        s_c = self.closed_s
-        l_c = self.closed_l
-        m_c = self.m_committed
-        lowest = 0  # smallest open position after placing c; 0: none
-        if open_count:
-            mins = self._open_mins
-            if mins is None:
-                mins = self._open_mins = sorted(open_pos.values())[:2]
-            lowest = mins[0]
-            if c <= self.two_sided:
-                q = open_pos.get(c if c <= self.b else c - self.b)
-                if q is not None:  # c closes its pair
-                    if t1 - q > 1:
-                        s_c += 1
-                    if t1 - q - 1 > l_c:
-                        l_c = t1 - q - 1
-                    open_count -= 1
-                    if q == lowest:
-                        lowest = mins[1] if open_count else 0
-        # storage load at c's position: the pairs spanning it
-        if open_count > m_c:
-            m_c = open_count
-        s_c += open_count
-        if lowest and t1 - lowest > l_c:
-            l_c = t1 - lowest
-        n_c = self.n_committed
-        pos = self.pos
-        for i in self.soft_before_of[c]:
-            if pos[i] == 0:
-                n_c += 1
-        k = self.k
-        return k * (k * (k * s_c + m_c) + l_c) + n_c
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.separated = [0] * (inst.b + 1)
+        self.sep_unplaced = 0
 
 
 def traced_solve(monkeypatch, state_cls, inst, node_limit):
@@ -107,9 +56,9 @@ def traced_solve(monkeypatch, state_cls, inst, node_limit):
     trajectory = []
 
     class Counting(state_cls):
-        def extend_candidates(self):
+        def extend_candidates(self, cutoff=None):
             nodes[0] += 1
-            return super().extend_candidates()
+            return super().extend_candidates(cutoff)
 
     price = ctwkit.solver.breakdown
 
@@ -176,3 +125,13 @@ def test_floorless_reference_keeps_the_previous_bound(five_job, prefix, bound):
     # before the floor, the separated pair (1, 3) cost nothing until job 3
     # stopped being last
     assert FloorlessSearchState.from_prefix(five_job, prefix).lower_bound() == bound
+
+
+def test_floorless_state_prices_like_the_floorless_reference():
+    rng = random.Random(139)
+    compared = 0
+    for inst in pricing_cases(rng):
+        compared += check_pricing_in_lockstep(FloorlessSearchState(inst),
+                                              FloorlessReferenceState(inst),
+                                              rng, moves=3 * inst.k)
+    assert compared >= 2000

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+import ctwkit.solver
 from ctwkit import (
     Instance,
     Permutation,
@@ -17,7 +19,11 @@ from ctwkit import (
 from ctwkit.generate import GenMode, GenParams, generate, generate_planted
 from ctwkit.solver import chain_reach
 
+from ctwkit.bench import run_engine
+
 from conftest import random_instance
+from test_search_golden import ANYTIME_NODE_LIMIT, anytime_cases, exact_cases
+from search_reference import ReferenceSearchState, check_pricing_in_lockstep
 
 ALL_MODES = (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE, GenMode.ATOMIC_ONLY,
              GenMode.DS_ONLY)
@@ -75,11 +81,17 @@ def test_degenerate_sizes():
 def test_extend_candidates_reference_cases(five_job):
     st = SearchState.from_prefix(five_job, [])
     cands = st.extend_candidates()
-    assert set(cands) == {2, 3, 5}  # 4 and 1 wait for predecessors
-    assert cands == [3, 5, 2]  # urgency order: most unplaced successors first
+    # 4 and 1 wait for predecessors; urgency order: most unplaced
+    # successors first; every child pays the separated pair (1, 3)
+    assert cands == [(3, 125), (5, 125), (2, 125)]
+    assert st.extend_candidates(125) == []  # none beats an incumbent of 125
 
     st = SearchState.from_prefix(five_job, [5, 3, 4])
-    assert st.extend_candidates() == [2]  # successor constraint forces the partner
+    # successor constraint forces the partner, which closes (2, 4)
+    # adjacently while (1, 3) stays open from position 2: S, M, L = 1, 1, 2
+    assert st.extend_candidates() == [(2, 160)]
+    assert st.extend_candidates(161) == [(2, 160)]
+    assert st.extend_candidates(160) == []
 
     st = SearchState.from_prefix(five_job, [5, 3, 4, 2, 1])
     assert st.extend_candidates() == []
@@ -251,22 +263,29 @@ def scan_candidates(st):
     if t == st.k:
         return []
     pos = st.pos
+    b = st.b
+
+    def legal(c):
+        return st.pred_placed[c] == st.npreds[c] and st._legal(c)
+
     if t:
         last = st.prefix[-1]
-        if last in st.ds:
-            p = last + st.b if last <= st.b else last - st.b
+        if last in st.inst.direct_successors:
+            p = last + b if last <= b else last - b
             if pos[p] == 0:
-                return [p] if st._legal(p) else []
-    legal = [c for c in range(1, st.k + 1) if pos[c] == 0 and st._legal(c)]
+                return [p] if legal(p) else []
+    legal_jobs = [c for c in range(1, st.k + 1) if pos[c] == 0 and legal(c)]
     head = []
-    if st.open_pos:
-        freshest = max(st.open_pos, key=st.open_pos.__getitem__)
-        unplaced_end = freshest if pos[freshest] == 0 else freshest + st.b
-        if pos[unplaced_end] == 0 and unplaced_end in legal:
+    opened = [(pos[p] or pos[p + b], p) for p in range(1, b + 1)
+              if (pos[p] == 0) != (pos[p + b] == 0)]
+    if opened:
+        freshest = max(opened)[1]
+        unplaced_end = freshest if pos[freshest] == 0 else freshest + b
+        if unplaced_end in legal_jobs:
             head.append(unplaced_end)
-            legal.remove(unplaced_end)
-    legal.sort(key=lambda c: (-sum(1 for s in st.succs[c] if pos[s] == 0), c))
-    return head + legal
+            legal_jobs.remove(unplaced_end)
+    legal_jobs.sort(key=lambda c: (-sum(1 for s in st.succs[c] if pos[s] == 0), c))
+    return head + legal_jobs
 
 
 def random_instances(seed, count, max_k=9):
@@ -284,16 +303,65 @@ def test_child_bound_equals_bound_after_place():
             cands = st.extend_candidates()
             if not cands:
                 break
-            for c in cands:
-                expected_state = (list(st.prefix), st.lower_bound())
-                bound = st.child_bound(c)
-                assert (list(st.prefix), st.lower_bound()) == expected_state
+            for c, bound in cands:
                 st.place(c)
                 assert bound == st.lower_bound(), (inst, st.prefix)
                 st.unplace()
                 priced += 1
-            st.place(rng.choice(cands))
+            st.place(rng.choice(cands)[0])
     assert priced >= 1000
+
+
+def pricing_cases(rng):
+    """Small instances of every mode, and exact- and anytime-shaped planted
+    ones as the benchmark builds them."""
+    cases = [random_instance(rng, ALL_MODES[t % 4], max_k=9)[0] for t in range(60)]
+    for idx in range(30):
+        k = rng.randint(10, 13)
+        cases.append(generate_planted(GenParams(
+            b=k // 2, n=k % 2, p_atomic=0.3, p_soft=0.02,
+            p_disjunctive=rng.choice((0.1, 0.3)), ds_count=rng.randint(0, k // 2),
+            seed=rng.randrange(2 ** 30)))[0])
+    for idx in range(12):
+        k = rng.randint(30, 60)
+        b = rng.randint(k // 4, k // 2)
+        cases.append(generate_planted(GenParams(
+            b=b, n=k - 2 * b, p_atomic=rng.choice((0.08, 0.18)),
+            p_soft=rng.choice((0.01, 0.1)), p_disjunctive=rng.choice((0.05, 0.1)),
+            ds_count=rng.randint(0, b), seed=rng.randrange(2 ** 30)))[0])
+    return cases
+
+
+def test_extend_candidates_prices_like_the_reference():
+    # one pass with a shared base bound, filtered by the cutoff before
+    # legality, gives the reference's order and child_bound exactly
+    rng = random.Random(131)
+    compared = 0
+    for inst in pricing_cases(rng):
+        compared += check_pricing_in_lockstep(SearchState(inst), ReferenceSearchState(inst),
+                                              rng, moves=3 * inst.k)
+    assert compared >= 2000
+
+
+def test_open_list_tracks_open_positions():
+    rng = random.Random(137)
+    checked = 0
+    for inst in pricing_cases(rng):
+        st = SearchState(inst)
+        ref = ReferenceSearchState(inst)
+        for _ in range(4 * inst.k):
+            assert st.open_list == sorted(ref.open_pos.values()), (inst, st.prefix)
+            assert st.sep_unplaced == ref.sep_unplaced
+            checked += 1
+            unplaced = [c for c in range(1, inst.k + 1) if st.pos[c] == 0]
+            if st.prefix and (rng.random() < 0.4 or not unplaced):
+                st.unplace()
+                ref.unplace()
+            elif unplaced:
+                c = rng.choice(unplaced)  # any job, as from_prefix allows
+                st.place(c)
+                ref.place(c)
+    assert checked >= 3000
 
 
 def test_forced_cycle_matches_full_scan():
@@ -315,7 +383,7 @@ def test_forced_cycle_matches_full_scan():
         stack = [iter(st.extend_candidates())]
         visited = 0
         while stack and visited < 400:
-            c = next(stack[-1], None)
+            c, _ = next(stack[-1], (None, None))
             if c is None:
                 stack.pop()
                 if st.prefix:
@@ -338,7 +406,7 @@ def test_ready_set_candidates_match_full_scan():
     for rng, inst in random_instances(103, 120):
         st = SearchState(inst)
         for _ in range(4 * inst.k):
-            assert st.extend_candidates() == scan_candidates(st)
+            assert [c for c, _ in st.extend_candidates()] == scan_candidates(st)
             assert st.ready == {c for c in range(1, inst.k + 1)
                                 if st.pos[c] == 0 and st.pred_placed[c] == st.npreds[c]}
             unplaced = [c for c in range(1, inst.k + 1) if st.pos[c] == 0]
@@ -346,7 +414,7 @@ def test_ready_set_candidates_match_full_scan():
             if st.prefix and (roll < 0.3 or not unplaced):
                 st.unplace()
             elif roll < 0.85 and st.extend_candidates():
-                st.place(rng.choice(st.extend_candidates()))
+                st.place(rng.choice(st.extend_candidates())[0])
             elif unplaced:
                 st.place(rng.choice(unplaced))  # an illegal move, as from_prefix allows
 
@@ -430,6 +498,77 @@ def test_proven_bound_is_sound():
         limited = solve(inst, SolverConfig(node_limit=4))
         if limited.stats.proven_lower_bound is not None and truth is not None:
             assert limited.stats.proven_lower_bound <= truth
+
+
+def counters(stats):
+    return (stats.nodes_expanded, stats.children_priced, stats.bound_prunes,
+            stats.cycle_prunes, stats.leaves, stats.max_depth)
+
+
+def counter_cases():
+    """Small instances of every mode to proof, the golden exact- and
+    anytime-shaped ones, and a run a 1 ms time limit stops."""
+    rng = random.Random(149)
+    cases = [(random_instance(rng, ALL_MODES[t % 4], max_k=8)[0], SolverConfig())
+             for t in range(40)]
+    cases += [(generate_planted(p)[0], SolverConfig(node_limit=None)) for p in exact_cases()]
+    cases += [(generate_planted(p)[0], SolverConfig(node_limit=ANYTIME_NODE_LIMIT))
+              for p in anytime_cases()]
+    cases.append((generate(GenParams(b=14, n=4, p_atomic=0.12, p_soft=0.02,
+                                     p_disjunctive=0.08, ds_count=3, seed=31)),
+                  SolverConfig(time_limit_ms=1)))
+    return cases
+
+
+def test_search_counters_repeat_exactly():
+    for inst, cfg in counter_cases():
+        if cfg.time_limit_ms == 1:
+            continue  # where a time limit stops is not deterministic
+        assert counters(solve(inst, cfg).stats) == counters(solve(inst, cfg).stats)
+
+
+def test_search_counters_account_for_every_child_priced(monkeypatch):
+    stops = 0
+    for inst, cfg in counter_cases():
+        leaves = []
+        price = ctwkit.solver.breakdown
+        with monkeypatch.context() as patch:
+            patch.setattr(ctwkit.solver, "breakdown",
+                          lambda inst, perm: leaves.append(perm) or price(inst, perm))
+            res = solve(inst, cfg)
+        st = res.stats
+        stopped = int(res.state in (ResultState.SUBOPTIMAL, ResultState.UNSOLVED))
+        stops += stopped
+        # each child priced was bound-pruned, cycle-pruned, a leaf, a new
+        # node (all but the root) or the one a limit stopped at
+        assert st.children_priced == (st.bound_prunes + st.cycle_prunes + st.leaves
+                                      + max(st.nodes_expanded - 1, 0) + stopped), inst
+        assert st.leaves == (len(leaves) if inst.k else 0)  # every leaf improves
+        if st.leaves:
+            assert st.max_depth == inst.k
+        else:
+            assert st.max_depth < max(inst.k, 1)
+    assert stops >= 20
+    # no other engine runs a search: their counters stay 0
+    topo = run_engine(Instance(k=3, b=0, atomic=[(1, 2)]), "topo", SolverConfig())
+    assert counters(topo.stats)[1:] == (0, 0, 0, 0, 0)
+
+
+def mispriced_breakdown(inst, perm):
+    bd = breakdown(inst, perm)
+    return dataclasses.replace(bd, objective=bd.objective + 1)
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("breakdown", mispriced_breakdown, "committed cost disagrees with recomputation"),
+    ("validate", lambda inst, perm: ["injected violation"],
+     "propagation admitted an invalid leaf"),
+])
+def test_leaf_checks_raise(monkeypatch, five_job, name, fake, message):
+    # the checks raise, rather than assert, so that they also run under -O
+    monkeypatch.setattr(ctwkit.solver, name, fake)
+    with pytest.raises(AssertionError, match=message):
+        solve(five_job)
 
 
 def test_solver_config_validation():
