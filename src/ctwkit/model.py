@@ -171,7 +171,7 @@ class Permutation:
     tour: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tour", tuple(int(j) for j in self.tour))
+        object.__setattr__(self, "tour", tuple(map(int, self.tour)))
 
     @classmethod
     def from_positions(cls, positions: Sequence[int]) -> "Permutation":

@@ -3,10 +3,15 @@
 ``enumerate_solutions`` walks every permutation of an instance's jobs,
 counts the valid ones and reports the exact optimum together with *all*
 optimal permutations. It draws each permutation from
-``itertools.permutations`` as a position vector (entry j - 1 is the
-position of job j), which is the same set of orders as drawing tours but
-needs no copy into a position map before checking; the optimal set is
-inverted into tours and reported in lexicographic tour order.
+``itertools.permutations`` as a position vector over a draw order of the
+jobs, most constrained first (entry n is the position of the n-th job
+drawn), which is the same set of orders as drawing tours but needs no copy
+into a position map before checking. Each hard check is tagged with the
+last entry it reads; the first broken check of a vector condemns every
+vector that shares its entries up to that one, and in lexicographic
+drawing order those follow it as one block, so the block is pulled from
+the iterator unchecked. The optimal set is inverted into tours and
+reported in lexicographic tour order.
 
 ``brute_mas`` solves maximum acyclic subgraph exactly by the subset
 recurrence over vertex sets, in O(2^n * n) steps; it draws no
@@ -40,12 +45,37 @@ class OracleResult:
 def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> OracleResult:
     """Exact census and optimum by enumerating all k! permutations.
 
-    Permutations are drawn as position vectors (entry j - 1 is job j's
-    position), which covers the same k! orders as drawing tours. A valid
-    permutation is priced criterion by criterion and dropped as soon as its
-    S band alone exceeds the best objective so far. The optimal set is
-    reported in lexicographic tour order, so it is deterministic. Raises
-    ValueError when k exceeds the guard.
+    Permutations are drawn from ``itertools.permutations`` as position
+    vectors over a draw order of the jobs: entry n of a vector is the
+    position of job ``order[n]``. The order puts the most constrained jobs
+    first, by their count of hard atomic, disjunctive and direct-successor
+    entries (both ends of a direct successor count), ties by job id. The
+    k! vectors cover the same k! orders as drawing tours.
+
+    Each hard check (an atomic precedence, a disjunction, a direct
+    successor) has a level: the last vector entry it reads. The checks run
+    sorted by level. When the first broken check has level L, every vector
+    that shares entries 0..L with this one breaks it too; in the drawing
+    order they are this vector and the next (k-L-1)! - 1, so those are
+    pulled from the iterator unchecked and counted as enumerated and
+    invalid. Every vector is still pulled, so ``enumerated`` is k!.
+
+    The skip is exact because every vector the loop examines is the first
+    of its level-L block, where L is the level of its first broken check
+    (its entries after L ascend). The first vector drawn ascends
+    throughout. Any other v examined comes after w, the vector examined
+    last, as the first vector after w's block: w's level-L_w block when
+    w broke a check at level L_w, w alone (L_w = k - 1) when w was valid.
+    So v first differs from w at some entry d <= L_w, and v's entries
+    after d ascend. If L < d, v shares entries 0..L with w, so w breaks
+    v's level-L check too, and w's first broken level is at most L < d,
+    which contradicts d <= L_w. So L >= d, and v's entries after L ascend.
+
+    A valid permutation is priced criterion by criterion and dropped as
+    soon as its S band alone exceeds the best objective so far. The
+    optimal vectors are inverted through the draw order into tours and
+    reported in lexicographic tour order, so the set is deterministic.
+    Raises ValueError when k exceeds the guard.
     """
     k = inst.k
     if k > limit_k:
@@ -53,14 +83,29 @@ def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> Oracl
             f"instance has k={k} jobs; exhaustive enumeration is limited to k<={limit_k}"
         )
     b = inst.b
-    # every job index below is 0-based, to index a drawn position vector
-    atomic = tuple((i - 1, j - 1) for i, j in inst.atomic)
-    disjunctive = tuple(
-        (a1 - 1, b1 - 1, a2 - 1, b2 - 1) for a1, b1, a2, b2 in inst.disjunctive
-    )
-    ds = tuple((i - 1, (i + b if i <= b else i - b) - 1) for i in inst.direct_successors)
-    pairs = tuple((i, i + b) for i in range(b))
-    soft = tuple((i - 1, j - 1) for i, j in inst.soft_atomic)
+    ds = tuple((i, i + b if i <= b else i - b) for i in inst.direct_successors)
+    entries = [0] * (k + 1)
+    for d in itertools.chain(inst.atomic, inst.disjunctive, ds):
+        for job in d:
+            entries[job] += 1
+    order = sorted(range(1, k + 1), key=lambda job: -entries[job])
+    at = [0] * (k + 1)  # job -> its entry in a drawn vector
+    for n, job in enumerate(order):
+        at[job] = n
+
+    # a check (x1, y1, e1, x2, y2, e2) is broken when p[x1] >= p[y1] + e1
+    # and p[x2] >= p[y2] + e2; an atomic precedence or a direct successor
+    # repeats its one condition
+    checks = [(at[i], at[j], 0) * 2 for i, j in inst.atomic]
+    checks += [(at[a1], at[b1], 0, at[a2], at[b2], 0)
+               for a1, b1, a2, b2 in inst.disjunctive]
+    checks += [(at[j], at[i], 2) * 2 for i, j in ds]  # broken: p[j] > p[i] + 1
+    # sorted by level, each with the vectors its level-L block holds after
+    # the one examined: (k-L-1)! - 1
+    checks = [c + (math.factorial(k - 1 - level) - 1,) for level, c in
+              sorted((max(c[0], c[1], c[3], c[4]), c) for c in checks)]
+    pairs = tuple((at[i], at[i + b]) for i in range(1, b + 1))
+    soft = tuple((at[i], at[j]) for i, j in inst.soft_atomic)
     k2 = k * k
     k3 = k2 * k
 
@@ -69,62 +114,59 @@ def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> Oracl
     best = math.inf
     best_pos: list[tuple[int, ...]] = []
 
-    for p in itertools.permutations(range(1, k + 1)):
+    drawn = itertools.permutations(range(1, k + 1))
+    islice = itertools.islice
+    for p in drawn:
         enumerated += 1
-        for i, j in atomic:
-            if p[i] >= p[j]:
+        for x1, y1, e1, x2, y2, e2, skip in checks:
+            if p[x1] >= p[y1] + e1 and p[x2] >= p[y2] + e2:
+                if skip:
+                    next(islice(drawn, skip, skip), None)
+                    enumerated += skip
                 break
         else:
-            for a1, b1, a2, b2 in disjunctive:
-                if p[a1] >= p[b1] and p[a2] >= p[b2]:
-                    break
-            else:
-                for i, j in ds:
-                    if p[j] > p[i] + 1:
-                        break
-                else:
-                    valid_count += 1
-                    # S counts the open spans; M, L and N cannot lower an
-                    # objective whose S band is already above the best
-                    spans = []
-                    for i, j in pairs:
-                        lo = p[i]
-                        hi = p[j]
-                        if lo > hi:
-                            lo, hi = hi, lo
-                        if hi - lo > 1:
-                            spans.append((lo, hi))
-                    obj = k3 * len(spans)
-                    if obj > best:
-                        continue
-                    if spans:
-                        # the peak load is reached at the first stored
-                        # position of some span
-                        m = 0
-                        widest = 0
-                        for lo, hi in spans:
-                            load = 0
-                            for lo2, hi2 in spans:
-                                if lo2 <= lo and lo + 1 < hi2:
-                                    load += 1
-                            if load > m:
-                                m = load
-                            if hi - lo > widest:
-                                widest = hi - lo
-                        obj += k2 * m + k * (widest - 1)
-                    for i, j in soft:
-                        if p[i] > p[j]:
-                            obj += 1
-                    if obj < best:
-                        best = obj
-                        best_pos = [p]
-                    elif obj == best:
-                        best_pos.append(p)
+            valid_count += 1
+            # S counts the open spans; M, L and N cannot lower an
+            # objective whose S band is already above the best
+            spans = []
+            for i, j in pairs:
+                lo = p[i]
+                hi = p[j]
+                if lo > hi:
+                    lo, hi = hi, lo
+                if hi - lo > 1:
+                    spans.append((lo, hi))
+            obj = k3 * len(spans)
+            if obj > best:
+                continue
+            if spans:
+                # the peak load is reached at the first stored
+                # position of some span
+                m = 0
+                widest = 0
+                for lo, hi in spans:
+                    load = 0
+                    for lo2, hi2 in spans:
+                        if lo2 <= lo and lo + 1 < hi2:
+                            load += 1
+                    if load > m:
+                        m = load
+                    if hi - lo > widest:
+                        widest = hi - lo
+                obj += k2 * m + k * (widest - 1)
+            for i, j in soft:
+                if p[i] > p[j]:
+                    obj += 1
+            if obj < best:
+                best = obj
+                best_pos = [p]
+            elif obj == best:
+                best_pos.append(p)
 
     # invert each optimal position vector into its tour, in place
     tour = [0] * k
     for idx, p in enumerate(best_pos):
-        for job, x in enumerate(p, start=1):
+        for job, x in zip(order, p):
             tour[x - 1] = job
         best_pos[idx] = tuple(tour)
     best_pos.sort()

@@ -138,9 +138,8 @@ class SearchState:
     * ``open_list``, the positions of the placed ends of open pairs in
       ascending order: its first entry sets the open pairs' L stretch, its
       last one is the most recently opened pair;
-    * the ready set (unplaced jobs whose hard predecessors are all placed)
-      and, per job, its count of unplaced hard successors, so candidate
-      generation never scans all k jobs;
+    * the ready set (unplaced jobs whose hard predecessors are all placed),
+      so candidate generation never scans all k jobs;
     * per job, its count of unplaced soft predecessors: the N that placing
       it next commits.
 
@@ -169,19 +168,20 @@ class SearchState:
         # k^4 + k^3 + k^2 + the number of soft constraints
         self.unbounded = (k + 1) ** 4 + len(inst.soft_atomic)
 
-        preds: list[list[int]] = [[] for _ in range(k + 1)]
+        npreds = [0] * (k + 1)
         succs: list[list[int]] = [[] for _ in range(k + 1)]
         for i, j in inst.atomic:
-            preds[j].append(i)
+            npreds[j] += 1
             succs[i].append(j)
-        self.npreds = [len(p) for p in preds]
-        self.preds = preds
+        self.npreds = npreds
         self.succs = succs
         self.pred_placed = [0] * (k + 1)
         # unplaced jobs whose hard predecessors are all placed
-        self.ready = {c for c in range(1, k + 1) if not preds[c]}
-        # per job: hard successors not yet placed
-        self.waiting = [len(s) for s in succs]
+        self.ready = {c for c in range(1, k + 1) if not npreds[c]}
+        # per job: its branch rank, most hard successors first, ties by id.
+        # A job is placed only after its hard predecessors, so an unplaced
+        # job's hard successors are all unplaced and the count never moves.
+        self.rank = [c - (k + 1) * len(s) for c, s in enumerate(succs)]
 
         self.direct = [False] * (k + 1)
         for i in inst.direct_successors:
@@ -280,9 +280,6 @@ class SearchState:
             pred_placed[s] += 1
             if pred_placed[s] == npreds[s] and pos[s] == 0:
                 ready.add(s)
-        waiting = self.waiting
-        for p in self.preds[c]:
-            waiting[p] -= 1
 
         dstate = self.dstate
         transitions = []
@@ -319,9 +316,6 @@ class SearchState:
             if pred_placed[s] == npreds[s]:
                 ready.discard(s)
             pred_placed[s] -= 1
-        waiting = self.waiting
-        for p in self.preds[c]:
-            waiting[p] += 1
         if pred_placed[c] == npreds[c]:
             ready.add(c)
         self.prefix.pop()
@@ -390,8 +384,9 @@ class SearchState:
 
         Order: a partner forced by a direct successor constraint; else the
         unplaced end of the most recently opened pair; else jobs with the
-        most unplaced hard successors (they need room after them), ties by
-        ascending id.
+        most hard successors (they need room after them), ties by ascending
+        id. A ready job's hard successors are all unplaced, so this is the
+        count of its unplaced ones too.
 
         One pass prices every child. The base bound is that of a child
         that closes no pair: after it every open pair counts in S (a pair
@@ -447,8 +442,7 @@ class SearchState:
 
         ready = self.ready
         by_after = self.by_after
-        waiting = self.waiting
-        span = k + 1
+        rank = self.rank
         # the unplaced end of the most recently opened pair
         fresh = partner[prefix[open_list[-1] - 1]] if n_open else 0
         if base < cutoff:
@@ -459,7 +453,7 @@ class SearchState:
             children = [c for q in open_list if (c := partner[prefix[q - 1]]) in ready]
             drops = len(ready) - len(children)
         head = None
-        ranked = []  # (-waiting[c], c) as one integer key, c, bound
+        ranked = []  # rank[c], c, bound
         for c in children:
             q = pos[partner[c]]
             if q:
@@ -475,7 +469,7 @@ class SearchState:
                 if c == fresh:
                     head = (c, bound)
                 else:
-                    ranked.append((c - span * waiting[c], c, bound))
+                    ranked.append((rank[c], c, bound))
         if drops:
             self.bound_drops += drops
         ranked.sort()

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 
 import pytest
@@ -50,3 +52,23 @@ def random_params(rng: random.Random, mode: GenMode, max_k: int = 7,
 def random_instance(rng: random.Random, mode: GenMode = GenMode.SATISFIABLE,
                     max_k: int = 7):
     return generate_planted(random_params(rng, mode, max_k))
+
+
+class CountingItertools:
+    """Counts the orders pulled from ``itertools.permutations``; the same
+    ``zip``-with-counter stand-in the traced benchmark swaps in for the
+    oracle's ``itertools``."""
+
+    def __init__(self):
+        self.counters = []
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    def permutations(self, *args):
+        counter = itertools.count()
+        self.counters.append(counter)
+        return map(operator.itemgetter(0), zip(itertools.permutations(*args), counter))
+
+    def pulled(self) -> int:
+        return sum(next(c) for c in self.counters)

@@ -224,6 +224,19 @@ def test_permutation_round_trip():
         Permutation.from_positions((1, 1, 2))
 
 
+def test_permutation_coerces_entries_to_int():
+    perm = Permutation([True, "2", 3, " 4 "])
+    assert perm.tour == (1, 2, 3, 4)
+    assert all(type(j) is int for j in perm.tour)
+    assert Permutation(iter((2, 1))).tour == (2, 1)
+    with pytest.raises(TypeError, match="not 'NoneType'"):
+        Permutation((1, None))
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        Permutation(("a",))
+    with pytest.raises(TypeError, match="not iterable"):
+        Permutation(None)
+
+
 def test_canonical_sorts_constraints():
     inst = Instance(k=4, b=0, atomic=[(3, 4), (1, 2)])
     assert inst.canonical().atomic == ((1, 2), (3, 4))

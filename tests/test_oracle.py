@@ -1,6 +1,4 @@
-import itertools
 import math
-import operator
 import random
 
 import pytest
@@ -16,6 +14,8 @@ from ctwkit import (
     enumerate_solutions,
     validate,
 )
+
+from conftest import CountingItertools
 
 
 def test_census_of_reference_instance(five_job):
@@ -161,25 +161,6 @@ def test_brute_mas_matches_greedy_free_cases():
         assert 2 * best >= len(edges)
 
 
-class _CountingItertools:
-    """Counts the orders pulled from ``itertools.permutations``; the same
-    ``zip``-with-counter stand-in the traced benchmark swaps in."""
-
-    def __init__(self):
-        self.counters = []
-
-    def __getattr__(self, name):
-        return getattr(itertools, name)
-
-    def permutations(self, *args):
-        counter = itertools.count()
-        self.counters.append(counter)
-        return map(operator.itemgetter(0), zip(itertools.permutations(*args), counter))
-
-    def pulled(self) -> int:
-        return sum(next(c) for c in self.counters)
-
-
 def test_enumeration_pulls_every_permutation(monkeypatch, five_job):
     cases = [
         five_job,
@@ -189,7 +170,7 @@ def test_enumeration_pulls_every_permutation(monkeypatch, five_job):
         Instance(k=3, b=0, atomic=[(1, 2), (2, 3), (3, 1)]),  # unsatisfiable
     ]
     for inst in cases:
-        counting = _CountingItertools()
+        counting = CountingItertools()
         monkeypatch.setattr(ctwkit.oracle, "itertools", counting)
         result = enumerate_solutions(inst)
         assert counting.pulled() == result.enumerated == math.factorial(inst.k)

@@ -8,18 +8,25 @@ found by counting forward edges under all n! vertex orders (the oracle now
 uses a subset recurrence instead). The functions under test are always
 called as ``oracle.enumerate_solutions`` and ``oracle.brute_mas``. They
 must agree on the census, the optimum and the optimal set in order, and on
-the maximum acyclic subgraph size.
+the maximum acyclic subgraph size. Each census runs under the counting
+stand-in for ``itertools``, so the oracle must also pull all k! vectors,
+including those of the blocks it skips unchecked.
 """
 
 import itertools
+import math
 import random
+
+import pytest
 
 from ctwkit import oracle
 from ctwkit.costs import _m_from_pos, breakdown, objective
 from ctwkit.digraph import DiGraph
-from ctwkit.generate import certification_suite, generate_planted
+from ctwkit.generate import GenMode, GenParams, certification_suite, generate_planted
 from ctwkit.model import Instance, Permutation
 from ctwkit.oracle import DEFAULT_LIMIT_K, DEFAULT_LIMIT_V, OracleResult
+
+from conftest import CountingItertools
 
 # ---------------------------------------------------------------------------
 # Reference oracle
@@ -140,8 +147,28 @@ def brute_mas(g: DiGraph, limit_v: int = DEFAULT_LIMIT_V) -> int:
 # Differential checks
 
 
-def _assert_same(inst: Instance) -> OracleResult:
-    got = oracle.enumerate_solutions(inst)
+class SkipRecorder(CountingItertools):
+    """The counting stand-in, also recording each block of vectors the
+    oracle skips (the count it passes to ``islice``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.skips = []
+
+    def islice(self, iterable, start, stop):
+        assert start == stop, "the oracle only skips vectors"
+        self.skips.append(start)
+        return itertools.islice(iterable, start, stop)
+
+
+def _census(inst: Instance) -> tuple[OracleResult, list[int]]:
+    """The oracle's result under the counting stand-in, checked against the
+    reference, with the sizes of the blocks it skipped."""
+    counting = SkipRecorder()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "itertools", counting)
+        got = oracle.enumerate_solutions(inst)
+    assert counting.pulled() == got.enumerated == math.factorial(inst.k), inst
     want = enumerate_solutions(inst)
     assert got.valid_count == want.valid_count, inst
     assert got.enumerated == want.enumerated, inst
@@ -149,7 +176,11 @@ def _assert_same(inst: Instance) -> OracleResult:
     assert [p.tour for p in got.optimal_solutions] == [
         p.tour for p in want.optimal_solutions
     ], inst
-    return got
+    return got, counting.skips
+
+
+def _assert_same(inst: Instance) -> OracleResult:
+    return _census(inst)[0]
 
 
 def test_certification_suite_matches_reference():
@@ -214,6 +245,83 @@ def test_pairs_heavy_instances_match_reference():
         hard = pool[: rng.randint(0, 2)]
         soft = pool[2: 2 + rng.randint(0, k)]
         _assert_same(Instance(k=k, b=k // 2, atomic=hard, soft_atomic=soft))
+
+
+def _random_instance(rng: random.Random, mode: GenMode, k: int) -> Instance:
+    b = 0 if mode is GenMode.ATOMIC_ONLY else rng.randint(0, k // 2)
+    params = GenParams(
+        b=b,
+        n=k - 2 * b,
+        p_atomic=rng.choice((0.1, 0.25, 0.4)),
+        p_soft=rng.choice((0.0, 0.1, 0.25)),
+        p_disjunctive=rng.choice((0.0, 0.15, 0.3)),
+        ds_count=rng.randint(0, 2 * b),
+        seed=rng.randrange(2 ** 30),
+        mode=mode,
+    )
+    return generate_planted(params)[0]
+
+
+def test_random_instances_of_every_mode_and_size_match_reference():
+    rng = random.Random(3301)
+    seen = set()
+    skipped = 0
+    for case in range(320):
+        mode = list(GenMode)[case % 4]
+        k = (case // 4) % 9
+        if mode is GenMode.UNSATISFIABLE and k < 2:
+            k += 2  # a cycle needs two jobs
+        result, skips = _census(_random_instance(rng, mode, k))
+        seen.add((mode, k))
+        skipped += sum(skips)
+        assert len(skips) + sum(skips) <= result.enumerated  # each after a vector examined
+    assert len(seen) == 4 * 9 - 2
+    assert skipped > 0
+
+
+def test_check_at_the_last_level_skips_nothing():
+    # job 2 is drawn first, then 1 and 3: (3, 2) reads the last entry, so
+    # it is the only vector of its block; (1, 2) at level 1 with k = 3 has
+    # a block of 1! = 1 vector too
+    result, skips = _census(Instance(k=3, b=0, atomic=[(1, 2), (3, 2)]))
+    assert result.valid_count == 2
+    assert skips == []
+
+
+def test_check_on_the_first_two_entries_skips_the_largest_blocks():
+    # jobs 1 and 2 are drawn first: a vector with job 2 before job 1 skips
+    # the rest of its block of 6! vectors, once per such prefix
+    result, skips = _census(Instance(k=8, b=0, atomic=[(1, 2)]))
+    assert result.valid_count == math.factorial(8) // 2
+    assert skips == [math.factorial(6) - 1] * 28
+
+
+def test_disjunction_is_checked_at_its_later_disjunct():
+    # the disjuncts read entries 0-1 and 2-3: the disjunction is broken only
+    # once entry 3 is known, so its blocks hold 3! vectors, not 5!
+    inst = Instance(k=7, b=0, disjunctive=[(1, 2, 3, 4)])
+    result, skips = _census(inst)
+    assert result.valid_count == math.factorial(7) * 3 // 4
+    assert skips == [math.factorial(3) - 1] * (7 * 6 * 5 * 4 // 4)
+    # a disjunct sharing its 'before' job with the other
+    result, _ = _census(Instance(k=6, b=2, atomic=[(3, 4)], disjunctive=[(2, 5, 2, 1)]))
+    assert 0 < result.valid_count < math.factorial(6)
+
+
+def test_direct_successor_with_its_partner_first_is_valid():
+    # end 3 carries the constraint, its partner is end 1: 1 may come
+    # anywhere before 3 or right after it
+    inst = Instance(k=4, b=2, direct_successors=[3])
+    result, _ = _census(inst)
+    # 12 tours with 1 before 3, 6 with 1 right after 3
+    assert result.valid_count == 12 + 6
+
+
+def test_atomic_cycle_has_no_valid_vector():
+    result, skips = _census(Instance(k=6, b=0, atomic=[(1, 2), (2, 3), (3, 1)]))
+    assert result.valid_count == 0
+    assert result.optimal_objective is None
+    assert skips
 
 
 def test_brute_mas_matches_reference():

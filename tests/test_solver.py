@@ -284,7 +284,7 @@ def scan_candidates(st):
         if unplaced_end in legal_jobs:
             head.append(unplaced_end)
             legal_jobs.remove(unplaced_end)
-    legal_jobs.sort(key=lambda c: (-sum(1 for s in st.succs[c] if pos[s] == 0), c))
+    legal_jobs.sort(key=lambda c: (-len(st.succs[c]), c))
     return head + legal_jobs
 
 
@@ -417,6 +417,25 @@ def test_ready_set_candidates_match_full_scan():
                 st.place(rng.choice(st.extend_candidates())[0])
             elif unplaced:
                 st.place(rng.choice(unplaced))  # an illegal move, as from_prefix allows
+
+
+def test_ready_jobs_have_no_placed_successor(monkeypatch):
+    # the static branch rank counts every hard successor of a job: on each
+    # state the search reaches, a ready job's hard successors are unplaced
+    states = 0
+
+    class CheckedState(SearchState):
+        def extend_candidates(self, cutoff=None):
+            nonlocal states
+            states += 1
+            for c in self.ready:
+                assert not any(self.pos[s] for s in self.succs[c]), (self.inst, self.prefix, c)
+            return super().extend_candidates(cutoff)
+
+    monkeypatch.setattr(ctwkit.solver, "SearchState", CheckedState)
+    for inst, cfg in counter_cases():
+        solve(inst, cfg)
+    assert states > 10_000
 
 
 def test_matches_oracle_on_mixed_instances():
