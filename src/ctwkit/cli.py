@@ -11,9 +11,9 @@ stats), diagnostics to stderr. Exit codes:
 * 4 -- usage or format error
 
 ``--no-timestamps`` zeroes every wall-clock field so that repeated runs
-with the same inputs and seed are byte-identical. The default time limit
-can be set through the CTW_TIME_LIMIT_MS environment variable; the
---time-limit flag wins.
+with the same inputs (for gen, the same seed) are byte-identical. The
+default time limit can be set through the CTW_TIME_LIMIT_MS environment
+variable; the --time-limit flag wins.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=bench_mod.ENGINES, default="bb")
     p.add_argument("--time-limit", type=int, default=None, metavar="MS")
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, metavar="FILE")
 
@@ -135,7 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=bench_mod.ENGINES, default="bb")
     p.add_argument("--time-limit", type=int, default=None, metavar="MS")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, metavar="FILE")
 
     p = sub.add_parser("stats", help="emit instance metrics as CSV", parents=[common])
@@ -161,7 +159,6 @@ def _cmd_solve(args) -> int:
     inst = formats.load_instance(args.instance)
     cfg = SolverConfig(
         time_limit_ms=args.time_limit if args.time_limit is not None else _default_time_limit(),
-        seed=args.seed,
         node_limit=args.node_limit,
     )
     result = bench_mod.run_engine(inst, args.engine, cfg)
@@ -277,7 +274,6 @@ def _cmd_convert(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = SolverConfig(
         time_limit_ms=args.time_limit if args.time_limit is not None else _default_time_limit(),
-        seed=args.seed,
     )
     rows = bench_mod.run_suite(args.dir, cfg, engine=args.engine, jobs=args.jobs)
     if args.no_timestamps:

@@ -7,7 +7,12 @@ lower bound: the part of each criterion that every completion of the prefix
 must already pay. Its S part includes a floor worked out once per solve: a
 pair whose ends a hard chain links through a third job (i -> x -> i+b, or
 the reverse) is interrupted in every valid order, so it counts before
-either end is placed.
+either end is placed. Its N part starts from a floor worked out the same
+way: every valid order violates a soft precedence against a hard chain,
+one edge of each soft digon, and one soft edge of each triangle in a
+packing of triangles that share no soft edge. Edge-disjoint cycles bound
+a minimum feedback arc set from below, which is what N is on the MAS
+reduction.
 
 Propagation baked into candidate generation:
 
@@ -60,14 +65,9 @@ class ResultState(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Limits for one solve call.
-
-    ``seed`` has no effect on the deterministic search; it is recorded for
-    reproducibility of surrounding tooling.
-    """
+    """Limits for one solve call."""
 
     time_limit_ms: int = 300_000
-    seed: int = 0
     node_limit: int | None = None
 
     def __post_init__(self):
@@ -82,8 +82,9 @@ class SolveStats:
     """``proven_lower_bound`` is the strongest bound established for the
     whole instance: the optimum on completed runs, None when unsatisfiable,
     and for interrupted runs the weakest open subtree bound, which is at
-    least the root floor (the S charge of the separated pairs); depth-first
-    search proves little more globally until it exhausts.
+    least the root floor (the S charge of the separated pairs, and the N
+    charge of the forced soft edges, soft digons and packed triangles);
+    depth-first search proves little more globally until it exhausts.
 
     The search counters are deterministic; engines other than the
     branch-and-bound leave them 0. ``children_priced`` counts the children
@@ -127,7 +128,15 @@ class SearchState:
     * L: gaps of closed pairs, and for open pairs the distance from their
       placed end to the current last position;
     * N: soft constraints violated for sure (the 'after' job placed while
-      the 'before' job is not, or both placed in the wrong order).
+      the 'before' job is not, or both placed in the wrong order), plus a
+      floor for those not yet decided. Two kinds of soft edges count from
+      the root on, and never again: a soft (i, j) against a hard chain
+      j -> ... -> i is violated in every valid order, and a digon of soft
+      (i, j) and (j, i) exactly once. A greedy packing of triangles, each
+      side a soft edge or a hard chain, that share no soft edge with each
+      other or with those, adds one violation per live triangle, one whose
+      jobs are all unplaced: its first placed job commits its soft in-edge
+      from the triangle.
 
     At a full prefix the committed values equal the exact criteria, so the
     bound of a leaf is its objective. ``extend_candidates`` prices every
@@ -140,15 +149,19 @@ class SearchState:
       last one is the most recently opened pair;
     * the ready set (unplaced jobs whose hard predecessors are all placed),
       so candidate generation never scans all k jobs;
-    * per job, its count of unplaced soft predecessors: the N that placing
-      it next commits.
+    * per job, the N that placing it next commits: its soft predecessors
+      still unplaced, except those counted from the root, less the live
+      triangles through it, which die with its placement. For a ready job
+      this is never negative: each live triangle through it enters it by
+      a distinct soft edge from an unplaced job (a hard chain into it
+      starts at a placed job).
 
     ``forced_cycle`` relies on an invariant of the search: over the
     unplaced jobs, atomic edges plus the disjunction survivors forced
     before the last placement form an acyclic graph (the precheck covers
     the atomic edges, earlier checks the survivors, and placing a job only
     removes edges). It therefore holds for states reached by search, not
-    for an arbitrary ``from_prefix`` replay.
+    for an arbitrary replay of placements.
     """
 
     def __init__(self, inst: Instance):
@@ -203,27 +216,66 @@ class SearchState:
         self.by_before = by_before
         self.by_after = by_after
 
-        soft_after_of: list[list[int]] = [[] for _ in range(k + 1)]
-        soft_pending = [0] * (k + 1)
-        for i, j in inst.soft_atomic:
-            soft_after_of[i].append(j)
-            soft_pending[j] += 1
-        self.soft_after_of = soft_after_of
-        self.soft_pending = soft_pending  # per job: soft predecessors unplaced
-
         # per pair, indexed by its lower end: 1 when a hard chain runs
         # through a third job between its ends, so they are never adjacent
-        deep = chain_reach(k, inst.atomic)
+        reach, deep = chain_reach(k, inst.atomic)
         self.separated = [0] + [
             (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
         ]
         self.sep_unplaced = sum(self.separated)  # separated pairs, no end placed
 
+        # soft edges that every valid order violates a fixed number of times
+        # count from the root on: one against a hard chain (j -> ... -> i
+        # for a soft (i, j)) always, and a digon of soft (i, j) and (j, i)
+        # once. The rest are counted as they fall.
+        soft_after_of: list[list[int]] = [[] for _ in range(k + 1)]
+        soft_pending = [0] * (k + 1)
+        free = [0] * (k + 1)  # per job: bitset of its soft successors left unpacked
+        n_floor = 0
+        for i, j in inst.soft_atomic:
+            if reach[j] >> i & 1:
+                n_floor += 1
+            else:
+                free[i] |= 1 << j
+        for i, j in inst.soft_atomic:
+            if free[i] >> j & 1:
+                if free[j] >> i & 1:
+                    free[i] ^= 1 << j
+                    free[j] ^= 1 << i
+                    n_floor += 1
+                else:
+                    soft_after_of[i].append(j)
+                    soft_pending[j] += 1
+
+        # a greedy packing of triangles that share no soft edge: each closes
+        # a soft edge (i, j) by a job w with j -> w -> i, each side a soft
+        # edge left unpacked or a hard chain. Per job, the other two jobs
+        # of each triangle through it.
+        triangles_of: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
+        for i, j in inst.soft_atomic:
+            if free[i] >> j & 1:
+                for w in succs[j] + soft_after_of[j]:
+                    if (reach[j] | free[j]) >> w & (reach[w] | free[w]) >> i & 1:
+                        free[i] ^= 1 << j
+                        free[j] &= ~(1 << w)
+                        free[w] &= ~(1 << i)
+                        triangles_of[i].append((j, w))
+                        triangles_of[j].append((w, i))
+                        triangles_of[w].append((i, j))
+                        soft_pending[i] -= 1
+                        soft_pending[j] -= 1
+                        soft_pending[w] -= 1
+                        n_floor += 1
+                        break
+        self.soft_after_of = soft_after_of
+        self.soft_pending = soft_pending  # per job: the N placing it commits
+        self.triangles_of = triangles_of
+
         self.open_list: list[int] = []  # placed-end positions of open pairs, ascending
         self.closed_s = 0
         self.closed_l = 0
         self.m_committed = 0
-        self.n_committed = 0
+        self.n_committed = n_floor
         # disjuncts whose alternative died: now mandatory precedences, both
         # endpoints unplaced at creation time; forced_out indexes them by
         # their 'before' job
@@ -232,14 +284,6 @@ class SearchState:
         self._undo: list[tuple] = []
         # children extend_candidates dropped for a bound at or above the cutoff
         self.bound_drops = 0
-
-    @classmethod
-    def from_prefix(cls, inst: Instance, prefix: Sequence[int]) -> "SearchState":
-        """Replay a consistent prefix (no legality re-checking)."""
-        st = cls(inst)
-        for job in prefix:
-            st.place(job)
-        return st
 
     # -- placement ---------------------------------------------------------
 
@@ -269,6 +313,10 @@ class SearchState:
         self.n_committed += soft_pending[c]
         for s in self.soft_after_of[c]:
             soft_pending[s] -= 1
+        for u, w in self.triangles_of[c]:
+            if not (pos[u] or pos[w]):  # a live triangle dies with c's placement
+                soft_pending[u] += 1
+                soft_pending[w] += 1
 
         pos[c] = t1
         self.prefix.append(c)
@@ -319,10 +367,15 @@ class SearchState:
         if pred_placed[c] == npreds[c]:
             ready.add(c)
         self.prefix.pop()
-        self.pos[c] = 0
+        pos = self.pos
+        pos[c] = 0
         soft_pending = self.soft_pending
         for s in self.soft_after_of[c]:
             soft_pending[s] += 1
+        for u, w in self.triangles_of[c]:
+            if not (pos[u] or pos[w]):
+                soft_pending[u] -= 1
+                soft_pending[w] -= 1
         self.closed_s, self.closed_l, self.m_committed, self.n_committed = prev
         if q:
             insort(self.open_list, q)
@@ -393,12 +446,13 @@ class SearchState:
         the child opens is exempt while the child is last, and a separated
         one only moves from the unplaced to the open pairs), the storage
         load at its position is the open pair count, and the oldest open
-        pair stretches L. Such a child adds only its unplaced soft
-        predecessors. A child that closes a pair may lower the base: S when
-        the pair was opened by the last job (adjacent ends), M when the open
-        pairs set the load, L when it closes the oldest pair. A child at or
-        above ``cutoff`` is dropped before its legality is checked; when the
-        base alone reaches it, only the open pairs' unplaced ends are priced.
+        pair stretches L. Such a child adds only its ``soft_pending`` entry,
+        which is never negative for a ready job. A child that closes a pair
+        may lower the base: S when the pair was opened by the last job
+        (adjacent ends), M when the open pairs set the load, L when it
+        closes the oldest pair. A child at or above ``cutoff`` is dropped
+        before its legality is checked; when the base alone reaches it,
+        only the open pairs' unplaced ends are priced.
         """
         prefix = self.prefix
         t = len(prefix)
@@ -484,7 +538,9 @@ class SearchState:
 
         S counts closed pairs with a gap, open pairs, and separated pairs
         with no end placed yet. The last job's open pair is exempt only
-        when it is not separated: its partner may still come next.
+        when it is not separated: its partner may still come next. N counts
+        the soft edges violated so far, the forced ones from the root on,
+        and one future violation per live packed triangle.
         """
         t = len(self.prefix)
         open_list = self.open_list
@@ -501,16 +557,19 @@ class SearchState:
         return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
 
 
-def chain_reach(k: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Per job v, the jobs at the end of a path of two or more edges from v.
+def chain_reach(k: int, edges: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Per job v, the jobs at the end of a path from v: ``(reach, deep)``.
 
-    Entry v is a bitset over jobs 1..k: bit w is set when some path
-    v -> x -> ... -> w exists, so every order that keeps the edges puts a
-    third job x between v and w. Built over a topological order walked
-    backwards, so ``reach[w]`` (the jobs strictly after w) is complete
-    before any predecessor of w is visited. A graph with a cycle has no
-    such order and gets empty sets: an instance with an atomic cycle has
-    no valid order, so only a bound that nothing needs is weakened.
+    Entries are bitsets over jobs 1..k. Bit w of ``reach[v]`` is set when
+    some path v -> ... -> w of one or more edges exists, so every order
+    that keeps the edges puts v before w. Bit w of ``deep[v]`` is set when
+    some such path has two or more edges, v -> x -> ... -> w, so such an
+    order also puts a third job x between them. Built over a topological
+    order walked backwards, so ``reach[w]`` (the jobs strictly after w) is
+    complete before any predecessor of w is visited. A graph with a cycle
+    has no such order and gets empty sets: an instance with an atomic
+    cycle has no valid order, so only a bound that nothing needs is
+    weakened.
     """
     succ: list[list[int]] = [[] for _ in range(k + 1)]
     for u, w in edges:
@@ -524,7 +583,7 @@ def chain_reach(k: int, edges: Sequence[tuple[int, int]]) -> list[int]:
             r |= 1 << w
         deep[v] = d
         reach[v] = r | d
-    return deep
+    return reach, deep
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import operator
 import random
@@ -5,7 +6,9 @@ import random
 import pytest
 
 from ctwkit import Instance
+from ctwkit.digraph import DiGraph
 from ctwkit.generate import GenMode, GenParams, generate_planted
+from ctwkit.reduction import mas_to_ctw
 
 
 @pytest.fixture
@@ -52,6 +55,37 @@ def random_params(rng: random.Random, mode: GenMode, max_k: int = 7,
 def random_instance(rng: random.Random, mode: GenMode = GenMode.SATISFIABLE,
                     max_k: int = 7):
     return generate_planted(random_params(rng, mode, max_k))
+
+
+def soft_heavy_instances(rng: random.Random, count: int, max_k: int):
+    """Planted instances with dense soft edges, about a third of them also
+    joined the other way (soft digons) and a fifth of the hard edges
+    reversed as soft ones, so many run against hard chains and close
+    cycles with them. Yields (instance, plant); the plant is None for the
+    unsatisfiable half."""
+    for t in range(count):
+        mode = (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE)[t % 2]
+        params = dataclasses.replace(random_params(rng, mode, max_k),
+                                     p_soft=rng.choice((0.3, 0.5)))
+        inst, plant = generate_planted(params)
+        hard = set(inst.atomic)
+        back = {(j, i) for i, j in inst.soft_atomic
+                if (j, i) not in hard and rng.random() < 0.3}
+        back |= {(j, i) for i, j in inst.atomic
+                 if (j, i) not in hard and rng.random() < 0.2}
+        back -= set(inst.soft_atomic)
+        yield dataclasses.replace(inst, soft_atomic=inst.soft_atomic + tuple(sorted(back))), plant
+
+
+def mas_instances(rng: random.Random, count: int, lo: int, hi: int):
+    """MAS encodings of random digraphs on lo..hi vertices whose arcs are
+    drawn independently, so some vertex pairs are joined both ways."""
+    for _ in range(count):
+        n = rng.randint(lo, hi)
+        p = rng.choice((0.2, 0.35, 0.5))
+        edges = {(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                 if u != v and rng.random() < p}
+        yield mas_to_ctw(DiGraph(n, frozenset(edges)))
 
 
 class CountingItertools:

@@ -5,7 +5,13 @@
 jobs in branch order, and ``child_bound(c)`` prices one child at a time.
 The tests walk it in lockstep with the solver's state and require the
 same jobs, order and bounds. ``FloorlessReferenceState`` is the bound from
-before the separated-pair floor, on the same state.
+before the separated-pair floor, on the same state. ``chain_reach`` now
+returns the full hard reach as well, which these states ignore.
+
+Neither reference has the soft-cycle N floor. The tests hold them to the
+solver's own state with its floors set to zero: ``NFloorlessSearchState``
+without the N floor, ``FloorlessSearchState`` without the separated-pair
+floor as well. ``replay`` builds any of these states from a prefix.
 """
 
 from __future__ import annotations
@@ -13,7 +19,51 @@ from __future__ import annotations
 from typing import Sequence
 
 from ctwkit.model import Instance
-from ctwkit.solver import chain_reach
+from ctwkit.solver import SearchState, chain_reach
+
+
+class NFloorlessSearchState(SearchState):
+    """The solver's state with the soft-cycle N floor set to zero.
+
+    N counts only the soft edges violated so far: every soft edge is
+    counted as it falls, and no triangle is packed. The bound of
+    ``ReferenceSearchState``, priced through the solver's one-pass
+    ``extend_candidates``.
+    """
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        k = inst.k
+        self.soft_after_of = [[] for _ in range(k + 1)]
+        self.soft_pending = [0] * (k + 1)
+        for i, j in inst.soft_atomic:
+            self.soft_after_of[i].append(j)
+            self.soft_pending[j] += 1
+        self.triangles_of = [[] for _ in range(k + 1)]
+        self.n_committed = 0
+
+
+class FloorlessSearchState(NFloorlessSearchState):
+    """The solver's state with both floors set to zero.
+
+    No pair counts as separated either, so S counts closed pairs with a
+    gap and open pairs, and exempts the last job's open pair whether or
+    not a hard chain separates it: the bound of
+    ``FloorlessReferenceState``.
+    """
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self.separated = [0] * (inst.b + 1)
+        self.sep_unplaced = 0
+
+
+def replay(cls, inst: Instance, prefix: Sequence[int]):
+    """A ``cls(inst)`` state with ``prefix`` placed in order, legal or not."""
+    st = cls(inst)
+    for job in prefix:
+        st.place(job)
+    return st
 
 
 class ReferenceSearchState:
@@ -47,7 +97,7 @@ class ReferenceSearchState:
     before the last placement form an acyclic graph (the precheck covers
     the atomic edges, earlier checks the survivors, and placing a job only
     removes edges). It therefore holds for states reached by search, not
-    for an arbitrary ``from_prefix`` replay.
+    for an arbitrary ``replay``.
     """
 
     def __init__(self, inst: Instance):
@@ -94,7 +144,7 @@ class ReferenceSearchState:
 
         # per pair, indexed by its lower end: 1 when a hard chain runs
         # through a third job between its ends, so they are never adjacent
-        deep = chain_reach(k, inst.atomic)
+        _, deep = chain_reach(k, inst.atomic)
         self.separated = [0] + [
             (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
         ]
@@ -112,14 +162,6 @@ class ReferenceSearchState:
         self.forced_out: list[list[int]] = [[] for _ in range(k + 1)]
         self._undo: list[tuple] = []
         self._open_mins: list[int] | None = None  # two smallest open_pos values
-
-    @classmethod
-    def from_prefix(cls, inst: Instance, prefix: Sequence[int]) -> "ReferenceSearchState":
-        """Replay a consistent prefix (no legality re-checking)."""
-        st = cls(inst)
-        for job in prefix:
-            st.place(job)
-        return st
 
     # -- placement ---------------------------------------------------------
 

@@ -369,7 +369,7 @@ def test_12_byte_identical_reruns(tmp_path, capsys):
             out = capsys.readouterr().out
             return code, out
 
-        outputs = [run("solve", inst_path, "--no-timestamps", "--seed", "5")
+        outputs = [run("solve", inst_path, "--no-timestamps")
                    for _ in range(2)]
         assert outputs[0] == outputs[1]
 
@@ -384,7 +384,7 @@ def test_12_byte_identical_reruns(tmp_path, capsys):
         for name, params in certification_suite(seed=12)[:6]:
             (bench_dir / f"{name}.dat").write_text(emit_dat(generate(params)))
         outputs = [
-            run("bench", "--dir", bench_dir, "--no-timestamps", "--seed", "5",
+            run("bench", "--dir", bench_dir, "--no-timestamps",
                 "--time-limit", "10000", "--jobs", "1")
             for _ in range(2)
         ]

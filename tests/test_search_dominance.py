@@ -1,14 +1,17 @@
-"""The separated-pair floor only prunes: it never changes the improving leaves.
+"""The solver's floors only prune: they never change the improving leaves.
 
-``FloorlessSearchState`` keeps the bound the solver had before the floor:
-S counts closed pairs with a gap and open pairs, and exempts the last
-job's open pair whether or not a hard chain separates it. Running
-``solve`` with it in place of ``SearchState`` gives the reference search.
-It prices through the solver's one-pass ``extend_candidates``; it is held
-to the pre-floor ``child_bound``, kept unchanged in
+Each floor is held to the search without it. ``FloorlessSearchState``
+keeps neither floor: S counts closed pairs with a gap and open pairs, and
+exempts the last job's open pair whether or not a hard chain separates
+it. ``NFloorlessSearchState`` adds the separated-pair floor back, and the
+solver's ``SearchState`` adds the soft-cycle N floor on top. Running
+``solve`` with the weaker state in place of ``SearchState`` gives the
+reference search. Both weaker states price through the solver's one-pass
+``extend_candidates``; ``FloorlessSearchState`` is held to the pre-floor
+``child_bound``, kept unchanged in
 ``search_reference.FloorlessReferenceState``, on random states.
 
-The floor is admissible, pruning stays ``>= incumbent`` and the candidate
+Each floor is admissible, pruning stays ``>= incumbent`` and the candidate
 order does not depend on the bound, so the stronger bound visits a subset
 of the reference's nodes in the same order and reaches every improving
 leaf the reference reaches, at a node count no higher. Under a node
@@ -22,27 +25,15 @@ import pytest
 
 import ctwkit.solver
 from ctwkit import ResultState, SolverConfig, solve
+from ctwkit.digraph import DiGraph
 from ctwkit.generate import GenParams, generate_planted
+from ctwkit.reduction import mas_to_ctw
 
-from search_reference import FloorlessReferenceState, check_pricing_in_lockstep
+from search_reference import (FloorlessReferenceState, FloorlessSearchState,
+                              NFloorlessSearchState, check_pricing_in_lockstep, replay)
 from test_search_golden import (ANYTIME_NODE_LIMIT, anytime_cases,
                                 exact_cases)
 from test_solver import pricing_cases
-
-
-class FloorlessSearchState(ctwkit.solver.SearchState):
-    """The solver's state with the separated-pair floor set to zero.
-
-    No pair counts as separated, so S counts closed pairs with a gap and
-    open pairs, and exempts the last job's open pair whether or not a hard
-    chain separates it: the bound of ``FloorlessReferenceState``, priced
-    through the solver's own one-pass ``extend_candidates``.
-    """
-
-    def __init__(self, inst):
-        super().__init__(inst)
-        self.separated = [0] * (inst.b + 1)
-        self.sep_unplaced = 0
 
 
 def traced_solve(monkeypatch, state_cls, inst, node_limit):
@@ -89,42 +80,84 @@ def dominance_cases():
                                 p_disjunctive=rng.choice((0.05, 0.1)),
                                 ds_count=rng.randint(0, b), seed=9_000 + idx),
                       ANYTIME_NODE_LIMIT))
+    return [(generate_planted(p)[0], node_limit) for p, node_limit in cases]
+
+
+def mas_cases():
+    """MAS encodings of 10- and 11-vertex digraphs solved to proof: the
+    exact workload's shape (a random orientation of half the vertex
+    pairs), and every other one with some pairs joined both ways."""
+    rng = random.Random(2029)
+    cases = []
+    for idx in range(16):
+        n = 10 + idx % 2
+        pairs = rng.sample([(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)],
+                           n * (n - 1) // 4)
+        edges = {(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs}
+        if idx % 4 >= 2:
+            edges |= {(v, u) for u, v in pairs if rng.random() < 0.2}
+        cases.append((mas_to_ctw(DiGraph(n, frozenset(edges))), None))
     return cases
 
 
-def test_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
+def check_dominance(monkeypatch, weaker, stronger, cases):
+    """Solve each case with both states and hold the stronger one to the
+    weaker one's trajectory. Returns (runs to proof, runs under a budget
+    that found further incumbents, nodes to proof with the stronger state,
+    with the weaker one)."""
     finished = 0
     further = 0
     nodes_floor = nodes_reference = 0
-    for params, node_limit in dominance_cases():
-        inst, _ = generate_planted(params)
-        ref, ref_traj = traced_solve(monkeypatch, FloorlessSearchState, inst, node_limit)
-        new, new_traj = traced_solve(monkeypatch, ctwkit.solver.SearchState, inst,
-                                     node_limit)
-        assert [t[1:] for t in new_traj[:len(ref_traj)]] == [t[1:] for t in ref_traj], params
+    for inst, node_limit in cases:
+        ref, ref_traj = traced_solve(monkeypatch, weaker, inst, node_limit)
+        new, new_traj = traced_solve(monkeypatch, stronger, inst, node_limit)
+        assert [t[1:] for t in new_traj[:len(ref_traj)]] == [t[1:] for t in ref_traj], inst
         for (n_new, _, _), (n_ref, _, _) in zip(new_traj, ref_traj):
-            assert n_new <= n_ref, params
+            assert n_new <= n_ref, inst
         if ref.state in (ResultState.OPTIMAL, ResultState.UNSATISFIABLE):
             finished += 1
-            assert new.state is ref.state, params
-            assert [t[1:] for t in new_traj] == [t[1:] for t in ref_traj], params
-            assert new.stats.nodes_expanded <= ref.stats.nodes_expanded, params
+            assert new.state is ref.state, inst
+            assert [t[1:] for t in new_traj] == [t[1:] for t in ref_traj], inst
+            assert new.stats.nodes_expanded <= ref.stats.nodes_expanded, inst
             nodes_floor += new.stats.nodes_expanded
             nodes_reference += ref.stats.nodes_expanded
         else:
-            assert new.stats.proven_lower_bound >= ref.stats.proven_lower_bound, params
+            assert new.stats.proven_lower_bound >= ref.stats.proven_lower_bound, inst
         further += len(new_traj) > len(ref_traj)
+    return finished, further, nodes_floor, nodes_reference
+
+
+def test_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
+    # the separated-pair floor, both states without the N floor
+    finished, further, nodes_floor, nodes_reference = check_dominance(
+        monkeypatch, FloorlessSearchState, NFloorlessSearchState, dominance_cases())
     assert finished >= 20
     assert nodes_floor < nodes_reference
     # under the budget the saved nodes buy incumbents the reference misses
     assert further >= 1
 
 
+def test_n_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
+    finished, further, nodes_floor, nodes_reference = check_dominance(
+        monkeypatch, NFloorlessSearchState, ctwkit.solver.SearchState, dominance_cases())
+    assert finished >= 20
+    assert nodes_floor < nodes_reference
+    assert further >= 1
+
+
+def test_n_floor_on_mas_proves_the_same_optimum_in_fewer_nodes(monkeypatch):
+    finished, _, nodes_floor, nodes_reference = check_dominance(
+        monkeypatch, NFloorlessSearchState, ctwkit.solver.SearchState, mas_cases())
+    assert finished == 16
+    # the bound was the committed N alone: the floor cuts MAS proofs hard
+    assert 2 * nodes_floor < nodes_reference
+
+
 @pytest.mark.parametrize("prefix, bound", [([], 0), ([3], 0), ([3, 5], 155)])
 def test_floorless_reference_keeps_the_previous_bound(five_job, prefix, bound):
-    # before the floor, the separated pair (1, 3) cost nothing until job 3
-    # stopped being last
-    assert FloorlessSearchState.from_prefix(five_job, prefix).lower_bound() == bound
+    # before the separated-pair floor, the pair (1, 3) cost nothing until
+    # job 3 stopped being last
+    assert replay(FloorlessSearchState, five_job, prefix).lower_bound() == bound
 
 
 def test_floorless_state_prices_like_the_floorless_reference():

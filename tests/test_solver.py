@@ -21,9 +21,10 @@ from ctwkit.solver import chain_reach
 
 from ctwkit.bench import run_engine
 
-from conftest import random_instance
+from conftest import mas_instances, random_instance, soft_heavy_instances
 from test_search_golden import ANYTIME_NODE_LIMIT, anytime_cases, exact_cases
-from search_reference import ReferenceSearchState, check_pricing_in_lockstep
+from search_reference import (NFloorlessSearchState, ReferenceSearchState,
+                              check_pricing_in_lockstep, replay)
 
 ALL_MODES = (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE, GenMode.ATOMIC_ONLY,
              GenMode.DS_ONLY)
@@ -79,21 +80,21 @@ def test_degenerate_sizes():
 
 
 def test_extend_candidates_reference_cases(five_job):
-    st = SearchState.from_prefix(five_job, [])
+    st = replay(SearchState, five_job, [])
     cands = st.extend_candidates()
     # 4 and 1 wait for predecessors; urgency order: most unplaced
     # successors first; every child pays the separated pair (1, 3)
     assert cands == [(3, 125), (5, 125), (2, 125)]
     assert st.extend_candidates(125) == []  # none beats an incumbent of 125
 
-    st = SearchState.from_prefix(five_job, [5, 3, 4])
+    st = replay(SearchState, five_job, [5, 3, 4])
     # successor constraint forces the partner, which closes (2, 4)
     # adjacently while (1, 3) stays open from position 2: S, M, L = 1, 1, 2
     assert st.extend_candidates() == [(2, 160)]
     assert st.extend_candidates(161) == [(2, 160)]
     assert st.extend_candidates(160) == []
 
-    st = SearchState.from_prefix(five_job, [5, 3, 4, 2, 1])
+    st = replay(SearchState, five_job, [5, 3, 4, 2, 1])
     assert st.extend_candidates() == []
 
 
@@ -101,17 +102,17 @@ def test_lower_bound_reference_cases(five_job):
     # pair (1, 3) is separated by the hard chain 3 -> 4 -> 1: it is broken
     # in every valid order, so S = 1 (k^3 = 125) from the root on, and its
     # placed end being last exempts nothing
-    assert SearchState.from_prefix(five_job, []).lower_bound() == 125
-    assert SearchState.from_prefix(five_job, [3]).lower_bound() == 125
+    assert replay(SearchState, five_job, []).lower_bound() == 125
+    assert replay(SearchState, five_job, [3]).lower_bound() == 125
     # job 3's partner can no longer be adjacent: S and L and M committed
-    st = SearchState.from_prefix(five_job, [3, 5])
+    st = replay(SearchState, five_job, [3, 5])
     assert st.lower_bound() == 155
     assert st.lower_bound() >= 130
     # a direct edge 1 -> 2 separates nothing: the open pair whose placed
     # end is still last is exempt, so nothing is committed
     adjacent = Instance(k=3, b=1, atomic=[(1, 2)])
-    assert SearchState.from_prefix(adjacent, []).lower_bound() == 0
-    assert SearchState.from_prefix(adjacent, [1]).lower_bound() == 0
+    assert replay(SearchState, adjacent, []).lower_bound() == 0
+    assert replay(SearchState, adjacent, [1]).lower_bound() == 0
 
 
 def chain_dense_instances(rng, count, max_k):
@@ -129,6 +130,12 @@ def test_lower_bound_admissible_against_exhaustive_completion():
     rng = random.Random(73)
     cases = [random_instance(rng, max_k=6) for _ in range(50)]
     cases += chain_dense_instances(rng, 40, max_k=7)
+    # forced soft edges, soft digons and triangles: the N floor; every
+    # order is valid on the MAS reduction
+    soft_rng = random.Random(173)
+    cases += soft_heavy_instances(soft_rng, 60, max_k=7)
+    cases += [(inst, Permutation(tuple(range(1, inst.k + 1))))
+              for inst in mas_instances(soft_rng, 30, 4, 7)]
     checked = 0
     separated = 0
     for inst, plant in cases:
@@ -137,14 +144,14 @@ def test_lower_bound_admissible_against_exhaustive_completion():
         # prefixes of a valid permutation are consistent search states
         depth = rng.randint(0, inst.k - 1)
         prefix = list(plant.tour[:depth])
-        st = SearchState.from_prefix(inst, prefix)
+        st = replay(SearchState, inst, prefix)
         lb = st.lower_bound()
         best = best_completion_objective(inst, prefix)
         assert best is not None  # the plant itself completes it
         assert lb <= best
         checked += 1
         separated += any(st.separated)
-    assert checked >= 80
+    assert checked >= 140
     assert separated >= 20  # the separated-pair floor is exercised
 
 
@@ -173,14 +180,16 @@ def test_chain_reach_matches_floyd_warshall():
         edges = [(rank[i], rank[j]) for i in range(k) for j in range(i + 1, k)
                  if rng.random() < density]
         reach = floyd_warshall(k, edges)
-        deep = chain_reach(k, edges)
+        full, deep = chain_reach(k, edges)
         for v in range(1, k + 1):
+            assert full[v] == sum(1 << w for w in range(1, k + 1) if reach[v][w]), \
+                (k, edges, v)
             beyond = {w for u, w in edges if u == v}
             expected = sum(1 << w for w in range(1, k + 1)
                            if any(reach[s][w] for s in beyond))
             assert deep[v] == expected, (k, edges, v)
     # a cycle leaves no topological order, so no chain is recorded
-    assert chain_reach(3, [(1, 2), (2, 3), (3, 1)]) == [0, 0, 0, 0]
+    assert chain_reach(3, [(1, 2), (2, 3), (3, 1)]) == ([0, 0, 0, 0], [0, 0, 0, 0])
 
 
 def test_separated_pairs_match_chains_and_are_never_adjacent():
@@ -225,7 +234,7 @@ def test_leaf_bound_equals_objective():
         inst, plant = random_instance(rng, max_k=6)
         if plant is None:
             continue
-        st = SearchState.from_prefix(inst, list(plant.tour))
+        st = replay(SearchState, inst, list(plant.tour))
         assert st.lower_bound() == breakdown(inst, plant).objective
 
 
@@ -296,8 +305,14 @@ def random_instances(seed, count, max_k=9):
 
 
 def test_child_bound_equals_bound_after_place():
+    soft_rng = random.Random(163)
+    cases = itertools.chain(
+        random_instances(97, 120),
+        # soft-heavy and MAS states, where the N floor moves
+        ((soft_rng, inst) for inst, _ in soft_heavy_instances(soft_rng, 100, max_k=12)),
+        ((soft_rng, inst) for inst in mas_instances(soft_rng, 50, 6, 12)))
     priced = 0
-    for rng, inst in random_instances(97, 120):
+    for rng, inst in cases:
         st = SearchState(inst)
         while True:
             cands = st.extend_candidates()
@@ -309,7 +324,10 @@ def test_child_bound_equals_bound_after_place():
                 st.unplace()
                 priced += 1
             st.place(rng.choice(cands)[0])
-    assert priced >= 1000
+        if len(st.prefix) == inst.k:
+            perm = Permutation(tuple(st.prefix))
+            assert st.lower_bound() == breakdown(inst, perm).objective, inst
+    assert priced >= 5000
 
 
 def pricing_cases(rng):
@@ -334,11 +352,13 @@ def pricing_cases(rng):
 
 def test_extend_candidates_prices_like_the_reference():
     # one pass with a shared base bound, filtered by the cutoff before
-    # legality, gives the reference's order and child_bound exactly
+    # legality, gives the reference's order and child_bound exactly; the
+    # reference predates the N floor, so the state runs with it zeroed
     rng = random.Random(131)
     compared = 0
     for inst in pricing_cases(rng):
-        compared += check_pricing_in_lockstep(SearchState(inst), ReferenceSearchState(inst),
+        compared += check_pricing_in_lockstep(NFloorlessSearchState(inst),
+                                              ReferenceSearchState(inst),
                                               rng, moves=3 * inst.k)
     assert compared >= 2000
 
@@ -358,7 +378,7 @@ def test_open_list_tracks_open_positions():
                 st.unplace()
                 ref.unplace()
             elif unplaced:
-                c = rng.choice(unplaced)  # any job, as from_prefix allows
+                c = rng.choice(unplaced)  # any job, as replay allows
                 st.place(c)
                 ref.place(c)
     assert checked >= 3000
@@ -416,7 +436,7 @@ def test_ready_set_candidates_match_full_scan():
             elif roll < 0.85 and st.extend_candidates():
                 st.place(rng.choice(st.extend_candidates())[0])
             elif unplaced:
-                st.place(rng.choice(unplaced))  # an illegal move, as from_prefix allows
+                st.place(rng.choice(unplaced))  # an illegal move, as replay allows
 
 
 def test_ready_jobs_have_no_placed_successor(monkeypatch):
