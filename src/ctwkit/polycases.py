@@ -77,8 +77,9 @@ def ds_only_solve(inst: Instance) -> Permutation:
 def unsat_precheck(inst: Instance) -> UnsatCertificate | None:
     """A hard-precedence cycle if one exists; sufficient for UNSAT.
 
-    Run before every solve as a cheap filter. Silence is not a
-    satisfiability proof.
+    A cheap filter that names the cycle; ``solver.solve`` rejects the same
+    instances from the topological pass of its search state. Silence is
+    not a satisfiability proof.
     """
     cycle = digraph.find_cycle(inst.k, inst.atomic)
     if cycle is None:

@@ -34,9 +34,12 @@ and the open pairs' positions from an ascending list, both kept by
 edges the last placement added, by reachability, instead of rescanning
 every atomic edge.
 
-The search is deterministic for a fixed instance and configuration; wall
-clock only decides when a limited run stops, never which branch comes
-first.
+Children are tried in a fixed order: a partner forced by a direct
+successor constraint, then the unplaced end of the most recently opened
+pair, then the jobs with the most hard successors, ties broken by the
+lower child bound and then the lower id. The search is deterministic for
+a fixed instance and configuration; wall clock only decides when a
+limited run stops, never which branch comes first.
 """
 
 from __future__ import annotations
@@ -48,9 +51,7 @@ from enum import Enum
 from typing import Sequence
 
 from .costs import CostBreakdown, breakdown
-from .digraph import lexicographic_order
 from .model import Instance, Permutation, validate
-from .polycases import unsat_precheck
 
 _TIME_CHECK_MASK = 1023  # timer polled every 1024 children tried
 
@@ -158,7 +159,7 @@ class SearchState:
 
     ``forced_cycle`` relies on an invariant of the search: over the
     unplaced jobs, atomic edges plus the disjunction survivors forced
-    before the last placement form an acyclic graph (the precheck covers
+    before the last placement form an acyclic graph (``acyclic`` covers
     the atomic edges, earlier checks the survivors, and placing a job only
     removes edges). It therefore holds for states reached by search, not
     for an arbitrary replay of placements.
@@ -191,10 +192,11 @@ class SearchState:
         self.pred_placed = [0] * (k + 1)
         # unplaced jobs whose hard predecessors are all placed
         self.ready = {c for c in range(1, k + 1) if not npreds[c]}
-        # per job: its branch rank, most hard successors first, ties by id.
-        # A job is placed only after its hard predecessors, so an unplaced
-        # job's hard successors are all unplaced and the count never moves.
-        self.rank = [c - (k + 1) * len(s) for c, s in enumerate(succs)]
+        # per job: its branch rank, most hard successors first; ties go to
+        # the lower child bound, then the lower id. A job is placed only
+        # after its hard predecessors, so an unplaced job's hard successors
+        # are all unplaced and the count never moves.
+        self.rank = [-len(s) for s in succs]
 
         self.direct = [False] * (k + 1)
         for i in inst.direct_successors:
@@ -217,8 +219,12 @@ class SearchState:
         self.by_after = by_after
 
         # per pair, indexed by its lower end: 1 when a hard chain runs
-        # through a third job between its ends, so they are never adjacent
-        reach, deep = chain_reach(k, inst.atomic)
+        # through a third job between its ends, so they are never adjacent.
+        # A hard cycle leaves no valid order: ``solve`` stops on ``acyclic``
+        # before the search, and the floors are built over empty reach.
+        reaches = chain_reach(succs, npreds)
+        self.acyclic = reaches is not None
+        reach, deep = reaches or ([0] * (k + 1), [0] * (k + 1))
         self.separated = [0] + [
             (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
         ]
@@ -437,9 +443,11 @@ class SearchState:
 
         Order: a partner forced by a direct successor constraint; else the
         unplaced end of the most recently opened pair; else jobs with the
-        most hard successors (they need room after them), ties by ascending
-        id. A ready job's hard successors are all unplaced, so this is the
-        count of its unplaced ones too.
+        most hard successors (they need room after them), ties by the lower
+        child bound, then the lower id. A ready job's hard successors are
+        all unplaced, so this is the count of its unplaced ones too. Where
+        no job has a hard successor, as on the MAS reduction, the cheapest
+        child comes first, which finds a good incumbent early.
 
         One pass prices every child. The base bound is that of a child
         that closes no pair: after it every open pair counts in S (a pair
@@ -507,7 +515,7 @@ class SearchState:
             children = [c for q in open_list if (c := partner[prefix[q - 1]]) in ready]
             drops = len(ready) - len(children)
         head = None
-        ranked = []  # rank[c], c, bound
+        ranked = []  # rank[c], bound, c
         for c in children:
             q = pos[partner[c]]
             if q:
@@ -523,12 +531,12 @@ class SearchState:
                 if c == fresh:
                     head = (c, bound)
                 else:
-                    ranked.append((rank[c], c, bound))
+                    ranked.append((rank[c], bound, c))
         if drops:
             self.bound_drops += drops
         ranked.sort()
         out = [head] if head else []
-        out += [(c, bound) for _, c, bound in ranked]
+        out += [(c, bound) for _, bound, c in ranked]
         return out
 
     # -- bounding ------------------------------------------------------------
@@ -557,28 +565,41 @@ class SearchState:
         return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
 
 
-def chain_reach(k: int, edges: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """Per job v, the jobs at the end of a path from v: ``(reach, deep)``.
+def chain_reach(succs: Sequence[Sequence[int]],
+                indeg: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """Per job v, the jobs at the end of a path from v: ``(reach, deep)``,
+    or None when the graph has a cycle.
 
+    ``succs[v]`` lists the heads of v's edges and ``indeg[v]`` counts the
+    edges into v, for jobs 1..k (index 0 unused, as in ``SearchState``).
     Entries are bitsets over jobs 1..k. Bit w of ``reach[v]`` is set when
     some path v -> ... -> w of one or more edges exists, so every order
     that keeps the edges puts v before w. Bit w of ``deep[v]`` is set when
     some such path has two or more edges, v -> x -> ... -> w, so such an
     order also puts a third job x between them. Built over a topological
-    order walked backwards, so ``reach[w]`` (the jobs strictly after w) is
-    complete before any predecessor of w is visited. A graph with a cycle
-    has no such order and gets empty sets: an instance with an atomic
-    cycle has no valid order, so only a bound that nothing needs is
-    weakened.
+    order, found by a Kahn stack and walked backwards, so ``reach[w]`` (the
+    jobs strictly after w) is complete before any predecessor of w is
+    visited. A graph with a cycle has no such order, and an instance with
+    a hard cycle has no valid order.
     """
-    succ: list[list[int]] = [[] for _ in range(k + 1)]
-    for u, w in edges:
-        succ[u].append(w)
-    reach = [0] * (k + 1)
-    deep = [0] * (k + 1)
-    for v in reversed(lexicographic_order(k, edges) or ()):
+    n = len(indeg)
+    waiting = list(indeg)  # per job: its predecessors not yet in the order
+    stack = [v for v in range(1, n) if not waiting[v]]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in succs[v]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                stack.append(w)
+    if len(order) < n - 1:
+        return None
+    reach = [0] * n
+    deep = [0] * n
+    for v in reversed(order):
         d = r = 0
-        for w in succ[v]:
+        for w in succs[v]:
             d |= reach[w]
             r |= 1 << w
         deep[v] = d
@@ -589,9 +610,10 @@ def chain_reach(k: int, edges: Sequence[tuple[int, int]]) -> tuple[list[int], li
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact anytime solve; limits yield SUBOPTIMAL/UNSOLVED, never errors.
 
-    UNSATISFIABLE is reported only after the whole tree is exhausted (or a
-    hard precedence cycle is found up front). ``stats.nodes_expanded``
-    counts states whose candidate list was generated.
+    UNSATISFIABLE is reported only after the whole tree is exhausted, or
+    up front when the hard precedences have no topological order.
+    ``stats.nodes_expanded`` counts states whose candidate list was
+    generated.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -600,12 +622,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
 
     def elapsed_ms() -> int:
         return int((time.monotonic() - start) * 1000)
-
-    cert = unsat_precheck(inst)
-    if cert is not None:
-        return SolveResult(
-            ResultState.UNSATISFIABLE, None, SolveStats(0, elapsed_ms(), None)
-        )
 
     k = inst.k
     if k == 0:
@@ -617,6 +633,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         )
 
     state = SearchState(inst)
+    if not state.acyclic:  # a hard precedence cycle
+        return SolveResult(
+            ResultState.UNSATISFIABLE, None, SolveStats(0, elapsed_ms(), None)
+        )
     best_tour: tuple[int, ...] | None = None
     best_bd: CostBreakdown | None = None
     cutoff = state.unbounded  # the incumbent's objective once there is one

@@ -5,13 +5,19 @@
 jobs in branch order, and ``child_bound(c)`` prices one child at a time.
 The tests walk it in lockstep with the solver's state and require the
 same jobs, order and bounds. ``FloorlessReferenceState`` is the bound from
-before the separated-pair floor, on the same state. ``chain_reach`` now
-returns the full hard reach as well, which these states ignore.
+before the separated-pair floor, on the same state. Two things changed
+since, both outside the bound: the branch order breaks ties between jobs
+with as many hard successors by the lower ``child_bound``, then the lower
+id (it broke them by id alone), and ``chain_reach`` takes successor lists
+and in-degrees, returns the full hard reach as well, and returns None on
+a cycle.
 
 Neither reference has the soft-cycle N floor. The tests hold them to the
 solver's own state with its floors set to zero: ``NFloorlessSearchState``
 without the N floor, ``FloorlessSearchState`` without the separated-pair
 floor as well. ``replay`` builds any of these states from a prefix.
+``id_tie_order`` gives any of them the branch order from before the bound
+tie-break, so two bounds can be compared on one order.
 """
 
 from __future__ import annotations
@@ -56,6 +62,24 @@ class FloorlessSearchState(NFloorlessSearchState):
         super().__init__(inst)
         self.separated = [0] * (inst.b + 1)
         self.sep_unplaced = 0
+
+
+def id_tie_order(cls):
+    """``cls`` with jobs that have as many hard successors tried in id
+    order, whatever their bounds: the order before the bound tie-break.
+
+    The rank becomes unique per job, so the bound in the sort key never
+    decides, and the order no longer depends on the bound at all.
+    """
+
+    class IdTie(cls):
+        def __init__(self, inst: Instance):
+            super().__init__(inst)
+            span = self.k + 1
+            self.rank = [c - span * len(s) for c, s in enumerate(self.succs)]
+
+    IdTie.__name__ = IdTie.__qualname__ = f"IdTie{cls.__name__}"
+    return IdTie
 
 
 def replay(cls, inst: Instance, prefix: Sequence[int]):
@@ -144,7 +168,7 @@ class ReferenceSearchState:
 
         # per pair, indexed by its lower end: 1 when a hard chain runs
         # through a third job between its ends, so they are never adjacent
-        _, deep = chain_reach(k, inst.atomic)
+        _, deep = chain_reach(succs, self.npreds) or (None, [0] * (k + 1))
         self.separated = [0] + [
             (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
         ]
@@ -325,7 +349,7 @@ class ReferenceSearchState:
         Order: a partner forced by a direct successor constraint; else the
         unplaced end of the most recently opened pair; else jobs with the
         most unplaced hard successors (they need room after them), ties by
-        ascending id.
+        the lower ``child_bound``, then the lower id.
         """
         t = len(self.prefix)
         if t == self.k:
@@ -340,10 +364,8 @@ class ReferenceSearchState:
         # only jobs that watch a disjunct can be ruled out once ready
         by_after = self.by_after
         legal = [c for c in self.ready if not by_after[c] or self._legal(c)]
-        # (-waiting[c], c) order as one integer key: c < k + 1
         waiting = self.waiting
-        span = self.k + 1
-        legal.sort(key=lambda c: c - span * waiting[c])
+        legal.sort(key=lambda c: (-waiting[c], self.child_bound(c), c))
         if self.open_pos:
             freshest = max(self.open_pos, key=self.open_pos.__getitem__)
             unplaced_end = freshest if pos[freshest] == 0 else freshest + self.b

@@ -11,12 +11,17 @@ reference search. Both weaker states price through the solver's one-pass
 ``child_bound``, kept unchanged in
 ``search_reference.FloorlessReferenceState``, on random states.
 
-Each floor is admissible, pruning stays ``>= incumbent`` and the candidate
-order does not depend on the bound, so the stronger bound visits a subset
-of the reference's nodes in the same order and reaches every improving
-leaf the reference reaches, at a node count no higher. Under a node
-budget it may then go on to further incumbents; run to proof, both
-searches end with the same trajectory and state.
+The solver breaks ties between jobs with as many hard successors by the
+lower child bound, so a stronger bound also reorders the branches. The
+floors are therefore compared on one fixed order, the id tie-break of
+``search_reference.id_tie_order``, on both sides. There each floor is
+admissible, pruning stays ``>= incumbent`` and the candidate order does
+not depend on the bound, so the stronger bound visits a subset of the
+reference's nodes in the same order and reaches every improving leaf the
+reference reaches, at a node count no higher. Under a node budget it may
+then go on to further incumbents; run to proof, both searches end with
+the same trajectory and state. The bound tie-break itself is held to the
+same proven optimum in fewer nodes.
 """
 
 import random
@@ -30,7 +35,8 @@ from ctwkit.generate import GenParams, generate_planted
 from ctwkit.reduction import mas_to_ctw
 
 from search_reference import (FloorlessReferenceState, FloorlessSearchState,
-                              NFloorlessSearchState, check_pricing_in_lockstep, replay)
+                              NFloorlessSearchState, check_pricing_in_lockstep,
+                              id_tie_order, replay)
 from test_search_golden import (ANYTIME_NODE_LIMIT, anytime_cases,
                                 exact_cases)
 from test_solver import pricing_cases
@@ -130,7 +136,8 @@ def check_dominance(monkeypatch, weaker, stronger, cases):
 def test_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
     # the separated-pair floor, both states without the N floor
     finished, further, nodes_floor, nodes_reference = check_dominance(
-        monkeypatch, FloorlessSearchState, NFloorlessSearchState, dominance_cases())
+        monkeypatch, id_tie_order(FloorlessSearchState),
+        id_tie_order(NFloorlessSearchState), dominance_cases())
     assert finished >= 20
     assert nodes_floor < nodes_reference
     # under the budget the saved nodes buy incumbents the reference misses
@@ -139,7 +146,8 @@ def test_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
 
 def test_n_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
     finished, further, nodes_floor, nodes_reference = check_dominance(
-        monkeypatch, NFloorlessSearchState, ctwkit.solver.SearchState, dominance_cases())
+        monkeypatch, id_tie_order(NFloorlessSearchState),
+        id_tie_order(ctwkit.solver.SearchState), dominance_cases())
     assert finished >= 20
     assert nodes_floor < nodes_reference
     assert further >= 1
@@ -147,10 +155,25 @@ def test_n_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
 
 def test_n_floor_on_mas_proves_the_same_optimum_in_fewer_nodes(monkeypatch):
     finished, _, nodes_floor, nodes_reference = check_dominance(
-        monkeypatch, NFloorlessSearchState, ctwkit.solver.SearchState, mas_cases())
+        monkeypatch, id_tie_order(NFloorlessSearchState),
+        id_tie_order(ctwkit.solver.SearchState), mas_cases())
     assert finished == 16
     # the bound was the committed N alone: the floor cuts MAS proofs hard
     assert 2 * nodes_floor < nodes_reference
+
+
+def test_bound_tie_break_on_mas_proves_the_same_optimum_in_fewer_nodes(monkeypatch):
+    # no MAS job has a hard successor: every child ties on rank, and the
+    # cheapest one first finds the optimum early
+    nodes_id = nodes_bound = 0
+    for inst, _ in mas_cases():
+        ref, _ = traced_solve(monkeypatch, id_tie_order(ctwkit.solver.SearchState), inst, None)
+        new, _ = traced_solve(monkeypatch, ctwkit.solver.SearchState, inst, None)
+        assert new.state is ref.state is ResultState.OPTIMAL, inst
+        assert new.best[1].objective == ref.best[1].objective, inst
+        nodes_id += ref.stats.nodes_expanded
+        nodes_bound += new.stats.nodes_expanded
+    assert 2 * nodes_bound < nodes_id
 
 
 @pytest.mark.parametrize("prefix, bound", [([], 0), ([3], 0), ([3, 5], 155)])

@@ -14,6 +14,7 @@ from ctwkit import (
     breakdown,
     enumerate_solutions,
     solve,
+    unsat_precheck,
     validate,
 )
 from ctwkit.generate import GenMode, GenParams, generate, generate_planted
@@ -98,6 +99,22 @@ def test_extend_candidates_reference_cases(five_job):
     assert st.extend_candidates() == []
 
 
+def test_rank_ties_break_by_bound_then_id():
+    # no job has a hard successor: soft predecessors alone set the bounds,
+    # so 4 (one soft predecessor) comes before 3 (two), 1 before 2 by id
+    st = SearchState(Instance(k=4, b=0, soft_atomic=[(1, 3), (2, 3), (1, 4)]))
+    assert st.extend_candidates() == [(1, 0), (2, 0), (4, 1), (3, 2)]
+    # a hard successor still ranks first, whatever its bound
+    st = SearchState(Instance(k=5, b=0, atomic=[(3, 5)],
+                              soft_atomic=[(1, 3), (2, 3), (1, 4)]))
+    assert st.extend_candidates() == [(3, 2), (1, 0), (2, 0), (4, 1)]
+    # pairs (1, 3) and (2, 4) open at positions 1 and 2, then job 5: the
+    # unplaced end of the newer pair leads, although closing the older
+    # pair shortens L by one (k = 6 cheaper)
+    st = replay(SearchState, Instance(k=6, b=2), [1, 2, 5])
+    assert st.extend_candidates() == [(4, 522), (3, 516), (6, 522)]
+
+
 def test_lower_bound_reference_cases(five_job):
     # pair (1, 3) is separated by the hard chain 3 -> 4 -> 1: it is broken
     # in every valid order, so S = 1 (k^3 = 125) from the root on, and its
@@ -170,6 +187,16 @@ def floyd_warshall(k, edges):
     return reach
 
 
+def adjacency(k, edges):
+    """Successor lists and in-degrees of an edge list over jobs 1..k."""
+    succs = [[] for _ in range(k + 1)]
+    indeg = [0] * (k + 1)
+    for u, w in edges:
+        succs[u].append(w)
+        indeg[w] += 1
+    return succs, indeg
+
+
 def test_chain_reach_matches_floyd_warshall():
     rng = random.Random(107)
     for _ in range(200):
@@ -180,7 +207,7 @@ def test_chain_reach_matches_floyd_warshall():
         edges = [(rank[i], rank[j]) for i in range(k) for j in range(i + 1, k)
                  if rng.random() < density]
         reach = floyd_warshall(k, edges)
-        full, deep = chain_reach(k, edges)
+        full, deep = chain_reach(*adjacency(k, edges))
         for v in range(1, k + 1):
             assert full[v] == sum(1 << w for w in range(1, k + 1) if reach[v][w]), \
                 (k, edges, v)
@@ -188,8 +215,26 @@ def test_chain_reach_matches_floyd_warshall():
             expected = sum(1 << w for w in range(1, k + 1)
                            if any(reach[s][w] for s in beyond))
             assert deep[v] == expected, (k, edges, v)
-    # a cycle leaves no topological order, so no chain is recorded
-    assert chain_reach(3, [(1, 2), (2, 3), (3, 1)]) == ([0, 0, 0, 0], [0, 0, 0, 0])
+    # a cycle leaves no topological order
+    assert chain_reach(*adjacency(3, [(1, 2), (2, 3), (3, 1)])) is None
+    assert chain_reach(*adjacency(4, [(1, 2), (3, 4), (4, 3)])) is None
+    assert chain_reach(*adjacency(0, [])) == ([0], [0])
+
+
+def test_acyclic_agrees_with_the_precheck():
+    # the state's one topological pass stands in for unsat_precheck in solve
+    rng = random.Random(167)
+    cyclic = 0
+    for trial in range(200):
+        inst, _ = random_instance(rng, ALL_MODES[trial % 4], max_k=9)
+        has_cycle = unsat_precheck(inst) is not None
+        assert SearchState(inst).acyclic is not has_cycle, inst
+        if has_cycle:
+            cyclic += 1
+            res = solve(inst)
+            assert res.state is ResultState.UNSATISFIABLE and res.best is None
+            assert res.stats.nodes_expanded == 0 and res.stats.proven_lower_bound is None
+    assert cyclic >= 20
 
 
 def test_separated_pairs_match_chains_and_are_never_adjacent():
@@ -293,8 +338,15 @@ def scan_candidates(st):
         if unplaced_end in legal_jobs:
             head.append(unplaced_end)
             legal_jobs.remove(unplaced_end)
-    legal_jobs.sort(key=lambda c: (-len(st.succs[c]), c))
+    legal_jobs.sort(key=lambda c: (-len(st.succs[c]), bound_after_place(st, c), c))
     return head + legal_jobs
+
+
+def bound_after_place(st, c):
+    st.place(c)
+    bound = st.lower_bound()
+    st.unplace()
+    return bound
 
 
 def random_instances(seed, count, max_k=9):
@@ -323,7 +375,8 @@ def test_child_bound_equals_bound_after_place():
                 assert bound == st.lower_bound(), (inst, st.prefix)
                 st.unplace()
                 priced += 1
-            st.place(rng.choice(cands)[0])
+            # a walk that does not follow the branch order
+            st.place(rng.choice(sorted(cands))[0])
         if len(st.prefix) == inst.k:
             perm = Permutation(tuple(st.prefix))
             assert st.lower_bound() == breakdown(inst, perm).objective, inst
