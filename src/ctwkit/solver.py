@@ -7,12 +7,14 @@ lower bound: the part of each criterion that every completion of the prefix
 must already pay. Its S part includes a floor worked out once per solve: a
 pair whose ends a hard chain links through a third job (i -> x -> i+b, or
 the reverse) is interrupted in every valid order, so it counts before
-either end is placed. Its N part starts from a floor worked out the same
-way: every valid order violates a soft precedence against a hard chain,
-one edge of each soft digon, and one soft edge of each triangle in a
-packing of triangles that share no soft edge. Edge-disjoint cycles bound
-a minimum feedback arc set from below, which is what N is on the MAS
-reduction.
+either end is placed. Any other pair counts once one end is placed and
+its partner cannot come next: the partner is placed later, or still waits
+on a hard predecessor other than that end. Its N part starts from a floor
+worked out the same way: every valid order violates a soft precedence
+against a hard chain, one edge of each soft digon, and one soft edge of
+each triangle in a packing of triangles that share no soft edge.
+Edge-disjoint cycles bound a minimum feedback arc set from below, which
+is what N is on the MAS reduction.
 
 Propagation baked into candidate generation:
 
@@ -25,14 +27,14 @@ Propagation baked into candidate generation:
 
 The per-node work is incremental. ``SearchState.extend_candidates`` prices
 every child of a node in one pass: a base bound shared by the children
-that close no pair, plus each child's own soft or closing delta. A child
-whose bound reaches the incumbent's objective is dropped before its
-legality is checked, and no child is placed to be priced. Candidates come
-from a ready set of unplaced jobs whose hard predecessors are all placed,
-and the open pairs' positions from an ascending list, both kept by
-``place``/``unplace``. The forced-edge cycle check searches only from the
-edges the last placement added, by reachability, instead of rescanning
-every atomic edge.
+that close no pair, plus each child's own soft, opening or closing delta.
+A child whose bound reaches the incumbent's objective is dropped before
+its legality is checked, and no child is placed to be priced. Candidates
+come from a ready set of unplaced jobs whose hard predecessors are all
+placed, and the open pairs' positions from an ascending list, both kept
+by ``place``/``unplace``. The forced-edge cycle check searches only from
+the edges the last placement added, by reachability, instead of
+rescanning every atomic edge.
 
 Children are tried in a fixed order: a partner forced by a direct
 successor constraint, then the unplaced end of the most recently opened
@@ -44,6 +46,7 @@ limited run stops, never which branch comes first.
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import insort
 from dataclasses import dataclass
@@ -121,9 +124,11 @@ class SearchState:
     Tracks, per prefix, the committed part of each criterion:
 
     * S: pairs already closed with a gap, open pairs (a pair whose placed
-      end is last is exempt unless it is separated: its partner may still
-      come next), and separated pairs with no end placed yet (a hard chain
-      through a third job keeps their ends apart in every valid order);
+      end is last is exempt while its partner may still come next: the
+      pair is not separated and the partner waits on no unplaced hard
+      predecessor), and separated pairs with no end placed yet (a hard
+      chain through a third job keeps their ends apart in every valid
+      order);
     * M: the storage load at each placed position is already final, so the
       running maximum is exact on the prefix;
     * L: gaps of closed pairs, and for open pairs the distance from their
@@ -229,6 +234,16 @@ class SearchState:
             (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
         ]
         self.sep_unplaced = sum(self.separated)  # separated pairs, no end placed
+        # per job c: how many hard predecessors of its partner w must be
+        # placed before c for w to follow c directly, all of w's but c. A
+        # child that opens its pair with fewer placed leaves the pair
+        # interrupted in every completion. 0, no charge, for one-sided jobs
+        # and the ends of separated pairs, which S counts from the root.
+        self.close_need = close_need = [0] * (k + 1)
+        for p in range(1, b + 1):
+            if not self.separated[p]:
+                for c, w in ((p, p + b), (p + b, p)):
+                    close_need[c] = npreds[w] - (w in succs[c])
 
         # soft edges that every valid order violates a fixed number of times
         # count from the root on: one against a hard chain (j -> ... -> i
@@ -276,6 +291,10 @@ class SearchState:
         self.soft_after_of = soft_after_of
         self.soft_pending = soft_pending  # per job: the N placing it commits
         self.triangles_of = triangles_of
+        # per job, all that place/unplace read of it in one tuple: partner,
+        # soft successors, triangles, hard successors and watch lists
+        self.links = list(zip(self.partner, soft_after_of, triangles_of, succs,
+                              by_before, by_after))
 
         self.open_list: list[int] = []  # placed-end positions of open pairs, ascending
         self.closed_s = 0
@@ -294,13 +313,14 @@ class SearchState:
     # -- placement ---------------------------------------------------------
 
     def place(self, c: int):
+        other_end, soft_after, triangles, succs, by_before, by_after = self.links[c]
         pos = self.pos
-        t1 = len(self.prefix) + 1
+        prefix = self.prefix
+        t1 = len(prefix) + 1
         open_list = self.open_list
         spans_here = len(open_list)  # pairs open across c's position
         opened = False
         prev = (self.closed_s, self.closed_l, self.m_committed, self.n_committed)
-        other_end = self.partner[c]
         q = pos[other_end]  # c closes the pair opened at q; 0: it does not
         if q:
             open_list.remove(q)
@@ -317,56 +337,61 @@ class SearchState:
             self.m_committed = spans_here
         soft_pending = self.soft_pending
         self.n_committed += soft_pending[c]
-        for s in self.soft_after_of[c]:
+        for s in soft_after:
             soft_pending[s] -= 1
-        for u, w in self.triangles_of[c]:
+        for u, w in triangles:
             if not (pos[u] or pos[w]):  # a live triangle dies with c's placement
                 soft_pending[u] += 1
                 soft_pending[w] += 1
 
         pos[c] = t1
-        self.prefix.append(c)
+        prefix.append(c)
         ready = self.ready
         ready.discard(c)
         pred_placed = self.pred_placed
         npreds = self.npreds
-        for s in self.succs[c]:
+        for s in succs:
             pred_placed[s] += 1
             if pred_placed[s] == npreds[s] and pos[s] == 0:
                 ready.add(s)
 
-        dstate = self.dstate
-        transitions = []
         forced_added = 0
-        for cell, after in self.by_before[c]:
-            if dstate[cell] == 0 and pos[after] == 0:
-                dstate[cell] = 1
-                transitions.append(cell)
-        for cell, before, ocell, oa, oc in self.by_after[c]:
-            if dstate[cell] == 0 and pos[before] == 0:
-                dstate[cell] = -1
-                transitions.append(cell)
-                if dstate[ocell] == 0:  # the survivor is now mandatory
-                    self.forced.append((oa, oc))
-                    self.forced_out[oa].append(oc)
-                    forced_added += 1
+        if by_before or by_after:
+            dstate = self.dstate
+            transitions = []
+            for cell, after in by_before:
+                if dstate[cell] == 0 and pos[after] == 0:
+                    dstate[cell] = 1
+                    transitions.append(cell)
+            for cell, before, ocell, oa, oc in by_after:
+                if dstate[cell] == 0 and pos[before] == 0:
+                    dstate[cell] = -1
+                    transitions.append(cell)
+                    if dstate[ocell] == 0:  # the survivor is now mandatory
+                        self.forced.append((oa, oc))
+                        self.forced_out[oa].append(oc)
+                        forced_added += 1
+        else:
+            transitions = ()
 
         self._undo.append((c, prev, opened, q, transitions, forced_added))
         return forced_added
 
     def unplace(self):
         c, prev, opened, q, transitions, forced_added = self._undo.pop()
+        _, soft_after, triangles, succs, _, _ = self.links[c]
         if forced_added:
             for a, _ in self.forced[-forced_added:]:
                 self.forced_out[a].pop()
             del self.forced[-forced_added:]
-        dstate = self.dstate
-        for cell in transitions:
-            dstate[cell] = 0
+        if transitions:
+            dstate = self.dstate
+            for cell in transitions:
+                dstate[cell] = 0
         ready = self.ready
         pred_placed = self.pred_placed
         npreds = self.npreds
-        for s in self.succs[c]:
+        for s in succs:
             if pred_placed[s] == npreds[s]:
                 ready.discard(s)
             pred_placed[s] -= 1
@@ -376,9 +401,9 @@ class SearchState:
         pos = self.pos
         pos[c] = 0
         soft_pending = self.soft_pending
-        for s in self.soft_after_of[c]:
+        for s in soft_after:
             soft_pending[s] += 1
-        for u, w in self.triangles_of[c]:
+        for u, w in triangles:
             if not (pos[u] or pos[w]):
                 soft_pending[u] -= 1
                 soft_pending[w] -= 1
@@ -454,13 +479,16 @@ class SearchState:
         the child opens is exempt while the child is last, and a separated
         one only moves from the unplaced to the open pairs), the storage
         load at its position is the open pair count, and the oldest open
-        pair stretches L. Such a child adds only its ``soft_pending`` entry,
-        which is never negative for a ready job. A child that closes a pair
-        may lower the base: S when the pair was opened by the last job
-        (adjacent ends), M when the open pairs set the load, L when it
-        closes the oldest pair. A child at or above ``cutoff`` is dropped
-        before its legality is checked; when the base alone reaches it,
-        only the open pairs' unplaced ends are priced.
+        pair stretches L. Such a child adds its ``soft_pending`` entry,
+        which is never negative for a ready job, and k^3 when it opens a
+        pair that is not separated while its partner still waits on an
+        unplaced hard predecessor other than the child: the partner cannot
+        come next, so that pair is interrupted in every completion. A child
+        that closes a pair may lower the base: S when the pair was opened
+        by the last job (adjacent ends), M when the open pairs set the
+        load, L when it closes the oldest pair. A child at or above
+        ``cutoff`` is dropped before its legality is checked; when the base
+        alone reaches it, only the open pairs' unplaced ends are priced.
         """
         prefix = self.prefix
         t = len(prefix)
@@ -486,11 +514,11 @@ class SearchState:
                 l = t1 - lowest
         s = self.closed_s + self.sep_unplaced + n_open
         base = k * (k * (k * s + m) + l) + self.n_committed
+        k3 = k2 * k
         if n_open:
             close = base - k2 if n_open > self.m_committed else base
             # closing the oldest pair shortens its stretch by one
             close_low = close - k if t1 - lowest > self.closed_l else close
-            k3 = k2 * k
 
         if t and self.direct[prefix[-1]]:
             p = partner[prefix[-1]]
@@ -505,6 +533,8 @@ class SearchState:
         ready = self.ready
         by_after = self.by_after
         rank = self.rank
+        pred_placed = self.pred_placed
+        close_need = self.close_need
         # the unplaced end of the most recently opened pair
         fresh = partner[prefix[open_list[-1] - 1]] if n_open else 0
         if base < cutoff:
@@ -517,7 +547,8 @@ class SearchState:
         head = None
         ranked = []  # rank[c], bound, c
         for c in children:
-            q = pos[partner[c]]
+            w = partner[c]
+            q = pos[w]
             if q:
                 bound = close_low if q == lowest else close
                 if q == t:
@@ -525,6 +556,8 @@ class SearchState:
                 bound += soft[c]
             else:
                 bound = base + soft[c]
+                if pred_placed[w] < close_need[c]:  # w cannot follow c
+                    bound += k3
             if bound >= cutoff:
                 drops += 1
             elif not by_after[c] or self._legal(c):
@@ -546,7 +579,8 @@ class SearchState:
 
         S counts closed pairs with a gap, open pairs, and separated pairs
         with no end placed yet. The last job's open pair is exempt only
-        when it is not separated: its partner may still come next. N counts
+        while its partner may still come next: the pair is not separated,
+        and the partner waits on no unplaced hard predecessor. N counts
         the soft edges violated so far, the forced ones from the root on,
         and one future violation per live packed triangle.
         """
@@ -557,8 +591,12 @@ class SearchState:
         if open_list:
             # the last job opened a pair exactly when it sits at the newest
             # open position
-            if open_list[-1] == t and not self.separated[self.pair_of[self.prefix[-1]]]:
-                s_c -= 1  # the last job's pair can still close adjacently
+            if open_list[-1] == t:
+                last = self.prefix[-1]
+                w = self.partner[last]
+                if (not self.separated[self.pair_of[last]]
+                        and self.pred_placed[w] == self.npreds[w]):
+                    s_c -= 1  # the last job's pair can still close adjacently
             if t - open_list[0] > l_c:
                 l_c = t - open_list[0]
         k = self.k
@@ -640,24 +678,25 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     best_tour: tuple[int, ...] | None = None
     best_bd: CostBreakdown | None = None
     cutoff = state.unbounded  # the incumbent's objective once there is one
-    # frame: [node bound, [(child, bound), ...], next child index]
-    frames: list[list] = [[state.lower_bound(), state.extend_candidates(cutoff), 0]]
+    # bound once here, after any wrapper on the class is in place
+    place, unplace, extend = state.place, state.unplace, state.extend_candidates
+    prefix = state.prefix
+    node_limit = cfg.node_limit or sys.maxsize
+    # frame: (node bound, iterator over its [(child, bound), ...])
+    frames: list[tuple] = [(state.lower_bound(), iter(extend(cutoff)))]
     nodes = 1
     tried = 0
     loop_prunes = cycle_prunes = leaves = max_depth = 0
     interrupted = False
 
     while frames:
-        frame = frames[-1]
-        cands = frame[1]
-        i = frame[2]
-        if i == len(cands):
+        child = next(frames[-1][1], None)
+        if child is None:
             frames.pop()
             if frames:
-                state.unplace()
+                unplace()
             continue
-        frame[2] = i + 1
-        c, clb = cands[i]
+        c, clb = child
 
         tried += 1
         if tried & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
@@ -668,14 +707,15 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         if clb >= cutoff:
             loop_prunes += 1
             continue
-        if state.place(c) and state.forced_cycle():
+        if place(c) and state.forced_cycle():
             cycle_prunes += 1
-            state.unplace()
+            unplace()
             continue
-        if len(state.prefix) == k:
+        depth = len(prefix)
+        if depth == k:
             leaves += 1
             max_depth = k
-            perm = Permutation(tuple(state.prefix))
+            perm = Permutation(tuple(prefix))
             bd = breakdown(inst, perm)
             if bd.objective != clb:
                 raise AssertionError("committed cost disagrees with recomputation")
@@ -684,15 +724,15 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             # only children below the incumbent are tried: every leaf improves
             best_tour, best_bd = perm.tour, bd
             cutoff = bd.objective
-            state.unplace()
+            unplace()
             continue
-        if cfg.node_limit is not None and nodes >= cfg.node_limit:
+        if nodes >= node_limit:
             interrupted = True
             break
-        frames.append([clb, state.extend_candidates(cutoff), 0])
+        frames.append((clb, iter(extend(cutoff))))
         nodes += 1
-        if len(state.prefix) > max_depth:
-            max_depth = len(state.prefix)
+        if depth > max_depth:
+            max_depth = depth
 
     drops = state.bound_drops
 

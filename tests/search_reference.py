@@ -12,10 +12,12 @@ id (it broke them by id alone), and ``chain_reach`` takes successor lists
 and in-degrees, returns the full hard reach as well, and returns None on
 a cycle.
 
-Neither reference has the soft-cycle N floor. The tests hold them to the
-solver's own state with its floors set to zero: ``NFloorlessSearchState``
-without the N floor, ``FloorlessSearchState`` without the separated-pair
-floor as well. ``replay`` builds any of these states from a prefix.
+Neither reference has the soft-cycle N floor or the S charge for a pair
+opened while its partner waits on a hard predecessor. The tests hold them
+to the solver's own state with those set to zero: ``ChargelessSearchState``
+without the charge, ``NFloorlessSearchState`` without the N floor as well,
+``FloorlessSearchState`` without the separated-pair floor on top.
+``replay`` builds any of these states from a prefix.
 ``id_tie_order`` gives any of them the branch order from before the bound
 tie-break, so two bounds can be compared on one order.
 """
@@ -28,8 +30,46 @@ from ctwkit.model import Instance
 from ctwkit.solver import SearchState, chain_reach
 
 
-class NFloorlessSearchState(SearchState):
-    """The solver's state with the soft-cycle N floor set to zero.
+class ChargelessSearchState(SearchState):
+    """The solver's state without the partner-waiting S charge.
+
+    A pair that a child opens is exempt from S while the child is last
+    unless it is separated, whether or not its partner still waits on an
+    unplaced hard predecessor: ``close_need`` charges no job, and
+    ``lower_bound`` is the solver's from before the charge, verbatim.
+    """
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self.close_need = [0] * (inst.k + 1)
+
+    def lower_bound(self) -> int:
+        """Objective that every valid completion of this prefix must reach.
+
+        S counts closed pairs with a gap, open pairs, and separated pairs
+        with no end placed yet. The last job's open pair is exempt only
+        when it is not separated: its partner may still come next. N counts
+        the soft edges violated so far, the forced ones from the root on,
+        and one future violation per live packed triangle.
+        """
+        t = len(self.prefix)
+        open_list = self.open_list
+        s_c = self.closed_s + len(open_list) + self.sep_unplaced
+        l_c = self.closed_l
+        if open_list:
+            # the last job opened a pair exactly when it sits at the newest
+            # open position
+            if open_list[-1] == t and not self.separated[self.pair_of[self.prefix[-1]]]:
+                s_c -= 1  # the last job's pair can still close adjacently
+            if t - open_list[0] > l_c:
+                l_c = t - open_list[0]
+        k = self.k
+        return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
+
+
+class NFloorlessSearchState(ChargelessSearchState):
+    """The solver's state with the S charge and the soft-cycle N floor set
+    to zero.
 
     N counts only the soft edges violated so far: every soft edge is
     counted as it falls, and no triangle is packed. The bound of
@@ -39,18 +79,20 @@ class NFloorlessSearchState(SearchState):
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
-        k = inst.k
-        self.soft_after_of = [[] for _ in range(k + 1)]
-        self.soft_pending = [0] * (k + 1)
+        # refilled in place: ``place``/``unplace`` read these per-job lists
+        # through the tuples in ``links``
+        for after, through in zip(self.soft_after_of, self.triangles_of):
+            after.clear()
+            through.clear()
+        self.soft_pending = [0] * (inst.k + 1)
         for i, j in inst.soft_atomic:
             self.soft_after_of[i].append(j)
             self.soft_pending[j] += 1
-        self.triangles_of = [[] for _ in range(k + 1)]
         self.n_committed = 0
 
 
 class FloorlessSearchState(NFloorlessSearchState):
-    """The solver's state with both floors set to zero.
+    """The solver's state with the charge and both floors set to zero.
 
     No pair counts as separated either, so S counts closed pairs with a
     gap and open pairs, and exempts the last job's open pair whether or

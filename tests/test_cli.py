@@ -309,9 +309,9 @@ def test_solve_json_reports_search_counters(five_dat, capsys):
     code, out, _ = run_cli(capsys, "solve", five_dat, "--no-timestamps")
     assert code == 0
     assert json.loads(out)["stats"] == {
-        "nodes_expanded": 14, "time_ms": 0, "proven_lower_bound": 160,
-        # 21 children priced = 6 bound prunes + 2 leaves + 13 nodes below the root
-        "children_priced": 21, "bound_prunes": 6, "cycle_prunes": 0,
+        "nodes_expanded": 11, "time_ms": 0, "proven_lower_bound": 160,
+        # 17 children priced = 5 bound prunes + 2 leaves + 10 nodes below the root
+        "children_priced": 17, "bound_prunes": 5, "cycle_prunes": 0,
         "leaves": 2, "max_depth": 5,
     }
 

@@ -3,13 +3,15 @@
 Each floor is held to the search without it. ``FloorlessSearchState``
 keeps neither floor: S counts closed pairs with a gap and open pairs, and
 exempts the last job's open pair whether or not a hard chain separates
-it. ``NFloorlessSearchState`` adds the separated-pair floor back, and the
-solver's ``SearchState`` adds the soft-cycle N floor on top. Running
-``solve`` with the weaker state in place of ``SearchState`` gives the
-reference search. Both weaker states price through the solver's one-pass
-``extend_candidates``; ``FloorlessSearchState`` is held to the pre-floor
-``child_bound``, kept unchanged in
-``search_reference.FloorlessReferenceState``, on random states.
+it. ``NFloorlessSearchState`` adds the separated-pair floor back,
+``ChargelessSearchState`` the soft-cycle N floor on top, and the solver's
+``SearchState`` the S charge for a pair opened while its partner waits on
+a hard predecessor. Running ``solve`` with the weaker state in place of
+``SearchState`` gives the reference search. The weaker states price
+through the solver's one-pass ``extend_candidates``;
+``FloorlessSearchState`` is held to the pre-floor ``child_bound``, kept
+unchanged in ``search_reference.FloorlessReferenceState``, on random
+states.
 
 The solver breaks ties between jobs with as many hard successors by the
 lower child bound, so a stronger bound also reorders the branches. The
@@ -34,9 +36,9 @@ from ctwkit.digraph import DiGraph
 from ctwkit.generate import GenParams, generate_planted
 from ctwkit.reduction import mas_to_ctw
 
-from search_reference import (FloorlessReferenceState, FloorlessSearchState,
-                              NFloorlessSearchState, check_pricing_in_lockstep,
-                              id_tie_order, replay)
+from search_reference import (ChargelessSearchState, FloorlessReferenceState,
+                              FloorlessSearchState, NFloorlessSearchState,
+                              check_pricing_in_lockstep, id_tie_order, replay)
 from test_search_golden import (ANYTIME_NODE_LIMIT, anytime_cases,
                                 exact_cases)
 from test_solver import pricing_cases
@@ -145,9 +147,10 @@ def test_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
 
 
 def test_n_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
+    # both states without the S charge
     finished, further, nodes_floor, nodes_reference = check_dominance(
         monkeypatch, id_tie_order(NFloorlessSearchState),
-        id_tie_order(ctwkit.solver.SearchState), dominance_cases())
+        id_tie_order(ChargelessSearchState), dominance_cases())
     assert finished >= 20
     assert nodes_floor < nodes_reference
     assert further >= 1
@@ -156,10 +159,21 @@ def test_n_floor_reaches_every_reference_incumbent_no_later(monkeypatch):
 def test_n_floor_on_mas_proves_the_same_optimum_in_fewer_nodes(monkeypatch):
     finished, _, nodes_floor, nodes_reference = check_dominance(
         monkeypatch, id_tie_order(NFloorlessSearchState),
-        id_tie_order(ctwkit.solver.SearchState), mas_cases())
+        id_tie_order(ChargelessSearchState), mas_cases())
     assert finished == 16
     # the bound was the committed N alone: the floor cuts MAS proofs hard
     assert 2 * nodes_floor < nodes_reference
+
+
+def test_charge_reaches_every_reference_incumbent_no_later(monkeypatch):
+    # the S charge for a pair opened while its partner waits on a hard
+    # predecessor, on top of both floors
+    finished, further, nodes_charged, nodes_reference = check_dominance(
+        monkeypatch, id_tie_order(ChargelessSearchState),
+        id_tie_order(ctwkit.solver.SearchState), dominance_cases())
+    assert finished >= 20
+    assert nodes_charged < nodes_reference
+    assert further >= 1
 
 
 def test_bound_tie_break_on_mas_proves_the_same_optimum_in_fewer_nodes(monkeypatch):

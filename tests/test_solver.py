@@ -84,8 +84,9 @@ def test_extend_candidates_reference_cases(five_job):
     st = replay(SearchState, five_job, [])
     cands = st.extend_candidates()
     # 4 and 1 wait for predecessors; urgency order: most unplaced
-    # successors first; every child pays the separated pair (1, 3)
-    assert cands == [(3, 125), (5, 125), (2, 125)]
+    # successors first; every child pays the separated pair (1, 3), and 2
+    # also its own pair: it opens (2, 4) while 4 waits on 3 and 5
+    assert cands == [(3, 125), (5, 125), (2, 250)]
     assert st.extend_candidates(125) == []  # none beats an incumbent of 125
 
     st = replay(SearchState, five_job, [5, 3, 4])
