@@ -33,7 +33,6 @@ from .generate import generate as generate_instance
 from .costs import breakdown
 from .solver import ResultState, SolverConfig, solve
 
-DEFAULT_TIME_LIMIT_MS = 300_000
 TIME_LIMIT_ENV = "CTW_TIME_LIMIT_MS"
 
 STATE_EXIT = {
@@ -64,7 +63,7 @@ def _write(text: str, out: str | None):
 def _default_time_limit() -> int:
     raw = os.environ.get(TIME_LIMIT_ENV)
     if raw is None:
-        return DEFAULT_TIME_LIMIT_MS
+        return SolverConfig.time_limit_ms
     try:
         value = int(raw)
     except ValueError:
@@ -151,10 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _breakdown_doc(bd) -> dict:
-    return {"S": bd.S, "M": bd.M, "L": bd.L, "N": bd.N, "objective": bd.objective}
-
-
 def _cmd_solve(args) -> int:
     inst = formats.load_instance(args.instance)
     cfg = SolverConfig(
@@ -169,18 +164,9 @@ def _cmd_solve(args) -> int:
             "engine": args.engine,
             "state": result.state.value,
             "objective": result.best[1].objective if result.best else None,
-            "breakdown": _breakdown_doc(result.best[1]) if result.best else None,
+            "breakdown": dataclasses.asdict(result.best[1]) if result.best else None,
             "tour": list(result.best[0].tour) if result.best else None,
-            "stats": {
-                "nodes_expanded": result.stats.nodes_expanded,
-                "time_ms": time_ms,
-                "proven_lower_bound": result.stats.proven_lower_bound,
-                "children_priced": result.stats.children_priced,
-                "bound_prunes": result.stats.bound_prunes,
-                "cycle_prunes": result.stats.cycle_prunes,
-                "leaves": result.stats.leaves,
-                "max_depth": result.stats.max_depth,
-            },
+            "stats": {**dataclasses.asdict(result.stats), "time_ms": time_ms},
         }
         _write(_dump_json(doc), args.out)
     else:
@@ -207,10 +193,10 @@ def _cmd_validate(args) -> int:
         return 4
     doc["violations"] = [str(v) for v in violations]
     if bd is not None:
-        doc["breakdown"] = _breakdown_doc(bd)
+        doc["breakdown"] = dataclasses.asdict(bd)
     doc["valid"] = not violations
     if sol.claimed is not None and bd is not None:
-        doc["claim_matches"] = _breakdown_doc(sol.claimed) == doc["breakdown"]
+        doc["claim_matches"] = sol.claimed == bd
     _write(_dump_json(doc), args.out)
     return 0 if not violations else 4
 

@@ -15,17 +15,18 @@ Four textual formats are supported:
   comma before ``}`` are accepted, and exactly these six parameters must
   each appear once. Anything else is a hard error.
 
-  A well-formed, valid text is accepted by a scanner that makes a few
-  C-level passes per statement: one anchored regex per statement, one
-  ``subn`` per set that replaces every entry with a placeholder to check
-  the set's shape, ``translate`` and ``split`` to read the integers, and
-  ``min``/``max`` tests for the ranges. No pattern repeats a group, so the
-  regex engine keeps no state per entry. A text the scanner rejects is
-  read again from the start by a token walk: one regex scan into token
-  strings, walked by index. Only the walk raises a ``ParseError``, which
-  carries the line and column of the offending token (lines as
-  ``str.splitlines`` counts them); they are worked out only on that error
-  path, by scanning the text again line by line up to the token.
+  A scanner reads the syntax only, in a few C-level passes per
+  statement: one anchored regex per statement, one ``subn`` per set that
+  replaces every entry with a placeholder to check the set's shape, and
+  ``translate`` and ``split`` to read the integers. No pattern repeats a
+  group, so the regex engine keeps no state per entry. Whether the values
+  make a valid instance is decided by ``Instance`` alone. A text that the
+  scanner or ``Instance`` rejects is read again from the start by a token
+  walk: one regex scan into token strings, walked by index. Only the walk
+  raises a ``ParseError``, which carries the line and column of the
+  offending token (lines as ``str.splitlines`` counts them); they are
+  worked out only on that error path, by scanning the text again line by
+  line up to the token.
 
 * ``.dzn`` -- the same data as MiniZinc-style assignments (emit only).
   Non-empty constraint tables use 2-d array literals, empty ones use
@@ -51,10 +52,9 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
-from operator import eq
 
 from .costs import CostBreakdown
-from .errors import ParseError, SchemaError
+from .errors import InstanceError, ParseError, SchemaError
 from .model import Instance, Permutation
 
 DAT_PARAMS = (
@@ -130,7 +130,7 @@ _TO_SPACE = str.maketrans("<>,", "   ")
 
 
 def _scan_dat(text: str) -> dict[str, object] | None:
-    """The six values of ``text`` when it is well-formed and valid, else None.
+    """The six values of ``text`` when it is well-formed, else None.
 
     Tuple sets come back as lists of tuples and DirectSuccessors as a list
     of ints, duplicates kept. A set's shape is checked by replacing every
@@ -138,9 +138,10 @@ def _scan_dat(text: str) -> dict[str, object] | None:
     ``x,x,...,x`` (one ``x`` per replaced entry) and an optional trailing
     comma after at least one entry; an ``x`` in the input itself makes the
     lengths differ. The integers are then read by ``split``. Entries carry
-    no sign, because no negative id is in range. Every check ``_walk_dat``
-    makes is made here in bulk, so a text accepted here is one that
-    ``_walk_dat`` reads to the same values.
+    no sign, because no negative id is in range. No semantic check (b
+    against k, ranges, self-loops, ...) is made here: ``Instance`` makes
+    them. A text accepted here is one whose values ``_walk_dat`` reads the
+    same before its own semantic checks.
     """
     seen: dict[str, object] = {}
     pos = 0
@@ -160,25 +161,9 @@ def _scan_dat(text: str) -> dict[str, object] | None:
         seen[name] = value
     if len(seen) < len(DAT_PARAMS) or text[pos:].strip():
         return None
-    k = seen["k"]
-    b = seen["b"]
-    if b < 0 or 2 * b > k:  # together these also give k >= 0
-        return None
-    ds = seen["DirectSuccessors"]
-    if ds and (min(ds) < 1 or max(ds) > 2 * b):
-        return None
     for name, arity in _TUPLE_SETS:
-        flat = seen[name]
-        if flat and (min(flat) < 1 or max(flat) > k):
-            return None
-        # a self-loop or a trivial disjunct: columns 0 and 1 (or 2 and 3) agree
-        for col in range(0, arity, 2):
-            if any(map(eq, flat[col::arity], flat[col + 1::arity])):
-                return None
-        values = iter(flat)
+        values = iter(seen[name])
         seen[name] = list(zip(*[values] * arity))
-    if not set(seen["SoftAtomicConstraints"]).isdisjoint(seen["AtomicConstraints"]):
-        return None
     return seen
 
 
@@ -289,11 +274,15 @@ def _read_tuple_set(text: str, toks: list[str], i: int, arity: int):
             raise _error(text, i, f"expected ',' or '}}', found '{tok}'")
 
 
-def _dedupe(name: str, values: list) -> tuple:
-    out = tuple(dict.fromkeys(values))
-    dropped = len(values) - len(out)
+def _warn_dropped(name: str, values: list, kept: tuple) -> None:
+    dropped = len(values) - len(kept)
     if dropped:
         warnings.warn(f"{name}: {dropped} duplicate entr{'y' if dropped == 1 else 'ies'} dropped")
+
+
+def _dedupe(name: str, values: list) -> tuple:
+    out = tuple(dict.fromkeys(values))
+    _warn_dropped(name, values, out)
     return out
 
 
@@ -304,22 +293,26 @@ def parse_dat(text: str) -> Instance:
     invariant breaches (ids out of range, b > k/2, a pair both hard and
     soft, ...) are errors.
 
-    ``_scan_dat`` accepts a well-formed, valid text. A text it rejects is
-    read again from the start by the token walk, ``_walk_dat``, which
-    explains the rejection with a ``ParseError`` (and would return the
-    Instance of a valid spelling the scan did not know).
+    ``_scan_dat`` reads a well-formed text, and ``Instance`` decides
+    whether its deduplicated values are valid. A text either of them
+    rejects is read again from the start by the token walk, ``_walk_dat``,
+    which explains the rejection with a ``ParseError`` and warns of its own
+    duplicates (it would return the Instance of a valid spelling the scan
+    did not know). This path therefore warns of duplicates only after the
+    Instance is built, so that each warning comes once.
     """
     seen = _scan_dat(text)
     if seen is None:
         return _walk_dat(text)
-    return Instance(
-        k=seen["k"],
-        b=seen["b"],
-        atomic=_dedupe("AtomicConstraints", seen["AtomicConstraints"]),
-        soft_atomic=_dedupe("SoftAtomicConstraints", seen["SoftAtomicConstraints"]),
-        disjunctive=_dedupe("DisjunctiveConstraints", seen["DisjunctiveConstraints"]),
-        direct_successors=_dedupe("DirectSuccessors", seen["DirectSuccessors"]),
-    )
+    sets = {name: tuple(dict.fromkeys(seen[name])) for name in DAT_PARAMS[2:]}
+    try:
+        # DAT_PARAMS names the sets in the order of Instance's fields
+        inst = Instance(seen["k"], seen["b"], *sets.values())
+    except InstanceError:
+        return _walk_dat(text)
+    for name, kept in sets.items():
+        _warn_dropped(name, seen[name], kept)
+    return inst
 
 
 def _walk_dat(text: str) -> Instance:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import Instance, Permutation
+from .polycases import ds_only_solve
 
 
 class GenMode(Enum):
@@ -93,11 +94,7 @@ def generate_planted(params: GenParams) -> tuple[Instance, Permutation | None]:
 
     jobs = list(range(1, k + 1))
     if mode is GenMode.DS_ONLY:
-        tour = []
-        for i in range(1, b + 1):
-            tour.extend((i, i + b))
-        tour.extend(range(2 * b + 1, k + 1))
-        plant = Permutation(tuple(tour))
+        plant = ds_only_solve(Instance(k=k, b=b))
     else:
         shuffled = jobs[:]
         rng.shuffle(shuffled)

@@ -18,6 +18,7 @@ contribute to the cost of a solution, never to its validity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -94,11 +95,17 @@ class Instance:
         for name, kind in (("atomic", AtomicConstraint), ("soft_atomic", AtomicConstraint),
                            ("disjunctive", DisjunctiveConstraint)):
             object.__setattr__(self, name, _constraints(kind, getattr(self, name)))
-        object.__setattr__(self, "direct_successors", tuple(map(int, self.direct_successors)))
+        try:
+            ds = tuple(map(operator.index, self.direct_successors))
+        except TypeError as exc:
+            raise InstanceError(f"direct_successors: {exc}") from None
+        object.__setattr__(self, "direct_successors", ds)
         self._check()
 
     def _check(self):
         k = self.k
+        if not (isinstance(k, int) and isinstance(self.b, int)):
+            raise InstanceError(f"k and b must be integers: k={k!r}, b={self.b!r}")
         if self.b < 0 or k < 0:
             raise InstanceError(f"negative size: k={k}, b={self.b}")
         if 2 * self.b > k:

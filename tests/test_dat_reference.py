@@ -6,8 +6,8 @@ and a ``_Cursor`` walked through method calls. Its module-level name
 ``parse_dat`` is the reference; the parser under test is always called as
 ``formats.parse_dat``. On every mutated input both must agree: an equal
 Instance and the same warnings, or the same error type, message, line and
-column. The scanner that ``formats.parse_dat`` tries before its token walk
-must accept exactly the texts the reference accepts.
+column. A text the reference accepts must never reach the token walk,
+``formats._walk_dat``, and each text it rejects must be explained by it.
 """
 
 import random
@@ -15,6 +15,7 @@ import re
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -319,27 +320,48 @@ def _outcome(parse, text):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-def test_parse_dat_matches_reference_parser():
-    rng = random.Random(20201126)
-    counts = {"ok": 0, "ParseError": 0, "warned": 0, "scanned": 0}
-    for _ in range(6000):
+def _walked(text):
+    """The outcome of ``formats.parse_dat`` on ``text``, and whether the
+    text reached ``formats._walk_dat`` (at most once)."""
+    with mock.patch.object(formats, "_walk_dat", wraps=formats._walk_dat) as walk:
+        outcome = _outcome(formats.parse_dat, text)
+    assert walk.call_args_list in ([], [mock.call(text)]), walk.call_args_list
+    return outcome, walk.called
+
+
+def _assert_matches_reference(seed: int, count: int) -> dict[str, int]:
+    """Compare both parsers on ``count`` mutated texts drawn from ``seed``.
+
+    Returns the counts of outcomes, of texts with warnings, of texts that
+    reached the walk, and of those the scanner had read (so ``Instance``
+    sent them there).
+    """
+    rng = random.Random(seed)
+    counts = {"ok": 0, "ParseError": 0, "warned": 0, "walked": 0, "scanned": 0}
+    for _ in range(count):
         text = _base_text(rng)
         for _ in range(rng.choice((1, 1, 2, 3))):
             text = _mutate(rng, text)
-        new = _outcome(formats.parse_dat, text)
+        new, walked = _walked(text)
         assert new == _outcome(parse_dat, text), repr(text)
         kind = new[0][0]
         counts[kind] = counts.get(kind, 0) + 1
         counts["warned"] += bool(new[1])
-        # the scanner accepts exactly the texts the reference accepts
-        scanned = formats._scan_dat(text) is not None
-        assert scanned == (kind == "ok"), repr(text)
-        counts["scanned"] += scanned
-    # the mix must keep exercising both outcomes and the warnings
-    assert counts["ok"] >= 600, counts
-    assert counts["ParseError"] >= 3000, counts
-    assert counts["warned"] >= 150, counts
-    assert counts["scanned"] == counts["ok"], counts
+        # every accepted text skips the walk, every rejected one is explained by it
+        assert walked == (kind != "ok"), repr(text)
+        counts["walked"] += walked
+        counts["scanned"] += walked and formats._scan_dat(text) is not None
+    # the mix must keep exercising both outcomes, both ways into the walk
+    # and the warnings
+    assert counts["ok"] >= count // 10, counts
+    assert counts["ParseError"] >= count // 2, counts
+    assert counts["scanned"] >= count // 20, counts
+    assert counts["warned"] >= count // 40, counts
+    return counts
+
+
+def test_parse_dat_matches_reference_parser():
+    _assert_matches_reference(20201126, 6000)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +403,8 @@ _VALID_SPELLINGS = {
 
 # Texts that a shape check by placeholders could take for valid ones: a
 # literal ``x`` (the placeholder), a set of commas only, and duplicates in
-# a text that a later check rejects (their warnings must come once).
+# a text that a later check rejects (their warnings must come once). Then
+# well-formed texts with one fault that only ``Instance`` finds.
 _TRAPS = {
     "placeholder alone": _PLAIN.replace("{<2,1>}", "{x}"),
     "placeholder after an entry": _PLAIN.replace("{<2,1>}", "{<2,1>,x}"),
@@ -397,15 +420,22 @@ _TRAPS = {
     "double comma": _PLAIN.replace("<3,4>}", "<3,4>,,<4,5>}"),
     "duplicates, then an overlap": _PLAIN.replace("{<1,2>, <3,4>}", "{<1,2>, <1,2>, <2,1>}"),
     "duplicates, then a self-loop": _PLAIN.replace("{1,3}", "{1,3,3}").replace("<2,1>", "<2,2>"),
+    "b above k/2": _PLAIN.replace("b = 2", "b = 3"),
+    "negative k": _PLAIN.replace("k = 5", "k = -1"),
+    "id outside 1..k": _PLAIN.replace("<3,4>", "<3,6>"),
+    "DirectSuccessors end above 2b": _PLAIN.replace("{1,3}", "{1,5}"),
+    "self-loop": _PLAIN.replace("<3,4>", "<3,3>"),
+    "trivial disjunct": _PLAIN.replace("<1,5,2,5>", "<1,5,2,2>"),
+    "hard/soft overlap": _PLAIN.replace("{<2,1>}", "{<1,2>}"),
 }
 
 
 def test_valid_spellings_are_scanned():
     for name, text in _VALID_SPELLINGS.items():
-        new = _outcome(formats.parse_dat, text)
+        new, walked = _walked(text)
         assert new == _outcome(parse_dat, text), name
         assert new[0][0] == "ok", name
-        assert formats._scan_dat(text) is not None, name
+        assert not walked, name
     warned = _outcome(formats.parse_dat, _VALID_SPELLINGS["duplicates"])[1]
     assert [message for _, message in warned] == [
         "AtomicConstraints: 3 duplicate entries dropped",
@@ -416,10 +446,10 @@ def test_valid_spellings_are_scanned():
 
 def test_traps_are_rejected_and_explained_once():
     for name, text in _TRAPS.items():
-        new = _outcome(formats.parse_dat, text)
+        new, walked = _walked(text)
         assert new == _outcome(parse_dat, text), name
         assert new[0][0] == "ParseError", name
-        assert formats._scan_dat(text) is None, name
+        assert walked, name
     warned = _outcome(formats.parse_dat, _TRAPS["duplicates, then an overlap"])[1]
     assert [message for _, message in warned] == [
         "AtomicConstraints: 1 duplicate entry dropped"

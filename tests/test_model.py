@@ -319,6 +319,12 @@ def test_canonical_sorts_constraints():
             dict(k=3, b=0, atomic=[(1, 2)], soft_atomic=[(1, 2), (1, 2)]),
             "duplicate entries in soft_atomic",
         ),
+        (dict(k=5.0, b=1), "k and b must be integers: k=5.0, b=1"),
+        (dict(k=4, b=1.0), "k and b must be integers: k=4, b=1.0"),
+        (
+            dict(k=4, b=1, direct_successors=[1.5]),
+            "direct_successors: 'float' object cannot be interpreted as an integer",
+        ),
     ],
 )
 def test_instance_error_messages(fields, message):
