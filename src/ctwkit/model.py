@@ -19,9 +19,11 @@ contribute to the cost of a solution, never to its validity.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import digraph
@@ -95,6 +97,11 @@ class Instance:
         for name, kind in (("atomic", AtomicConstraint), ("soft_atomic", AtomicConstraint),
                            ("disjunctive", DisjunctiveConstraint)):
             object.__setattr__(self, name, _constraints(kind, getattr(self, name)))
+        try:  # every id an integer, in one C-level pass
+            deque(map(operator.index, chain.from_iterable(
+                chain(self.atomic, self.soft_atomic, self.disjunctive))), 0)
+        except TypeError as exc:
+            raise InstanceError(f"constraint ids must be integers: {exc}") from None
         try:
             ds = tuple(map(operator.index, self.direct_successors))
         except TypeError as exc:

@@ -148,6 +148,13 @@ class SearchState:
     bound of a leaf is its objective. ``extend_candidates`` prices every
     child in one pass from these values without placing anything.
 
+    The positions are the only record of what a placement decided. A
+    disjunct holds once its 'before' job is placed first, dies once its
+    'after' job is placed first, and is undecided while both are unplaced,
+    so its state is read off ``pos``. The undo stack keeps just the four
+    committed totals before each placement; ``unplace`` finds the rest
+    from the positions, since placements undo last in, first out.
+
     ``place``/``unplace`` keep, alongside:
 
     * ``open_list``, the positions of the placed ends of open pairs in
@@ -160,12 +167,14 @@ class SearchState:
       triangles through it, which die with its placement. For a ready job
       this is never negative: each live triangle through it enters it by
       a distinct soft edge from an unplaced job (a hard chain into it
-      starts at a placed job).
+      starts at a placed job);
+    * ``forced_out``, per job a, the jobs oc of the disjuncts (a, oc) made
+      mandatory: the other disjunct died while a and oc were unplaced.
 
     ``forced_cycle`` relies on an invariant of the search: over the
-    unplaced jobs, atomic edges plus the disjunction survivors forced
-    before the last placement form an acyclic graph (``acyclic`` covers
-    the atomic edges, earlier checks the survivors, and placing a job only
+    unplaced jobs, atomic edges plus the disjuncts made mandatory before
+    the last placement form an acyclic graph (``acyclic`` covers
+    the atomic edges, earlier checks the disjuncts, and placing a job only
     removes edges). It therefore holds for states reached by search, not
     for an arbitrary replay of placements.
     """
@@ -207,20 +216,12 @@ class SearchState:
         for i in inst.direct_successors:
             self.direct[i] = True
 
-        # two state cells per disjunction, 2 * index + slot: 0 undecided,
-        # 1 true, -1 false. A job's watch entries name the cell of each
-        # disjunct it ends, with the other jobs involved.
-        self.dstate = [0] * (2 * len(inst.disjunctive))
-        by_before: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
-        by_after: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(k + 1)]
-        for idx, d in enumerate(inst.disjunctive):
-            for cell, (a, c), (oa, oc) in ((2 * idx, d[:2], d[2:]),
-                                          (2 * idx + 1, d[2:], d[:2])):
-                by_before[a].append((cell, c))
-                # the other disjunct's cell and jobs: it is forced when
-                # this one dies undecided
-                by_after[c].append((cell, a, cell ^ 1, oa, oc))
-        self.by_before = by_before
+        # per job c: each disjunct (before, c) it ends, with the other
+        # disjunct (oa, oc) of its disjunction
+        by_after: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
+        for a, c, oa, oc in inst.disjunctive:
+            by_after[c].append((a, oa, oc))
+            by_after[oc].append((oa, a, c))
         self.by_after = by_after
 
         # per pair, indexed by its lower end: 1 when a hard chain runs
@@ -292,35 +293,34 @@ class SearchState:
         self.soft_pending = soft_pending  # per job: the N placing it commits
         self.triangles_of = triangles_of
         # per job, all that place/unplace read of it in one tuple: partner,
-        # soft successors, triangles, hard successors and watch lists
-        self.links = list(zip(self.partner, soft_after_of, triangles_of, succs,
-                              by_before, by_after))
+        # soft successors, triangles, hard successors and disjuncts it ends
+        self.links = list(zip(self.partner, soft_after_of, triangles_of, succs, by_after))
 
         self.open_list: list[int] = []  # placed-end positions of open pairs, ascending
         self.closed_s = 0
         self.closed_l = 0
         self.m_committed = 0
         self.n_committed = n_floor
-        # disjuncts whose alternative died: now mandatory precedences, both
-        # endpoints unplaced at creation time; forced_out indexes them by
-        # their 'before' job
-        self.forced: list[tuple[int, int]] = []
+        # per job a: the 'after' jobs of the disjuncts (a, oc) that became
+        # mandatory when the other disjunct died with a, oc both unplaced
         self.forced_out: list[list[int]] = [[] for _ in range(k + 1)]
-        self._undo: list[tuple] = []
+        self._undo: list[tuple] = []  # per placement: the committed S, L, M, N before it
         # children extend_candidates dropped for a bound at or above the cutoff
         self.bound_drops = 0
 
     # -- placement ---------------------------------------------------------
 
-    def place(self, c: int):
-        other_end, soft_after, triangles, succs, by_before, by_after = self.links[c]
+    def place(self, c: int) -> bool:
+        """Put c next; True when c kills a disjunct whose alternative
+        becomes mandatory: the killed disjunct's 'before' job and both jobs
+        of the alternative are all unplaced."""
+        other_end, soft_after, triangles, succs, by_after = self.links[c]
         pos = self.pos
         prefix = self.prefix
         t1 = len(prefix) + 1
         open_list = self.open_list
         spans_here = len(open_list)  # pairs open across c's position
-        opened = False
-        prev = (self.closed_s, self.closed_l, self.m_committed, self.n_committed)
+        self._undo.append((self.closed_s, self.closed_l, self.m_committed, self.n_committed))
         q = pos[other_end]  # c closes the pair opened at q; 0: it does not
         if q:
             open_list.remove(q)
@@ -331,7 +331,6 @@ class SearchState:
                 self.closed_l = t1 - q - 1
         elif other_end:
             open_list.append(t1)
-            opened = True
             self.sep_unplaced -= self.separated[self.pair_of[c]]
         if spans_here > self.m_committed:
             self.m_committed = spans_here
@@ -355,39 +354,22 @@ class SearchState:
             if pred_placed[s] == npreds[s] and pos[s] == 0:
                 ready.add(s)
 
-        forced_added = 0
-        if by_before or by_after:
-            dstate = self.dstate
-            transitions = []
-            for cell, after in by_before:
-                if dstate[cell] == 0 and pos[after] == 0:
-                    dstate[cell] = 1
-                    transitions.append(cell)
-            for cell, before, ocell, oa, oc in by_after:
-                if dstate[cell] == 0 and pos[before] == 0:
-                    dstate[cell] = -1
-                    transitions.append(cell)
-                    if dstate[ocell] == 0:  # the survivor is now mandatory
-                        self.forced.append((oa, oc))
-                        self.forced_out[oa].append(oc)
-                        forced_added += 1
-        else:
-            transitions = ()
-
-        self._undo.append((c, prev, opened, q, transitions, forced_added))
-        return forced_added
+        forced = False
+        for before, oa, oc in by_after:
+            if not (pos[before] or pos[oa] or pos[oc]):
+                self.forced_out[oa].append(oc)
+                forced = True
+        return forced
 
     def unplace(self):
-        c, prev, opened, q, transitions, forced_added = self._undo.pop()
-        _, soft_after, triangles, succs, _, _ = self.links[c]
-        if forced_added:
-            for a, _ in self.forced[-forced_added:]:
-                self.forced_out[a].pop()
-            del self.forced[-forced_added:]
-        if transitions:
-            dstate = self.dstate
-            for cell in transitions:
-                dstate[cell] = 0
+        """Take back the last placement. Placements undo last in, first
+        out, so every other job sits where it was when c was placed."""
+        c = self.prefix.pop()
+        other_end, soft_after, triangles, succs, by_after = self.links[c]
+        pos = self.pos
+        for before, oa, oc in by_after:
+            if not (pos[before] or pos[oa] or pos[oc]):
+                self.forced_out[oa].pop()
         ready = self.ready
         pred_placed = self.pred_placed
         npreds = self.npreds
@@ -397,8 +379,6 @@ class SearchState:
             pred_placed[s] -= 1
         if pred_placed[c] == npreds[c]:
             ready.add(c)
-        self.prefix.pop()
-        pos = self.pos
         pos[c] = 0
         soft_pending = self.soft_pending
         for s in soft_after:
@@ -407,33 +387,37 @@ class SearchState:
             if not (pos[u] or pos[w]):
                 soft_pending[u] -= 1
                 soft_pending[w] -= 1
-        self.closed_s, self.closed_l, self.m_committed, self.n_committed = prev
+        self.closed_s, self.closed_l, self.m_committed, self.n_committed = self._undo.pop()
+        q = pos[other_end]
         if q:
             insort(self.open_list, q)
-        elif opened:
+        elif other_end:
             self.open_list.pop()
             self.sep_unplaced += self.separated[self.pair_of[c]]
 
     def forced_cycle(self) -> bool:
         """True when mandatory precedences over the unplaced jobs conflict.
 
-        Atomic edges plus disjunction survivors, restricted to unplaced
-        jobs; a cycle there means no completion of this prefix can be
-        valid. Called only after placements that created forced edges.
+        Atomic edges plus the mandatory disjuncts (``forced_out``),
+        restricted to unplaced jobs; a cycle there means no completion of
+        this prefix can be valid. Called after placements that made a
+        disjunct mandatory.
 
         By the invariant in the class docstring, a new cycle must run
-        through a survivor (a, b) that the last placement added, and it
-        exists exactly when a is reachable from b over unplaced jobs. Each
-        such edge gets one depth-first search along atomic successors and
-        current survivors.
+        through a disjunct (a, b) that the last placement made mandatory,
+        and it exists exactly when a is reachable from b over unplaced
+        jobs. ``place``'s test finds those disjuncts again among the ones
+        the last job ends. Each gets one depth-first search along atomic
+        successors and mandatory disjuncts.
         """
-        fresh = self._undo[-1][-1] if self._undo else 0  # its forced_added
-        if not fresh:
+        if not self.prefix:
             return False
         pos = self.pos
         succs = self.succs
         forced_out = self.forced_out
-        for a, b in self.forced[-fresh:]:
+        for before, a, b in self.by_after[self.prefix[-1]]:
+            if pos[before] or pos[a] or pos[b]:
+                continue
             seen = {b}
             stack = [b]
             while stack:
@@ -450,14 +434,17 @@ class SearchState:
     # -- candidate generation and pricing ----------------------------------
 
     def _legal(self, c: int) -> bool:
-        """True when placing c kills no disjunction; for a job whose hard
-        predecessors are all placed."""
-        dstate = self.dstate
-        for cell, _, ocell, _, oc in self.by_after[c]:
-            if dstate[cell] == 0:
-                # this undecided disjunct dies when c is placed
-                other = dstate[ocell]
-                if other == -1 or (other == 0 and oc == c):
+        """True when placing c kills no disjunction; for an unplaced job
+        whose hard predecessors are all placed.
+
+        Placing c kills each disjunct (before, c) with 'before' unplaced.
+        Its disjunction then rests on the other disjunct (oa, oc), which
+        fails once oc is placed, or is c, unless oa was placed first.
+        """
+        pos = self.pos
+        for before, oa, oc in self.by_after[c]:
+            if not pos[before] and (pos[oc] or oc == c):
+                if not pos[oa] or pos[oc] and pos[oc] < pos[oa]:
                     return False
         return True
 

@@ -77,6 +77,29 @@ def soft_heavy_instances(rng: random.Random, count: int, max_k: int):
         yield dataclasses.replace(inst, soft_atomic=inst.soft_atomic + tuple(sorted(back))), plant
 
 
+def general_disjunction_instances(rng: random.Random, count: int, lo: int, hi: int):
+    """Planted instances on lo..hi jobs whose disjunctions each join four
+    distinct jobs, (a < c) or (x < y), a shape ``generate_planted`` never
+    draws: its disjunctions share a job between the two disjuncts. Only
+    here can a disjunct die while both jobs of the other one are placed,
+    the other in the wrong order. Most disjunctions hold on the plant; a
+    few need not, which may move the optimum or leave no valid order."""
+    for _ in range(count):
+        k = rng.randint(lo, hi)
+        b = rng.randint(0, k // 2)
+        inst, plant = generate_planted(GenParams(
+            b=b, n=k - 2 * b, p_atomic=rng.choice((0.1, 0.25)),
+            p_soft=rng.choice((0.0, 0.1)), p_disjunctive=0.0,
+            ds_count=rng.randint(0, b), seed=rng.randrange(2 ** 30)))
+        pos = plant._pos
+        disjunctive = set()
+        for _ in range(rng.randint(1, k)):
+            a, c, x, y = rng.sample(range(1, k + 1), 4)
+            if pos[a] < pos[c] or pos[x] < pos[y] or rng.random() < 0.15:
+                disjunctive.add((a, c, x, y))
+        yield dataclasses.replace(inst, disjunctive=tuple(sorted(disjunctive)))
+
+
 def mas_instances(rng: random.Random, count: int, lo: int, hi: int):
     """MAS encodings of random digraphs on lo..hi vertices whose arcs are
     drawn independently, so some vertex pairs are joined both ways."""

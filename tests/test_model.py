@@ -325,6 +325,19 @@ def test_canonical_sorts_constraints():
             dict(k=4, b=1, direct_successors=[1.5]),
             "direct_successors: 'float' object cannot be interpreted as an integer",
         ),
+        (
+            dict(k=4, b=0, atomic=[(1.5, 2)]),
+            "constraint ids must be integers: 'float' object cannot be interpreted as an integer",
+        ),
+        (
+            dict(k=4, b=0, soft_atomic=[(1, 2), (3, "4")]),
+            "constraint ids must be integers: 'str' object cannot be interpreted as an integer",
+        ),
+        (
+            dict(k=4, b=0, disjunctive=[(1, 2, 3, None)]),
+            "constraint ids must be integers: "
+            "'NoneType' object cannot be interpreted as an integer",
+        ),
     ],
 )
 def test_instance_error_messages(fields, message):

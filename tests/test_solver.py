@@ -22,7 +22,8 @@ from ctwkit.solver import chain_reach
 
 from ctwkit.bench import run_engine
 
-from conftest import mas_instances, random_instance, soft_heavy_instances
+from conftest import (general_disjunction_instances, mas_instances, random_instance,
+                      soft_heavy_instances)
 from test_search_golden import ANYTIME_NODE_LIMIT, anytime_cases, exact_cases
 from search_reference import (NFloorlessSearchState, ReferenceSearchState,
                               check_pricing_in_lockstep, replay)
@@ -286,12 +287,25 @@ def test_leaf_bound_equals_objective():
 
 def full_scan_forced_cycle(st):
     """Reference: topological sort of every atomic edge and survivor over
-    the unplaced jobs."""
+    the unplaced jobs. A survivor is a disjunct whose other disjunct died,
+    its 'after' job placed while its 'before' job was not, read off the
+    positions alone."""
     pos = st.pos
+
+    def dead(a, c):
+        return pos[c] and not 0 < pos[a] < pos[c]
+
+    survivors = []
+    for d in st.inst.disjunctive:
+        first, second = d.disjuncts()
+        if dead(*first):
+            survivors.append(second)
+        if dead(*second):
+            survivors.append(first)
     indeg = {}
     out = {}
     edges = 0
-    for a, b in list(st.inst.atomic) + list(st.forced):
+    for a, b in list(st.inst.atomic) + survivors:
         if pos[a] == 0 and pos[b] == 0:
             out.setdefault(a, []).append(b)
             indeg[b] = indeg.get(b, 0) + 1
@@ -385,8 +399,9 @@ def test_child_bound_equals_bound_after_place():
 
 
 def pricing_cases(rng):
-    """Small instances of every mode, and exact- and anytime-shaped planted
-    ones as the benchmark builds them."""
+    """Small instances of every mode, exact- and anytime-shaped planted
+    ones as the benchmark builds them, and ones whose disjunctions join four
+    distinct jobs."""
     cases = [random_instance(rng, ALL_MODES[t % 4], max_k=9)[0] for t in range(60)]
     for idx in range(30):
         k = rng.randint(10, 13)
@@ -401,6 +416,7 @@ def pricing_cases(rng):
             b=b, n=k - 2 * b, p_atomic=rng.choice((0.08, 0.18)),
             p_soft=rng.choice((0.01, 0.1)), p_disjunctive=rng.choice((0.05, 0.1)),
             ds_count=rng.randint(0, b), seed=rng.randrange(2 ** 30)))[0])
+    cases += general_disjunction_instances(rng, 30, 6, 13)
     return cases
 
 
@@ -436,6 +452,28 @@ def test_open_list_tracks_open_positions():
                 st.place(c)
                 ref.place(c)
     assert checked >= 3000
+
+
+def test_unplace_restores_every_field():
+    # after any mix of placements, legal or not, and undos, the state is
+    # the one a fresh replay of its prefix builds, mandatory disjuncts too
+    rng = random.Random(139)
+    checked = forced = 0
+    for inst in pricing_cases(rng)[::3]:
+        st = SearchState(inst)
+        for _ in range(3 * inst.k):
+            unplaced = [c for c in range(1, inst.k + 1) if st.pos[c] == 0]
+            children = st.extend_candidates()
+            if st.prefix and (rng.random() < 0.35 or not unplaced):
+                st.unplace()
+            elif children and rng.random() < 0.7:
+                st.place(rng.choice(children)[0])
+            else:
+                st.place(rng.choice(unplaced))
+            assert vars(st) == vars(replay(SearchState, inst, st.prefix)), (inst, st.prefix)
+            checked += 1
+            forced += any(st.forced_out)
+    assert checked >= 1500 and forced >= 200
 
 
 def test_forced_cycle_matches_full_scan():
@@ -515,11 +553,10 @@ def test_ready_jobs_have_no_placed_successor(monkeypatch):
 def test_matches_oracle_on_mixed_instances():
     rng = random.Random(83)
     mismatches = 0
-    for trial in range(60):
-        mode = rng.choice(
-            (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE, GenMode.ATOMIC_ONLY, GenMode.DS_ONLY)
-        )
-        inst, _ = random_instance(rng, mode, max_k=7)
+    cases = [random_instance(rng, rng.choice(ALL_MODES), max_k=7)[0] for _ in range(60)]
+    # disjunctions over four distinct jobs, which the generator never draws
+    cases += general_disjunction_instances(rng, 30, 6, 8)
+    for inst in cases:
         oracle_result = enumerate_solutions(inst)
         bb = solve(inst)
         if oracle_result.valid_count == 0:
