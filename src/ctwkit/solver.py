@@ -36,6 +36,18 @@ by ``place``/``unplace``. The forced-edge cycle check searches only from
 the edges the last placement added, by reachability, instead of
 rescanning every atomic edge.
 
+Once an incumbent exists, a dominance rule drops children too: the
+adjacent-interchange rule of sequencing branch-and-bound. At a node X·a,
+a child c that opens no pair, after an a that closed none, is dropped
+when X·c·a does no worse than X·a·c for every completion: no hard chain
+a -> c and no disjunct joining a and c, so both orders leave the same
+mandatory disjuncts; swapping them commits no more S, M or L (a pair a
+opened opens one place later); and the soft edges between them favour
+c first, or tie with c < a. That strict order means two prefixes never
+drop each other, so an optimum survives. The test reads a static
+per-job mask and the positions. Children priced before the first
+incumbent are thinned once, when it lands.
+
 Children are tried in a fixed order: a partner forced by a direct
 successor constraint, then the unplaced end of the most recently opened
 pair, then the jobs with the most hard successors, ties broken by the
@@ -46,6 +58,7 @@ limited run stops, never which branch comes first.
 
 from __future__ import annotations
 
+import operator
 import sys
 import time
 from bisect import insort
@@ -75,10 +88,22 @@ class SolverConfig:
     node_limit: int | None = None
 
     def __post_init__(self):
+        _set_limit(self, "time_limit_ms")
         if self.time_limit_ms <= 0:
             raise ValueError("time_limit_ms must be positive")
-        if self.node_limit is not None and self.node_limit <= 0:
-            raise ValueError("node_limit must be positive when given")
+        if self.node_limit is not None:
+            _set_limit(self, "node_limit")
+            if self.node_limit <= 0:
+                raise ValueError("node_limit must be positive when given")
+
+
+def _set_limit(cfg: SolverConfig, name: str):
+    """Store the limit ``name`` as the int ``operator.index`` reads: a float
+    such as nan or 2.5, or None, is no count a search could stop at."""
+    try:
+        object.__setattr__(cfg, name, operator.index(getattr(cfg, name)))
+    except TypeError as exc:
+        raise ValueError(f"{name} must be an integer: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -94,7 +119,9 @@ class SolveStats:
     branch-and-bound leave them 0. ``children_priced`` counts the children
     given a bound and not then found illegal. Each is one of:
     ``bound_prunes`` (bound at or above the incumbent's objective),
-    ``cycle_prunes`` (placed, then a forced-precedence cycle), ``leaves``
+    ``swap_prunes`` (dropped by the swap rule: swapping the child with the
+    last job does no worse), ``cycle_prunes`` (placed, then a
+    forced-precedence cycle), ``leaves``
     (complete tours, each an improving incumbent), a new node
     (``nodes_expanded`` minus the root), or the one child a node or time
     limit stopped at. ``max_depth`` is the longest prefix expanded or
@@ -106,6 +133,7 @@ class SolveStats:
     proven_lower_bound: int | None
     children_priced: int = 0
     bound_prunes: int = 0
+    swap_prunes: int = 0
     cycle_prunes: int = 0
     leaves: int = 0
     max_depth: int = 0
@@ -147,6 +175,14 @@ class SearchState:
     At a full prefix the committed values equal the exact criteria, so the
     bound of a leaf is its objective. ``extend_candidates`` prices every
     child in one pass from these values without placing anything.
+
+    ``swap[a]`` is a static bitset per job a of the jobs c for which
+    X·c·a does no worse than X·a·c, whenever c opens no pair and a closed
+    none: no hard chain a -> c, no disjunct joining a and c, and a soft
+    c -> a without a soft a -> c, or the soft edges the same both ways and
+    c < a. It is built once from ``chain_reach`` and one pass over the
+    soft and disjunctive constraints; an instance with a hard cycle gets
+    none.
 
     The positions are the only record of what a placement decided. A
     disjunct holds once its 'before' job is placed first, dies once its
@@ -216,14 +252,6 @@ class SearchState:
         for i in inst.direct_successors:
             self.direct[i] = True
 
-        # per job c: each disjunct (before, c) it ends, with the other
-        # disjunct (oa, oc) of its disjunction
-        by_after: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
-        for a, c, oa, oc in inst.disjunctive:
-            by_after[c].append((a, oa, oc))
-            by_after[oc].append((oa, a, c))
-        self.by_after = by_after
-
         # per pair, indexed by its lower end: 1 when a hard chain runs
         # through a third job between its ends, so they are never adjacent.
         # A hard cycle leaves no valid order: ``solve`` stops on ``acyclic``
@@ -231,6 +259,10 @@ class SearchState:
         reaches = chain_reach(succs, npreds)
         self.acyclic = reaches is not None
         reach, deep = reaches or ([0] * (k + 1), [0] * (k + 1))
+        # the swap masks (see the class docstring): c < a and no hard chain
+        # a -> c; below, a lone soft edge between a and c moves the bit, and
+        # a disjunct joining them clears it
+        swap = [0] + [(1 << a) - 2 & ~reach[a] for a in range(1, k + 1)]
         self.separated = [0] + [
             (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
         ]
@@ -268,6 +300,9 @@ class SearchState:
                 else:
                     soft_after_of[i].append(j)
                     soft_pending[j] += 1
+                    if j < i:
+                        swap[j] |= 1 << i
+                        swap[i] &= ~(1 << j)
 
         # a greedy packing of triangles that share no soft edge: each closes
         # a soft edge (i, j) by a job w with j -> w -> i, each side a soft
@@ -292,6 +327,20 @@ class SearchState:
         self.soft_after_of = soft_after_of
         self.soft_pending = soft_pending  # per job: the N placing it commits
         self.triangles_of = triangles_of
+
+        # per job c: each disjunct (before, c) it ends, with the other
+        # disjunct (oa, oc) of its disjunction
+        by_after: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
+        for a, c, oa, oc in inst.disjunctive:
+            by_after[c].append((a, oa, oc))
+            by_after[oc].append((oa, a, c))
+            swap[a] &= ~(1 << c)
+            swap[c] &= ~(1 << a)
+            swap[oa] &= ~(1 << oc)
+            swap[oc] &= ~(1 << oa)
+        self.by_after = by_after
+        # without a reach there is no ruling out a hard chain a -> c
+        self.swap = swap if self.acyclic else [0] * (k + 1)
         # per job, all that place/unplace read of it in one tuple: partner,
         # soft successors, triangles, hard successors and disjuncts it ends
         self.links = list(zip(self.partner, soft_after_of, triangles_of, succs, by_after))
@@ -305,8 +354,10 @@ class SearchState:
         # mandatory when the other disjunct died with a, oc both unplaced
         self.forced_out: list[list[int]] = [[] for _ in range(k + 1)]
         self._undo: list[tuple] = []  # per placement: the committed S, L, M, N before it
-        # children extend_candidates dropped for a bound at or above the cutoff
+        # children extend_candidates dropped for a bound at or above the
+        # cutoff, and by the swap rule
         self.bound_drops = 0
+        self.swap_drops = 0
 
     # -- placement ---------------------------------------------------------
 
@@ -476,6 +527,16 @@ class SearchState:
         load, L when it closes the oldest pair. A child at or above
         ``cutoff`` is dropped before its legality is checked; when the base
         alone reaches it, only the open pairs' unplaced ends are priced.
+
+        A ``cutoff`` below ``unbounded`` stands for an incumbent, and then
+        the swap rule drops a child c below it, also before legality, when
+        the last job a closed no pair (its partner is unplaced, or it is
+        one-sided), c opens none (its partner is placed, or it is
+        one-sided) and bit c of ``swap[a]`` is set. Such a P = X·a·c has a
+        P' = X·c·a that commits the same mandatory disjuncts, no more S, M
+        or L, and N lower by [soft c -> a] - [soft a -> c], with ties
+        going to the lower id. Without an incumbent the rule waits, and
+        ``drop_dominated`` applies it once one lands.
         """
         prefix = self.prefix
         t = len(prefix)
@@ -506,16 +567,23 @@ class SearchState:
             close = base - k2 if n_open > self.m_committed else base
             # closing the oldest pair shortens its stretch by one
             close_low = close - k if t1 - lowest > self.closed_l else close
-
-        if t and self.direct[prefix[-1]]:
-            p = partner[prefix[-1]]
-            if pos[p] == 0:
-                # the last job opened this pair: p closes it adjacently
-                bound = (close_low if n_open == 1 else close) - k3 + soft[p]
-                if bound >= cutoff:
-                    self.bound_drops += 1
-                    return []
-                return [(p, bound)] if p in self.ready and self._legal(p) else []
+        swap = 0  # the jobs c with X·c·a no worse than X·a·c, a the last job
+        if t:
+            a = prefix[-1]
+            p = partner[a]
+            if not pos[p]:  # a closed no pair
+                if cutoff < self.unbounded:  # an incumbent exists
+                    swap = self.swap[a]
+                if self.direct[a]:
+                    # a opened this pair: p comes next and closes it adjacently
+                    bound = (close_low if n_open == 1 else close) - k3 + soft[p]
+                    if bound >= cutoff:
+                        self.bound_drops += 1
+                        return []
+                    if swap >> p & 1:
+                        self.swap_drops += 1
+                        return []
+                    return [(p, bound)] if p in self.ready and self._legal(p) else []
 
         ready = self.ready
         by_after = self.by_after
@@ -547,6 +615,8 @@ class SearchState:
                     bound += k3
             if bound >= cutoff:
                 drops += 1
+            elif swap >> c & 1 and (q or not w):  # c opens no pair
+                self.swap_drops += 1
             elif not by_after[c] or self._legal(c):
                 if c == fresh:
                     head = (c, bound)
@@ -558,6 +628,29 @@ class SearchState:
         out = [head] if head else []
         out += [(c, bound) for _, bound, c in ranked]
         return out
+
+    def drop_dominated(self, frames: list[tuple]) -> None:
+        """Apply the swap rule of ``extend_candidates`` to children priced
+        before an incumbent existed, as if it had.
+
+        ``frames[d]`` is (bound, iterator over the children still waiting)
+        of the node at the prefix's first d jobs. Each iterator the rule
+        thins is replaced by one over the children it keeps there; the
+        drops count in ``swap_drops``.
+        """
+        pos = self.pos
+        partner = self.partner
+        prefix = self.prefix
+        for depth in range(1, len(frames)):
+            a = prefix[depth - 1]
+            swap = self.swap[a]
+            if swap and not 0 < pos[partner[a]] < depth:  # a closed no pair
+                bound, waiting = frames[depth]
+                waiting = list(waiting)
+                kept = [(c, cb) for c, cb in waiting if not (
+                    swap >> c & 1 and (0 < pos[partner[c]] <= depth or not partner[c]))]
+                self.swap_drops += len(waiting) - len(kept)
+                frames[depth] = (bound, iter(kept))
 
     # -- bounding ------------------------------------------------------------
 
@@ -708,6 +801,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                 raise AssertionError("committed cost disagrees with recomputation")
             if validate(inst, perm):
                 raise AssertionError("propagation admitted an invalid leaf")
+            if best_bd is None:
+                state.drop_dominated(frames)  # the swap rule waited for an incumbent
             # only children below the incumbent are tried: every leaf improves
             best_tour, best_bd = perm.tour, bd
             cutoff = bd.objective
@@ -722,10 +817,11 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             max_depth = depth
 
     drops = state.bound_drops
+    swaps = state.swap_drops
 
     def stats(proven: int | None) -> SolveStats:
-        return SolveStats(nodes, elapsed_ms(), proven, tried + drops,
-                          loop_prunes + drops, cycle_prunes, leaves, max_depth)
+        return SolveStats(nodes, elapsed_ms(), proven, tried + drops + swaps,
+                          loop_prunes + drops, swaps, cycle_prunes, leaves, max_depth)
 
     if interrupted:
         open_lbs = [f[0] for f in frames]

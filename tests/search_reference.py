@@ -12,14 +12,20 @@ id (it broke them by id alone), and ``chain_reach`` takes successor lists
 and in-degrees, returns the full hard reach as well, and returns None on
 a cycle.
 
-Neither reference has the soft-cycle N floor or the S charge for a pair
-opened while its partner waits on a hard predecessor. The tests hold them
-to the solver's own state with those set to zero: ``ChargelessSearchState``
-without the charge, ``NFloorlessSearchState`` without the N floor as well,
-``FloorlessSearchState`` without the separated-pair floor on top.
+Neither reference has the soft-cycle N floor, the S charge for a pair
+opened while its partner waits on a hard predecessor, or the swap rule
+(X·a·c dropped where X·c·a does no worse). The tests hold them to the
+solver's own state with those set to zero: ``SwaplessSearchState``
+without the swap rule, ``ChargelessSearchState`` without the charge as
+well, ``NFloorlessSearchState`` without the N floor on top,
+``FloorlessSearchState`` without the separated-pair floor on top of that.
 ``replay`` builds any of these states from a prefix.
 ``id_tie_order`` gives any of them the branch order from before the bound
 tie-break, so two bounds can be compared on one order.
+
+``swap_probe`` is the swap rule's reference: it replays X·c·a next to
+X·a·c and compares what they committed. ``check_swaps_in_lockstep``
+holds every child the solver drops by the rule to it.
 """
 
 from __future__ import annotations
@@ -30,8 +36,18 @@ from ctwkit.model import Instance
 from ctwkit.solver import SearchState, chain_reach
 
 
-class ChargelessSearchState(SearchState):
-    """The solver's state without the partner-waiting S charge.
+class SwaplessSearchState(SearchState):
+    """The solver's state without the swap rule: no job's mask lets a
+    child go, with or without an incumbent."""
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self.swap = [0] * (inst.k + 1)
+
+
+class ChargelessSearchState(SwaplessSearchState):
+    """The solver's state without the swap rule and the partner-waiting S
+    charge.
 
     A pair that a child opens is exempt from S while the child is last
     unless it is separated, whether or not its partner still waits on an
@@ -609,3 +625,130 @@ def check_pricing_in_lockstep(state, ref, rng, moves: int) -> int:
         else:
             break
     return compared
+
+
+def committed(st: SearchState) -> tuple:
+    """What a prefix commits its completions to: the closed S, M, closed L
+    and N so far, the position of each open pair's placed end, and the
+    mandatory disjuncts over unplaced jobs."""
+    pos = st.pos
+    opened = {st.pair_of[j]: pos[j] for j in st.prefix if st.partner[j] and not pos[st.partner[j]]}
+    mandatory = {(a, oc) for a in range(1, st.k + 1) if not pos[a] for oc in st.forced_out[a]}
+    return (st.closed_s, st.m_committed, st.closed_l, st.n_committed), opened, mandatory
+
+
+def place_if_legal(st: SearchState, c: int) -> bool:
+    """Place c when it may come next and closes no forced cycle: ready, no
+    disjunction killed, and not pushed aside by a direct successor
+    constraint of the last job. Returns whether it was placed."""
+    if st.prefix:
+        last = st.prefix[-1]
+        w = st.partner[last]
+        if st.direct[last] and not st.pos[w] and w != c:
+            return False
+    if c not in st.ready or not st._legal(c):
+        return False
+    if st.place(c) and st.forced_cycle():
+        st.unplace()
+        return False
+    return True
+
+
+def closes_forced_cycle(st: SearchState, c: int) -> bool:
+    """Whether placing c next leaves mandatory precedences in a cycle."""
+    cycle = st.place(c) and st.forced_cycle()
+    st.unplace()
+    return cycle
+
+
+def swap_probe(st: SearchState, c: int) -> bool:
+    """The swap rule by replay: at P = X·a (a the last job), True when
+    X·c·a is legal and does no worse than X·a·c, which is legal too.
+
+    Both place the same jobs. X·c·a must commit no more closed S, M,
+    closed L or N, open no pair earlier and leave the same mandatory
+    disjuncts, so every completion of X·a·c is valid after it and costs
+    no less there; and it must commit less closed S or N, or else c < a,
+    a strict order, so that no two prefixes drop each other. ``st`` is
+    as it was on return.
+    """
+    a = st.prefix[-1]
+    if not place_if_legal(st, c):
+        return False
+    (s1, m1, l1, n1), open1, mandatory1 = committed(st)
+    st.unplace()
+    st.unplace()
+    better = False
+    if place_if_legal(st, c):
+        if place_if_legal(st, a):
+            (s2, m2, l2, n2), open2, mandatory2 = committed(st)
+            better = (s2 <= s1 and m2 <= m1 and l2 <= l1 and n2 <= n1
+                      and open2.keys() == open1.keys()
+                      and all(open2[p] >= q for p, q in open1.items())
+                      and mandatory2 == mandatory1
+                      and (s2 < s1 or n2 < n1 or c < a))
+            st.unplace()
+        st.unplace()
+    st.place(a)
+    return better
+
+
+def check_swaps_in_lockstep(inst: Instance, rng, moves: int) -> tuple[int, int, int]:
+    """Walk the solver's state and ``SwaplessSearchState`` through the same
+    random prefixes that ``solve`` could reach, and at each compare the
+    children they keep with no cutoff (no incumbent: the same list) and
+    below cutoffs that stand for an incumbent. The solver's list must be
+    the swapless one, in order, less the children the rule drops, each of
+    which ``swap_probe`` confirms or which closes a forced cycle. Along
+    the way ``drop_dominated`` must thin the lists priced without an
+    incumbent on every node of the prefix to the lists priced with one.
+
+    Returns (states compared, children dropped, children the probe would
+    drop but the rule keeps).
+    """
+    state, swapless = SearchState(inst), SwaplessSearchState(inst)
+    compared = dropped = probe_only = 0
+    priced = []  # per node on the prefix: its children with no cutoff, and with an incumbent
+    for _ in range(moves):
+        children = swapless.extend_candidates()
+        assert state.extend_candidates() == children, (inst, state.prefix)
+        cutoffs = {state.unbounded - 1}
+        cutoffs.update(bound + d for _, bound in children for d in (0, 1))
+        for cutoff in cutoffs:
+            before = state.bound_drops, swapless.bound_drops, state.swap_drops
+            kept = state.extend_candidates(cutoff)
+            full = swapless.extend_candidates(cutoff)
+            gone = [ch for ch in full if ch not in kept]
+            assert kept == [ch for ch in full if ch not in gone], (inst, state.prefix, cutoff)
+            # the rule tests only children priced below the cutoff, legal or not
+            assert state.bound_drops - before[0] == swapless.bound_drops - before[1]
+            assert state.swap_drops - before[2] >= len(gone)
+            for c, _ in gone:
+                assert swap_probe(swapless, c) or closes_forced_cycle(swapless, c), \
+                    (inst, state.prefix, c)
+            dropped += len(gone)
+            if cutoff == state.unbounded - 1:
+                if state.prefix:
+                    probe_only += sum(swap_probe(swapless, c) for c, _ in kept)
+                incumbent = kept
+        # frames[d]: the node on the prefix's first d jobs, priced before
+        # an incumbent, and its children with one
+        frames = [(0, iter(full)) for full, _ in priced]
+        state.drop_dominated(frames)
+        assert [list(waiting) for _, waiting in frames[1:]] == [kept for _, kept in priced[1:]]
+        compared += 1
+        if state.prefix and (rng.random() < 0.3 or not children):
+            state.unplace()
+            swapless.unplace()
+            priced.pop()
+        elif children:
+            c = rng.choice(children)[0]
+            swapless.place(c)
+            if state.place(c) and state.forced_cycle():  # where solve prunes
+                state.unplace()
+                swapless.unplace()
+            else:
+                priced.append((children, incumbent))
+        else:
+            break
+    return compared, dropped, probe_only

@@ -4,14 +4,19 @@ Each floor is held to the search without it. ``FloorlessSearchState``
 keeps neither floor: S counts closed pairs with a gap and open pairs, and
 exempts the last job's open pair whether or not a hard chain separates
 it. ``NFloorlessSearchState`` adds the separated-pair floor back,
-``ChargelessSearchState`` the soft-cycle N floor on top, and the solver's
-``SearchState`` the S charge for a pair opened while its partner waits on
-a hard predecessor. Running ``solve`` with the weaker state in place of
-``SearchState`` gives the reference search. The weaker states price
-through the solver's one-pass ``extend_candidates``;
+``ChargelessSearchState`` the soft-cycle N floor on top, and
+``SwaplessSearchState`` the S charge for a pair opened while its partner
+waits on a hard predecessor. Running ``solve`` with the weaker state in
+place of ``SearchState`` gives the reference search. The weaker states
+price through the solver's one-pass ``extend_candidates``;
 ``FloorlessSearchState`` is held to the pre-floor ``child_bound``, kept
 unchanged in ``search_reference.FloorlessReferenceState``, on random
 states.
+
+All of these run without the swap rule, which drops children rather
+than pricing them higher, so it may cut the path to an improving leaf
+that a dominating prefix reaches later; ``tests/test_swap_rule.py``
+holds it to the probe and the oracle instead.
 
 The solver breaks ties between jobs with as many hard successors by the
 lower child bound, so a stronger bound also reorders the branches. The
@@ -38,7 +43,8 @@ from ctwkit.reduction import mas_to_ctw
 
 from search_reference import (ChargelessSearchState, FloorlessReferenceState,
                               FloorlessSearchState, NFloorlessSearchState,
-                              check_pricing_in_lockstep, id_tie_order, replay)
+                              SwaplessSearchState, check_pricing_in_lockstep,
+                              id_tie_order, replay)
 from test_search_golden import (ANYTIME_NODE_LIMIT, anytime_cases,
                                 exact_cases)
 from test_solver import pricing_cases
@@ -170,7 +176,7 @@ def test_charge_reaches_every_reference_incumbent_no_later(monkeypatch):
     # predecessor, on top of both floors
     finished, further, nodes_charged, nodes_reference = check_dominance(
         monkeypatch, id_tie_order(ChargelessSearchState),
-        id_tie_order(ctwkit.solver.SearchState), dominance_cases())
+        id_tie_order(SwaplessSearchState), dominance_cases())
     assert finished >= 20
     assert nodes_charged < nodes_reference
     assert further >= 1
@@ -181,8 +187,8 @@ def test_bound_tie_break_on_mas_proves_the_same_optimum_in_fewer_nodes(monkeypat
     # cheapest one first finds the optimum early
     nodes_id = nodes_bound = 0
     for inst, _ in mas_cases():
-        ref, _ = traced_solve(monkeypatch, id_tie_order(ctwkit.solver.SearchState), inst, None)
-        new, _ = traced_solve(monkeypatch, ctwkit.solver.SearchState, inst, None)
+        ref, _ = traced_solve(monkeypatch, id_tie_order(SwaplessSearchState), inst, None)
+        new, _ = traced_solve(monkeypatch, SwaplessSearchState, inst, None)
         assert new.state is ref.state is ResultState.OPTIMAL, inst
         assert new.best[1].objective == ref.best[1].objective, inst
         nodes_id += ref.stats.nodes_expanded

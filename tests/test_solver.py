@@ -26,7 +26,7 @@ from conftest import (general_disjunction_instances, mas_instances, random_insta
                       soft_heavy_instances)
 from test_search_golden import ANYTIME_NODE_LIMIT, anytime_cases, exact_cases
 from search_reference import (NFloorlessSearchState, ReferenceSearchState,
-                              check_pricing_in_lockstep, replay)
+                              SwaplessSearchState, check_pricing_in_lockstep, replay)
 
 ALL_MODES = (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE, GenMode.ATOMIC_ONLY,
              GenMode.DS_ONLY)
@@ -90,12 +90,19 @@ def test_extend_candidates_reference_cases(five_job):
     assert cands == [(3, 125), (5, 125), (2, 250)]
     assert st.extend_candidates(125) == []  # none beats an incumbent of 125
 
-    st = replay(SearchState, five_job, [5, 3, 4])
+    st = replay(SwaplessSearchState, five_job, [5, 3, 4])
     # successor constraint forces the partner, which closes (2, 4)
     # adjacently while (1, 3) stays open from position 2: S, M, L = 1, 1, 2
     assert st.extend_candidates() == [(2, 160)]
     assert st.extend_candidates(161) == [(2, 160)]
     assert st.extend_candidates(160) == []
+
+    # with an incumbent the swap rule drops it: 5 3 2 4 commits as much,
+    # and 2 < 4 breaks the tie
+    st = replay(SearchState, five_job, [5, 3, 4])
+    assert st.extend_candidates() == [(2, 160)]
+    assert st.extend_candidates(161) == []
+    assert (st.bound_drops, st.swap_drops) == (0, 1)
 
     st = replay(SearchState, five_job, [5, 3, 4, 2, 1])
     assert st.extend_candidates() == []
@@ -632,18 +639,19 @@ def test_proven_bound_is_sound():
 
 def counters(stats):
     return (stats.nodes_expanded, stats.children_priced, stats.bound_prunes,
-            stats.cycle_prunes, stats.leaves, stats.max_depth)
+            stats.swap_prunes, stats.cycle_prunes, stats.leaves, stats.max_depth)
 
 
 def counter_cases():
-    """Small instances of every mode to proof, the golden exact- and
-    anytime-shaped ones, and a run a 1 ms time limit stops."""
+    """Small instances of every mode to proof, the golden exact-shaped
+    ones, the anytime-shaped ones under their budget and under 50 nodes,
+    and a run a 1 ms time limit stops."""
     rng = random.Random(149)
     cases = [(random_instance(rng, ALL_MODES[t % 4], max_k=8)[0], SolverConfig())
              for t in range(40)]
     cases += [(generate_planted(p)[0], SolverConfig(node_limit=None)) for p in exact_cases()]
-    cases += [(generate_planted(p)[0], SolverConfig(node_limit=ANYTIME_NODE_LIMIT))
-              for p in anytime_cases()]
+    cases += [(generate_planted(p)[0], SolverConfig(node_limit=limit))
+              for p in anytime_cases() for limit in (50, ANYTIME_NODE_LIMIT)]
     cases.append((generate(GenParams(b=14, n=4, p_atomic=0.12, p_soft=0.02,
                                      p_disjunctive=0.08, ds_count=3, seed=31)),
                   SolverConfig(time_limit_ms=1)))
@@ -658,7 +666,7 @@ def test_search_counters_repeat_exactly():
 
 
 def test_search_counters_account_for_every_child_priced(monkeypatch):
-    stops = 0
+    stops = swaps = 0
     for inst, cfg in counter_cases():
         leaves = []
         price = ctwkit.solver.breakdown
@@ -669,19 +677,23 @@ def test_search_counters_account_for_every_child_priced(monkeypatch):
         st = res.stats
         stopped = int(res.state in (ResultState.SUBOPTIMAL, ResultState.UNSOLVED))
         stops += stopped
-        # each child priced was bound-pruned, cycle-pruned, a leaf, a new
-        # node (all but the root) or the one a limit stopped at
-        assert st.children_priced == (st.bound_prunes + st.cycle_prunes + st.leaves
-                                      + max(st.nodes_expanded - 1, 0) + stopped), inst
+        # each child priced was bound-pruned, dropped by the swap rule,
+        # cycle-pruned, a leaf, a new node (all but the root) or the one a
+        # limit stopped at
+        assert st.children_priced == (st.bound_prunes + st.swap_prunes + st.cycle_prunes
+                                      + st.leaves + max(st.nodes_expanded - 1, 0)
+                                      + stopped), inst
+        swaps += st.swap_prunes
         assert st.leaves == (len(leaves) if inst.k else 0)  # every leaf improves
         if st.leaves:
             assert st.max_depth == inst.k
         else:
             assert st.max_depth < max(inst.k, 1)
     assert stops >= 20
+    assert swaps >= 1000
     # no other engine runs a search: their counters stay 0
     topo = run_engine(Instance(k=3, b=0, atomic=[(1, 2)]), "topo", SolverConfig())
-    assert counters(topo.stats)[1:] == (0, 0, 0, 0, 0)
+    assert counters(topo.stats)[1:] == (0, 0, 0, 0, 0, 0)
 
 
 def mispriced_breakdown(inst, perm):
@@ -702,7 +714,32 @@ def test_leaf_checks_raise(monkeypatch, five_job, name, fake, message):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="time_limit_ms must be positive"):
         SolverConfig(time_limit_ms=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="node_limit must be positive when given"):
         SolverConfig(node_limit=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    # nan compares false both ways: it passed the old check and the
+    # deadline never came
+    ("time_limit_ms", float("nan")),
+    ("time_limit_ms", None),
+    ("time_limit_ms", 5.0),
+    ("time_limit_ms", "100"),
+    ("node_limit", 2.5),
+    ("node_limit", float("inf")),
+])
+def test_solver_config_rejects_non_integer_limits(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_stores_limits_as_ints(five_job):
+    class Count:
+        def __index__(self):
+            return 2
+
+    cfg = SolverConfig(time_limit_ms=Count(), node_limit=Count())
+    assert (type(cfg.time_limit_ms), type(cfg.node_limit)) == (int, int)
+    assert solve(five_job, SolverConfig(node_limit=Count())).stats.nodes_expanded == 2
