@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import digraph
 from .errors import InstanceError
@@ -172,6 +172,24 @@ class Instance:
         )
 
 
+def _ints(values: Iterable) -> tuple[int, ...]:
+    """``values`` as ints: a string is parsed, a number must be integral.
+
+    Raises ValueError for a non-integral number such as 1.5 or inf, which
+    ``int`` would truncate or overflow on, and for a string that is no int.
+    """
+    raw = tuple(values)
+    try:
+        out = tuple(map(int, raw))
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+    if out != raw:  # a string, or a number that int() changed
+        for x, n in zip(raw, out):
+            if n != x and not isinstance(x, str):
+                raise ValueError(f"entry {x!r} is not an integer")
+    return out
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A candidate solution, stored as the tour (job at position 1, 2, ...).
@@ -179,20 +197,23 @@ class Permutation:
     The dual view -- position of each job -- is derived once and cached.
     A Permutation may hold a non-bijective tour (e.g. read from a defective
     solution file); ``validate`` reports that instead of the constructor
-    rejecting it, and the cost functions refuse it with ValueError.
+    rejecting it, and the cost functions refuse it with ValueError. An
+    entry that is no integer (1.5, "a") raises ValueError here.
     """
 
     tour: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tour", tuple(map(int, self.tour)))
+        object.__setattr__(self, "tour", _ints(self.tour))
 
     @classmethod
     def from_positions(cls, positions: Sequence[int]) -> "Permutation":
         """Build from the job -> position map (positions[i-1] is job i's slot).
 
-        Raises ValueError when the map is not invertible.
+        Raises ValueError when the map is not invertible, or an entry is no
+        integer.
         """
+        positions = _ints(positions)
         k = len(positions)
         tour = [0] * k
         for job, p in enumerate(positions, start=1):

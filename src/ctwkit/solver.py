@@ -49,11 +49,11 @@ per-job mask and the positions. Children priced before the first
 incumbent are thinned once, when it lands.
 
 Children are tried in a fixed order: a partner forced by a direct
-successor constraint, then the unplaced end of the most recently opened
-pair, then the jobs with the most hard successors, ties broken by the
-lower child bound and then the lower id. The search is deterministic for
-a fixed instance and configuration; wall clock only decides when a
-limited run stops, never which branch comes first.
+successor constraint alone, else the lowest child bound first, ties
+broken by the lower id. The cheapest child leads to a good incumbent
+early, and an early incumbent prunes more of the proof. The search is
+deterministic for a fixed instance and configuration; wall clock only
+decides when a limited run stops, never which branch comes first.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from .costs import CostBreakdown, breakdown
 from .model import Instance, Permutation, validate
 
 _TIME_CHECK_MASK = 1023  # timer polled every 1024 children tried
+_JOB_AND_BOUND = operator.itemgetter(1, 0)  # (bound, job) -> (job, bound)
 
 
 class ResultState(Enum):
@@ -242,11 +243,6 @@ class SearchState:
         self.pred_placed = [0] * (k + 1)
         # unplaced jobs whose hard predecessors are all placed
         self.ready = {c for c in range(1, k + 1) if not npreds[c]}
-        # per job: its branch rank, most hard successors first; ties go to
-        # the lower child bound, then the lower id. A job is placed only
-        # after its hard predecessors, so an unplaced job's hard successors
-        # are all unplaced and the count never moves.
-        self.rank = [-len(s) for s in succs]
 
         self.direct = [False] * (k + 1)
         for i in inst.direct_successors:
@@ -504,13 +500,9 @@ class SearchState:
         first, each as (job, ``lower_bound()`` after placing it); empty at
         leaves and dead ends. ``cutoff`` None keeps every legal job.
 
-        Order: a partner forced by a direct successor constraint; else the
-        unplaced end of the most recently opened pair; else jobs with the
-        most hard successors (they need room after them), ties by the lower
-        child bound, then the lower id. A ready job's hard successors are
-        all unplaced, so this is the count of its unplaced ones too. Where
-        no job has a hard successor, as on the MAS reduction, the cheapest
-        child comes first, which finds a good incumbent early.
+        Order: a partner forced by a direct successor constraint, the only
+        legal child; else the lower child bound first, which finds a good
+        incumbent early, ties by the lower id.
 
         One pass prices every child. The base bound is that of a child
         that closes no pair: after it every open pair counts in S (a pair
@@ -587,11 +579,8 @@ class SearchState:
 
         ready = self.ready
         by_after = self.by_after
-        rank = self.rank
         pred_placed = self.pred_placed
         close_need = self.close_need
-        # the unplaced end of the most recently opened pair
-        fresh = partner[prefix[open_list[-1] - 1]] if n_open else 0
         if base < cutoff:
             children = ready
             drops = 0
@@ -599,8 +588,7 @@ class SearchState:
             # only a child that closes a pair can price below the base
             children = [c for q in open_list if (c := partner[prefix[q - 1]]) in ready]
             drops = len(ready) - len(children)
-        head = None
-        ranked = []  # rank[c], bound, c
+        priced = []  # bound, c
         for c in children:
             w = partner[c]
             q = pos[w]
@@ -618,16 +606,11 @@ class SearchState:
             elif swap >> c & 1 and (q or not w):  # c opens no pair
                 self.swap_drops += 1
             elif not by_after[c] or self._legal(c):
-                if c == fresh:
-                    head = (c, bound)
-                else:
-                    ranked.append((rank[c], bound, c))
+                priced.append((bound, c))
         if drops:
             self.bound_drops += drops
-        ranked.sort()
-        out = [head] if head else []
-        out += [(c, bound) for _, bound, c in ranked]
-        return out
+        priced.sort()
+        return list(map(_JOB_AND_BOUND, priced))
 
     def drop_dominated(self, frames: list[tuple]) -> None:
         """Apply the swap rule of ``extend_candidates`` to children priced

@@ -6,11 +6,11 @@ jobs in branch order, and ``child_bound(c)`` prices one child at a time.
 The tests walk it in lockstep with the solver's state and require the
 same jobs, order and bounds. ``FloorlessReferenceState`` is the bound from
 before the separated-pair floor, on the same state. Two things changed
-since, both outside the bound: the branch order breaks ties between jobs
-with as many hard successors by the lower ``child_bound``, then the lower
-id (it broke them by id alone), and ``chain_reach`` takes successor lists
-and in-degrees, returns the full hard reach as well, and returns None on
-a cycle.
+since, both outside the bound: the branch order is the lower
+``child_bound`` first, ties by the lower id (it was the unplaced end of
+the newest open pair first, then the most unplaced hard successors, ties
+by id alone), and ``chain_reach`` takes successor lists and in-degrees,
+returns the full hard reach as well, and returns None on a cycle.
 
 Neither reference has the soft-cycle N floor, the S charge for a pair
 opened while its partner waits on a hard predecessor, or the swap rule
@@ -20,8 +20,9 @@ without the swap rule, ``ChargelessSearchState`` without the charge as
 well, ``NFloorlessSearchState`` without the N floor on top,
 ``FloorlessSearchState`` without the separated-pair floor on top of that.
 ``replay`` builds any of these states from a prefix.
-``id_tie_order`` gives any of them the branch order from before the bound
-tie-break, so two bounds can be compared on one order.
+``id_tie_order`` gives any of them a branch order that ignores the bound,
+so two bounds can be compared on one order. ``RankFirstSearchState`` is
+the solver's state with the branch order from before the bound led it.
 
 ``swap_probe`` is the swap rule's reference: it replays X·c·a next to
 X·a·c and compares what they committed. ``check_swaps_in_lockstep``
@@ -122,19 +123,42 @@ class FloorlessSearchState(NFloorlessSearchState):
         self.sep_unplaced = 0
 
 
-def id_tie_order(cls):
-    """``cls`` with jobs that have as many hard successors tried in id
-    order, whatever their bounds: the order before the bound tie-break.
+def fresh_end(st: SearchState) -> int:
+    """The unplaced end of the most recently opened pair; 0 when no pair
+    is open."""
+    return st.partner[st.prefix[st.open_list[-1] - 1]] if st.open_list else 0
 
-    The rank becomes unique per job, so the bound in the sort key never
-    decides, and the order no longer depends on the bound at all.
+
+class RankFirstSearchState(SearchState):
+    """The solver's state with the branch order from before the child
+    bound led it: the unplaced end of the most recently opened pair first,
+    then the jobs with the most hard successors, ties by the lower child
+    bound, then the lower id. The same bounds, pruning and swap rule; the
+    children are re-sorted after pricing. ``drop_dominated`` only filters
+    the lists, so ``solve`` over this state is the earlier search.
+    """
+
+    def extend_candidates(self, cutoff: int | None = None) -> list[tuple[int, int]]:
+        fresh = fresh_end(self)
+        succs = self.succs
+        return sorted(super().extend_candidates(cutoff),
+                      key=lambda cb: (cb[0] != fresh, -len(succs[cb[0]]), cb[1], cb[0]))
+
+
+def id_tie_order(cls):
+    """``cls`` with its children re-sorted by a key that ignores their
+    bounds: the unplaced end of the most recently opened pair first, then
+    the most hard successors, then the lower id, as before the bound took
+    part in the order. The order then does not depend on the bound at
+    all, so two bounds can be compared on it.
     """
 
     class IdTie(cls):
-        def __init__(self, inst: Instance):
-            super().__init__(inst)
-            span = self.k + 1
-            self.rank = [c - span * len(s) for c, s in enumerate(self.succs)]
+        def extend_candidates(self, cutoff=None):
+            fresh = fresh_end(self)
+            succs = self.succs
+            return sorted(super().extend_candidates(cutoff),
+                          key=lambda cb: (cb[0] != fresh, -len(succs[cb[0]]), cb[0]))
 
     IdTie.__name__ = IdTie.__qualname__ = f"IdTie{cls.__name__}"
     return IdTie
@@ -171,8 +195,8 @@ class ReferenceSearchState:
     ``place``/``unplace`` clear.
 
     Alongside, each placement keeps the ready set (unplaced jobs whose
-    hard predecessors are all placed) and, per job, its count of unplaced
-    hard successors, so candidate generation never scans all k jobs.
+    hard predecessors are all placed), so candidate generation never
+    scans all k jobs.
 
     ``forced_cycle`` relies on an invariant of the search: over the
     unplaced jobs, atomic edges plus the disjunction survivors forced
@@ -198,13 +222,10 @@ class ReferenceSearchState:
             preds[j].append(i)
             succs[i].append(j)
         self.npreds = [len(p) for p in preds]
-        self.preds = preds
         self.succs = succs
         self.pred_placed = [0] * (k + 1)
         # unplaced jobs whose hard predecessors are all placed
         self.ready = {c for c in range(1, k + 1) if not preds[c]}
-        # per job: hard successors not yet placed
-        self.waiting = [len(s) for s in succs]
 
         self.ds = frozenset(inst.direct_successors)
 
@@ -289,9 +310,6 @@ class ReferenceSearchState:
             pred_placed[s] += 1
             if pred_placed[s] == npreds[s] and pos[s] == 0:
                 ready.add(s)
-        waiting = self.waiting
-        for p in self.preds[c]:
-            waiting[p] -= 1
 
         transitions = []
         forced_added = 0
@@ -333,9 +351,6 @@ class ReferenceSearchState:
             if pred_placed[s] == npreds[s]:
                 ready.discard(s)
             pred_placed[s] -= 1
-        waiting = self.waiting
-        for p in self.preds[c]:
-            waiting[p] += 1
         if pred_placed[c] == npreds[c]:
             ready.add(c)
         self.prefix.pop()
@@ -405,9 +420,7 @@ class ReferenceSearchState:
         """Legal next jobs, strongest branch first; empty at leaves/dead ends.
 
         Order: a partner forced by a direct successor constraint; else the
-        unplaced end of the most recently opened pair; else jobs with the
-        most unplaced hard successors (they need room after them), ties by
-        the lower ``child_bound``, then the lower id.
+        lower ``child_bound`` first, ties by the lower id.
         """
         t = len(self.prefix)
         if t == self.k:
@@ -422,14 +435,7 @@ class ReferenceSearchState:
         # only jobs that watch a disjunct can be ruled out once ready
         by_after = self.by_after
         legal = [c for c in self.ready if not by_after[c] or self._legal(c)]
-        waiting = self.waiting
-        legal.sort(key=lambda c: (-waiting[c], self.child_bound(c), c))
-        if self.open_pos:
-            freshest = max(self.open_pos, key=self.open_pos.__getitem__)
-            unplaced_end = freshest if pos[freshest] == 0 else freshest + self.b
-            if pos[unplaced_end] == 0 and unplaced_end in legal:
-                legal.remove(unplaced_end)
-                legal.insert(0, unplaced_end)
+        legal.sort(key=lambda c: (self.child_bound(c), c))
         return legal
 
     # -- bounding ------------------------------------------------------------

@@ -177,6 +177,12 @@ def test_validate_external_rejects_bad_permutations(five_job):
     row = validate_external(five_job, SolutionFile(None, "tour", (1, 2), None))
     assert row.state is ResultState.UNDEFINED
 
+    # a non-integral entry is a fault, not a truncated tour re-priced
+    for kind in ("tour", "positions"):
+        row = validate_external(five_job, SolutionFile(None, kind, (1.5, 2, 3, 4, 5), None))
+        assert row.state is ResultState.UNDEFINED and row.breakdown is None
+        assert row.flags == ("error:entry 1.5 is not an integer",)
+
     # valid permutation violating a hard constraint
     row = validate_external(five_job, SolutionFile(None, "tour", (1, 2, 3, 4, 5), None))
     assert row.state is ResultState.UNDEFINED

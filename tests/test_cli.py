@@ -310,9 +310,9 @@ def test_solve_json_reports_search_counters(five_dat, capsys):
     assert code == 0
     assert json.loads(out)["stats"] == {
         "nodes_expanded": 11, "time_ms": 0, "proven_lower_bound": 160,
-        # 17 children priced = 4 bound prunes + 1 swap prune + 2 leaves + 10
-        # nodes below the root
-        "children_priced": 17, "bound_prunes": 4, "swap_prunes": 1, "cycle_prunes": 0,
+        # 17 children priced = 5 bound prunes + 2 leaves + 10 nodes below
+        # the root
+        "children_priced": 17, "bound_prunes": 5, "swap_prunes": 0, "cycle_prunes": 0,
         "leaves": 2, "max_depth": 5,
     }
 

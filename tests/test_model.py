@@ -237,6 +237,19 @@ def test_permutation_coerces_entries_to_int():
         Permutation(None)
 
 
+@pytest.mark.parametrize("entries", [(1.5, 2.9, 3, 4), (1, 2, 3, float("inf")),
+                                     (1, 2, float("nan"), 4)])
+def test_permutation_rejects_non_integral_numbers(entries):
+    # int() would truncate 1.5 to 1 and so make up a tour nobody gave
+    with pytest.raises(ValueError):
+        Permutation(entries)
+    with pytest.raises(ValueError):
+        Permutation.from_positions(entries)
+    # an integral float is the int it equals
+    assert Permutation((1.0, 2, 3, 4)).tour == (1, 2, 3, 4)
+    assert Permutation.from_positions([2.0, 1, 3, 4]).tour == (2, 1, 3, 4)
+
+
 def test_canonical_sorts_constraints():
     inst = Instance(k=4, b=0, atomic=[(3, 4), (1, 2)])
     assert inst.canonical().atomic == ((1, 2), (3, 4))

@@ -76,7 +76,7 @@ def test_n_floor_reference_cases():
     # a triangle of two soft edges closed by a hard one
     triangle = SearchState(Instance(k=3, b=0, atomic=[(3, 1)], soft_atomic=[(1, 2), (2, 3)]))
     assert triangle.lower_bound() == 1
-    assert triangle.extend_candidates() == [(3, 1), (2, 1)]
+    assert triangle.extend_candidates() == [(2, 1), (3, 1)]
     assert replay(SearchState, triangle.inst, [2]).lower_bound() == 1  # 1 -> 2 fell
     # a soft triangle and the digon beside it share no soft edge: two
     # violations from the root

@@ -18,17 +18,19 @@ than pricing them higher, so it may cut the path to an improving leaf
 that a dominating prefix reaches later; ``tests/test_swap_rule.py``
 holds it to the probe and the oracle instead.
 
-The solver breaks ties between jobs with as many hard successors by the
-lower child bound, so a stronger bound also reorders the branches. The
-floors are therefore compared on one fixed order, the id tie-break of
-``search_reference.id_tie_order``, on both sides. There each floor is
-admissible, pruning stays ``>= incumbent`` and the candidate order does
-not depend on the bound, so the stronger bound visits a subset of the
-reference's nodes in the same order and reaches every improving leaf the
-reference reaches, at a node count no higher. Under a node budget it may
-then go on to further incumbents; run to proof, both searches end with
-the same trajectory and state. The bound tie-break itself is held to the
-same proven optimum in fewer nodes.
+The solver tries the child with the lowest bound first, so a stronger
+bound also reorders the branches. The floors are therefore compared on
+one fixed order, that of ``search_reference.id_tie_order`` (the unplaced
+end of the newest open pair, then the most hard successors, then the
+lower id), on both sides. There each floor is admissible, pruning stays
+``>= incumbent`` and the candidate order does not depend on the bound,
+so the stronger bound visits a subset of the reference's nodes in the
+same order and reaches every improving leaf the reference reaches, at a
+node count no higher. Under a node budget it may then go on to further
+incumbents; run to proof, both searches end with the same trajectory and
+state. The bound-first order itself is held to the same proven optimum
+in fewer nodes, here on MAS and in ``tests/test_branch_order.py`` on
+exact-shaped instances.
 """
 
 import random

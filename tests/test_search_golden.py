@@ -11,7 +11,7 @@ objectives, and only next to a dominance check against the previous
 bound (``tests/test_search_dominance.py``). A new branch order moves node
 counts and anytime tours; exact rows must then keep their state and
 objective, and a k = 10 row's tour must be in ``enumerate_solutions``'
-optimal set. Ties in the branch order break by child bound, so a stronger
+optimal set. The branch order leads with the child bound, so a stronger
 bound is also a new branch order, under which an anytime objective may
 move either way. A rule that drops a child for a prefix that does no
 worse (the swap rule) moves node counts and tours the same way, next to
@@ -65,47 +65,47 @@ def outcome(params: GenParams, node_limit: int | None) -> tuple:
 
 # fmt: off
 ANYTIME_GOLDEN = [
-    ('optimal', 491, 16901, 16901, '19 4 7 16 18 3 12 13 6 15 9 1 10 8 17 20 5 14 2 11'),
-    ('optimal', 114, 9828, 9828, '15 1 9 2 17 18 3 10 8 20 7 14 6 13 21 5 12 4 11 16 19'),
-    ('suboptimal', 500, 21891, 10648, '16 22 4 11 13 5 12 2 9 8 6 7 14 20 19 1 21 15 3 10 17 18'),
-    ('suboptimal', 500, 25578, 24335, '12 1 21 23 8 18 7 2 11 19 6 5 10 3 4 9 14 20 13 15 16 17 22'),
-    ('suboptimal', 500, 72412, 27649, '13 14 2 15 17 24 19 9 21 16 6 18 8 22 3 1 11 10 20 4 12 5 7 23'),
-    ('suboptimal', 500, 113478, 78127, '15 22 11 12 13 21 6 18 7 3 5 16 25 10 4 2 23 20 1 9 24 17 8 19 14'),
-    ('suboptimal', 500, 54500, 52731, '24 19 16 2 23 11 3 10 4 26 20 7 15 6 14 18 21 1 9 8 17 22 25 5 13 12'),
-    ('suboptimal', 500, 40260, 19683, '6 15 7 2 11 10 1 24 17 16 19 27 4 13 8 23 5 14 9 18 26 3 12 20 21 22 25'),
-    ('suboptimal', 500, 112478, 43905, '1 27 14 8 23 19 26 11 3 16 21 13 18 20 9 6 5 2 4 12 22 7 15 10 17 24 25 28'),
-    ('suboptimal', 500, 250333, 219504, '22 2 16 8 21 17 24 12 25 18 6 10 15 28 7 20 3 5 4 1 9 26 19 27 29 23 11 13 14'),
-    ('suboptimal', 500, 332790, 108000, '24 25 14 19 28 17 6 8 30 16 21 23 7 2 10 5 29 9 1 12 27 13 22 3 18 11 26 4 20 15'),
-    ('suboptimal', 500, 185010, 119164, '16 4 15 5 10 3 13 22 9 2 11 23 25 8 18 20 26 6 14 19 29 7 17 27 30 1 12 24 21 28 31'),
-    ('suboptimal', 500, 267749, 196610, '3 16 7 22 9 20 2 26 13 15 10 21 1 12 17 14 5 18 19 11 24 28 6 31 8 4 23 25 27 32 29 30'),
-    ('suboptimal', 500, 186026, 107814, '30 12 16 11 2 13 31 18 9 23 27 17 22 20 15 26 24 33 1 10 5 14 8 29 7 32 4 19 25 3 6 21 28'),
-    ('suboptimal', 500, 362647, 235826, '30 12 32 17 22 16 8 7 27 1 29 31 23 11 26 5 24 6 33 18 10 14 19 15 3 2 20 28 21 9 4 13 25 34'),
-    ('suboptimal', 500, 479958, 257251, '34 7 10 24 32 27 26 15 5 31 13 22 8 6 9 1 2 33 35 23 14 20 25 4 11 28 19 3 17 18 21 12 16 29 30'),
-    ('suboptimal', 500, 712370, 419904, '20 30 16 31 22 21 5 25 26 12 2 18 15 33 6 10 24 28 7 4 19 14 17 35 34 3 11 13 1 32 23 27 9 8 29 36'),
-    ('suboptimal', 500, 360792, 303920, '4 3 22 1 14 27 16 29 33 35 15 20 25 12 19 6 7 8 24 2 21 17 34 9 36 10 23 18 5 13 26 28 11 30 31 32 37'),
-    ('suboptimal', 500, 616286, 493850, '11 14 18 24 30 7 29 17 5 15 1 13 34 35 3 28 32 38 16 31 8 25 9 23 27 26 33 6 20 19 2 22 4 37 10 21 36 12'),
-    ('suboptimal', 500, 391247, 256006, '2 4 14 30 40 26 16 3 9 19 1 35 10 20 18 11 32 27 24 13 7 12 23 39 36 28 38 37 6 31 21 25 29 34 5 15 8 17 22 33'),
+    ('optimal', 263, 16901, 16901, '19 4 7 16 18 3 12 13 6 15 9 1 10 5 14 8 17 20 2 11'),
+    ('optimal', 224, 9828, 9828, '15 1 2 9 17 18 3 10 8 7 14 16 20 6 13 19 21 5 12 4 11'),
+    ('suboptimal', 500, 21891, 10648, '4 11 2 9 16 22 13 5 12 8 6 7 14 20 19 1 21 15 3 10 17 18'),
+    ('suboptimal', 500, 25646, 24335, '1 12 8 7 2 11 15 18 21 23 19 6 5 10 3 4 9 14 17 20 13 16 22'),
+    ('suboptimal', 500, 58035, 27649, '2 14 15 17 24 19 9 21 6 16 22 13 3 12 1 11 8 18 4 10 20 5 7 23'),
+    ('suboptimal', 500, 96628, 78127, '11 22 12 15 21 6 7 18 5 16 23 24 25 2 13 3 10 20 1 4 9 17 8 19 14'),
+    ('suboptimal', 500, 55202, 52731, '2 22 24 19 16 20 23 4 7 15 26 11 3 10 6 14 18 21 1 9 8 17 25 5 13 12'),
+    ('suboptimal', 500, 20631, 19683, '6 15 2 11 7 10 1 24 27 4 13 8 17 16 5 14 19 21 22 23 9 18 25 26 3 12 20'),
+    ('suboptimal', 500, 90526, 43905, '1 21 23 27 3 11 13 14 18 19 20 26 8 16 9 6 5 22 2 4 12 7 15 10 17 24 25 28'),
+    ('suboptimal', 500, 224290, 219504, '2 17 22 16 8 21 7 20 12 25 18 15 6 28 26 19 11 24 10 3 5 4 1 9 27 13 14 29 23'),
+    ('suboptimal', 500, 304110, 108000, '19 24 28 16 8 17 21 23 15 7 2 10 25 6 14 5 9 1 13 22 30 29 12 27 3 18 11 26 4 20'),
+    ('suboptimal', 500, 184235, 119164, '2 4 15 5 16 22 3 24 8 10 20 13 23 25 26 9 19 11 18 14 29 7 17 12 6 21 27 28 30 1 31'),
+    ('suboptimal', 500, 233955, 196610, '2 7 3 26 13 16 10 21 15 4 22 9 20 1 12 17 14 18 5 19 11 24 25 27 28 6 31 8 23 30 32 29'),
+    ('suboptimal', 500, 223116, 107814, '12 16 2 11 20 23 15 26 30 9 18 10 5 14 13 17 24 27 31 22 8 6 32 33 1 29 7 4 19 25 3 21 28'),
+    ('suboptimal', 500, 322255, 235826, '12 17 30 22 16 8 29 31 28 32 27 1 34 26 7 5 23 11 24 33 6 18 10 14 19 3 15 2 20 21 9 4 13 25'),
+    ('suboptimal', 500, 395537, 257251, '2 5 34 7 10 24 32 26 31 13 27 8 22 25 6 9 15 1 33 20 29 35 23 14 4 11 28 19 3 17 18 12 16 21 30'),
+    ('suboptimal', 500, 665749, 419904, '16 20 21 18 5 31 22 2 15 25 26 30 12 10 33 6 24 7 19 14 28 4 34 3 13 1 36 17 35 11 23 29 32 27 9 8'),
+    ('suboptimal', 500, 414182, 303920, '3 4 22 1 14 35 15 12 20 27 16 6 19 25 29 33 34 8 24 2 7 21 17 9 10 23 13 26 18 5 30 36 28 11 31 32 37'),
+    ('suboptimal', 500, 616172, 493850, '11 14 18 5 24 7 29 30 15 1 3 17 13 9 32 34 25 28 35 37 38 16 23 4 31 8 27 26 33 6 20 19 10 21 2 22 36 12'),
+    ('suboptimal', 500, 263488, 256006, '2 4 14 9 19 16 30 40 18 1 11 26 10 20 27 13 3 7 24 23 32 35 12 38 37 39 31 34 36 21 25 28 6 29 5 15 8 17 22 33'),
 ]
 
 EXACT_GOLDEN = [
-    ('optimal', 21, 1120, 1120, '9 4 2 8 3 7 5 10 1 6'),
-    ('optimal', 13, 1474, 1474, '2 7 1 8 3 6 4 9 11 5 10'),
-    ('optimal', 103, 5544, 5544, '6 12 1 10 11 5 2 8 3 7 4 9'),
-    ('optimal', 50, 1120, 1120, '1 6 10 5 2 7 9 3 8 4'),
-    ('optimal', 50, 1497, 1497, '11 10 2 7 1 6 5 4 9 3 8'),
-    ('optimal', 12, 0, 0, '2 8 10 4 1 7 5 11 6 12 9 3'),
+    ('optimal', 15, 1120, 1120, '4 9 2 3 8 7 5 10 1 6'),
+    ('optimal', 13, 1474, 1474, '2 7 1 3 8 6 4 9 11 5 10'),
+    ('optimal', 113, 5544, 5544, '6 12 1 10 11 5 2 8 3 7 4 9'),
+    ('optimal', 43, 1120, 1120, '1 6 2 7 10 5 9 3 8 4'),
+    ('optimal', 35, 1497, 1497, '11 1 10 5 2 7 6 4 9 3 8'),
+    ('optimal', 12, 0, 0, '2 8 4 10 1 7 5 11 6 12 9 3'),
     ('optimal', 27, 3241, 3241, '6 10 2 7 3 1 5 4 9 8'),
-    ('optimal', 13, 0, 0, '6 1 4 9 11 10 5 7 2 3 8'),
-    ('optimal', 62, 5521, 5521, '1 8 2 5 6 7 4 10 11 12 3 9'),
-    ('optimal', 28, 1140, 1140, '5 10 6 3 8 2 7 1 4 9'),
-    ('optimal', 74, 2937, 2937, '11 6 1 5 10 7 9 3 8 2 4'),
-    ('optimal', 33, 1945, 1945, '2 8 9 4 10 6 12 11 5 3 1 7'),
-    ('optimal', 18, 3241, 3241, '4 6 1 10 8 9 7 2 5 3'),
-    ('optimal', 27, 4290, 4290, '7 10 3 5 11 2 9 4 8 1 6'),
+    ('optimal', 11, 0, 0, '1 6 4 9 11 10 5 2 7 3 8'),
+    ('optimal', 47, 5521, 5521, '1 2 8 5 6 7 4 10 11 12 3 9'),
+    ('optimal', 13, 1140, 1140, '5 10 6 3 8 2 7 1 4 9'),
+    ('optimal', 50, 2937, 2937, '11 1 6 5 10 7 9 3 8 2 4'),
+    ('optimal', 14, 1945, 1945, '2 8 9 4 10 6 12 11 5 3 1 7'),
+    ('optimal', 10, 3241, 3241, '4 6 1 10 8 9 5 7 2 3'),
+    ('optimal', 19, 4290, 4290, '7 10 3 5 11 2 9 4 8 1 6'),
     ('optimal', 19, 1896, 1896, '9 3 10 1 7 4 5 11 6 12 2 8'),
-    ('optimal', 70, 2251, 2251, '8 5 10 4 7 2 3 1 6 9'),
+    ('optimal', 68, 2251, 2251, '8 5 10 4 7 2 3 1 6 9'),
     ('optimal', 247, 4433, 4433, '7 9 6 1 8 11 2 5 10 4 3'),
-    ('optimal', 157, 5688, 5688, '12 7 3 9 11 2 8 6 1 4 10 5'),
+    ('optimal', 133, 5688, 5688, '12 7 3 9 11 2 8 6 1 4 10 5'),
     ('optimal', 26, 3231, 3231, '3 2 7 8 9 6 10 5 4 1'),
     ('optimal', 22, 1475, 1475, '4 1 6 9 5 10 2 7 3 8 11'),
 ]

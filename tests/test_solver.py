@@ -108,20 +108,23 @@ def test_extend_candidates_reference_cases(five_job):
     assert st.extend_candidates() == []
 
 
-def test_rank_ties_break_by_bound_then_id():
-    # no job has a hard successor: soft predecessors alone set the bounds,
-    # so 4 (one soft predecessor) comes before 3 (two), 1 before 2 by id
+def test_branch_order_is_bound_then_id():
+    # soft predecessors alone set the bounds, so 4 (one soft predecessor)
+    # comes before 3 (two), 1 before 2 by id
     st = SearchState(Instance(k=4, b=0, soft_atomic=[(1, 3), (2, 3), (1, 4)]))
     assert st.extend_candidates() == [(1, 0), (2, 0), (4, 1), (3, 2)]
-    # a hard successor still ranks first, whatever its bound
+    # a lower bound goes first, over more hard successors
     st = SearchState(Instance(k=5, b=0, atomic=[(3, 5)],
                               soft_atomic=[(1, 3), (2, 3), (1, 4)]))
-    assert st.extend_candidates() == [(3, 2), (1, 0), (2, 0), (4, 1)]
-    # pairs (1, 3) and (2, 4) open at positions 1 and 2, then job 5: the
-    # unplaced end of the newer pair leads, although closing the older
-    # pair shortens L by one (k = 6 cheaper)
+    assert st.extend_candidates() == [(1, 0), (2, 0), (4, 1), (3, 2)]
+    # equal bounds: the lower id, whatever the hard successors
+    st = SearchState(Instance(k=4, b=0, atomic=[(3, 4), (3, 2)]))
+    assert st.extend_candidates() == [(1, 0), (3, 0)]
+    # pairs (1, 3) and (2, 4) open at positions 1 and 2, then job 5:
+    # closing the older pair shortens L by one (k = 6 cheaper), so 3 comes
+    # before 4, the unplaced end of the newer pair
     st = replay(SearchState, Instance(k=6, b=2), [1, 2, 5])
-    assert st.extend_candidates() == [(4, 522), (3, 516), (6, 522)]
+    assert st.extend_candidates() == [(3, 516), (4, 522), (6, 522)]
 
 
 def test_lower_bound_reference_cases(five_job):
@@ -351,17 +354,8 @@ def scan_candidates(st):
             if pos[p] == 0:
                 return [p] if legal(p) else []
     legal_jobs = [c for c in range(1, st.k + 1) if pos[c] == 0 and legal(c)]
-    head = []
-    opened = [(pos[p] or pos[p + b], p) for p in range(1, b + 1)
-              if (pos[p] == 0) != (pos[p + b] == 0)]
-    if opened:
-        freshest = max(opened)[1]
-        unplaced_end = freshest if pos[freshest] == 0 else freshest + b
-        if unplaced_end in legal_jobs:
-            head.append(unplaced_end)
-            legal_jobs.remove(unplaced_end)
-    legal_jobs.sort(key=lambda c: (-len(st.succs[c]), bound_after_place(st, c), c))
-    return head + legal_jobs
+    legal_jobs.sort(key=lambda c: (bound_after_place(st, c), c))
+    return legal_jobs
 
 
 def bound_after_place(st, c):
@@ -539,8 +533,9 @@ def test_ready_set_candidates_match_full_scan():
 
 
 def test_ready_jobs_have_no_placed_successor(monkeypatch):
-    # the static branch rank counts every hard successor of a job: on each
-    # state the search reaches, a ready job's hard successors are unplaced
+    # on each state the search reaches, a ready job's hard successors are
+    # unplaced, so a static count of them (the rank-first order of
+    # search_reference.RankFirstSearchState) is the count of unplaced ones
     states = 0
 
     class CheckedState(SearchState):

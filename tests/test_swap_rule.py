@@ -108,7 +108,7 @@ def oracle_cases():
              for _, p in certification_suite(seed=seed, count=130)]
     cases += general_disjunction_instances(rng, 100, 5, 8)
     cases += [inst for inst, _ in soft_heavy_instances(rng, 100, 8)]
-    cases += mas_instances(rng, 100, 4, 8)
+    cases += mas_instances(rng, 150, 4, 8)
     return cases
 
 
