@@ -50,6 +50,7 @@ import csv
 import io as _io
 import json
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -342,6 +343,8 @@ def _walk_dat(text: str) -> Instance:
                 raise _unexpected(text, toks, i, None) from None
             if value < 0:
                 raise _error(text, i, f"{name} must be >= 0, found {value}")
+            if name == "k" and value >= sys.maxsize:
+                raise _error(text, i, f"k must be < {sys.maxsize}, found {value}")
             seen[name] = value
             i += 1
         elif name == "DirectSuccessors":

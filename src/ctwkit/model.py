@@ -19,6 +19,7 @@ contribute to the cost of a solution, never to its validity.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -115,6 +116,8 @@ class Instance:
             raise InstanceError(f"k and b must be integers: k={k!r}, b={self.b!r}")
         if self.b < 0 or k < 0:
             raise InstanceError(f"negative size: k={k}, b={self.b}")
+        if k >= sys.maxsize:  # jobs 0..k index lists
+            raise InstanceError(f"k={k} is too large: k must be < sys.maxsize = {sys.maxsize}")
         if 2 * self.b > k:
             raise InstanceError(f"b={self.b} exceeds k/2 (k={k})")
         for name in ("atomic", "soft_atomic"):

@@ -32,9 +32,9 @@ A child whose bound reaches the incumbent's objective is dropped before
 its legality is checked, and no child is placed to be priced. Candidates
 come from a ready set of unplaced jobs whose hard predecessors are all
 placed, and the open pairs' positions from an ascending list, both kept
-by ``place``/``unplace``. The forced-edge cycle check searches only from
-the edges the last placement added, by reachability, instead of
-rescanning every atomic edge.
+by ``place``/``unplace``. The forced-edge cycle check searches back,
+by reachability, only from the disjuncts the last placement made
+mandatory, instead of rescanning every atomic edge.
 
 Once an incumbent exists, a dominance rule drops children too: the
 adjacent-interchange rule of sequencing branch-and-bound. At a node X·a,
@@ -187,10 +187,11 @@ class SearchState:
 
     The positions are the only record of what a placement decided. A
     disjunct holds once its 'before' job is placed first, dies once its
-    'after' job is placed first, and is undecided while both are unplaced,
-    so its state is read off ``pos``. The undo stack keeps just the four
-    committed totals before each placement; ``unplace`` finds the rest
-    from the positions, since placements undo last in, first out.
+    'after' job is placed first, is undecided while both are unplaced,
+    and is mandatory once its alternative died, all read off ``pos``. The
+    undo stack keeps just the four committed totals before each placement;
+    ``unplace`` finds the rest from the positions, since placements undo
+    last in, first out.
 
     ``place``/``unplace`` keep, alongside:
 
@@ -204,9 +205,7 @@ class SearchState:
       triangles through it, which die with its placement. For a ready job
       this is never negative: each live triangle through it enters it by
       a distinct soft edge from an unplaced job (a hard chain into it
-      starts at a placed job);
-    * ``forced_out``, per job a, the jobs oc of the disjuncts (a, oc) made
-      mandatory: the other disjunct died while a and oc were unplaced.
+      starts at a placed job).
 
     ``forced_cycle`` relies on an invariant of the search: over the
     unplaced jobs, atomic edges plus the disjuncts made mandatory before
@@ -233,13 +232,12 @@ class SearchState:
         # k^4 + k^3 + k^2 + the number of soft constraints
         self.unbounded = (k + 1) ** 4 + len(inst.soft_atomic)
 
-        npreds = [0] * (k + 1)
-        succs: list[list[int]] = [[] for _ in range(k + 1)]
+        self.preds = preds = [[] for _ in range(k + 1)]
+        self.succs = succs = [[] for _ in range(k + 1)]
         for i, j in inst.atomic:
-            npreds[j] += 1
+            preds[j].append(i)
             succs[i].append(j)
-        self.npreds = npreds
-        self.succs = succs
+        self.npreds = npreds = list(map(len, preds))
         self.pred_placed = [0] * (k + 1)
         # unplaced jobs whose hard predecessors are all placed
         self.ready = {c for c in range(1, k + 1) if not npreds[c]}
@@ -346,9 +344,6 @@ class SearchState:
         self.closed_l = 0
         self.m_committed = 0
         self.n_committed = n_floor
-        # per job a: the 'after' jobs of the disjuncts (a, oc) that became
-        # mandatory when the other disjunct died with a, oc both unplaced
-        self.forced_out: list[list[int]] = [[] for _ in range(k + 1)]
         self._undo: list[tuple] = []  # per placement: the committed S, L, M, N before it
         # children extend_candidates dropped for a bound at or above the
         # cutoff, and by the swap rule
@@ -358,9 +353,9 @@ class SearchState:
     # -- placement ---------------------------------------------------------
 
     def place(self, c: int) -> bool:
-        """Put c next; True when c kills a disjunct whose alternative
-        becomes mandatory: the killed disjunct's 'before' job and both jobs
-        of the alternative are all unplaced."""
+        """Put c next; True as soon as it finds that c kills a disjunct
+        whose alternative becomes mandatory: the killed disjunct's 'before'
+        job and both jobs of the alternative are all unplaced."""
         other_end, soft_after, triangles, succs, by_after = self.links[c]
         pos = self.pos
         prefix = self.prefix
@@ -401,22 +396,17 @@ class SearchState:
             if pred_placed[s] == npreds[s] and pos[s] == 0:
                 ready.add(s)
 
-        forced = False
         for before, oa, oc in by_after:
             if not (pos[before] or pos[oa] or pos[oc]):
-                self.forced_out[oa].append(oc)
-                forced = True
-        return forced
+                return True
+        return False
 
     def unplace(self):
         """Take back the last placement. Placements undo last in, first
         out, so every other job sits where it was when c was placed."""
         c = self.prefix.pop()
-        other_end, soft_after, triangles, succs, by_after = self.links[c]
+        other_end, soft_after, triangles, succs, _ = self.links[c]
         pos = self.pos
-        for before, oa, oc in by_after:
-            if not (pos[before] or pos[oa] or pos[oc]):
-                self.forced_out[oa].pop()
         ready = self.ready
         pred_placed = self.pred_placed
         npreds = self.npreds
@@ -445,37 +435,40 @@ class SearchState:
     def forced_cycle(self) -> bool:
         """True when mandatory precedences over the unplaced jobs conflict.
 
-        Atomic edges plus the mandatory disjuncts (``forced_out``),
-        restricted to unplaced jobs; a cycle there means no completion of
-        this prefix can be valid. Called after placements that made a
-        disjunct mandatory.
+        Atomic edges plus the mandatory disjuncts, restricted to unplaced
+        jobs; a cycle there means no completion of this prefix can be
+        valid. Called after placements that made a disjunct mandatory.
 
         By the invariant in the class docstring, a new cycle must run
         through a disjunct (a, b) that the last placement made mandatory,
         and it exists exactly when a is reachable from b over unplaced
         jobs. ``place``'s test finds those disjuncts again among the ones
-        the last job ends. Each gets one depth-first search along atomic
-        successors and mandatory disjuncts.
+        the last job ends. Each gets one depth-first search back from a
+        for b, over each job's hard predecessors and the disjuncts into it
+        (``by_after``) whose alternative died.
         """
         if not self.prefix:
             return False
         pos = self.pos
-        succs = self.succs
-        forced_out = self.forced_out
-        for before, a, b in self.by_after[self.prefix[-1]]:
+        preds = self.preds
+        by_after = self.by_after
+        for before, a, b in by_after[self.prefix[-1]]:
             if pos[before] or pos[a] or pos[b]:
                 continue
-            seen = {b}
-            stack = [b]
+            seen = {a}
+            stack = [a]
             while stack:
                 v = stack.pop()
-                for nxt in (succs[v], forced_out[v]):
-                    for w in nxt:
-                        if pos[w] == 0 and w not in seen:
-                            if w == a:
-                                return True
-                            seen.add(w)
-                            stack.append(w)
+                into = preds[v]
+                if by_after[v]:  # and the disjuncts into v whose alternative died
+                    into = into + [x for x, oa, oc in by_after[v]
+                                   if pos[oc] and not 0 < pos[oa] < pos[oc]]
+                for w in into:
+                    if pos[w] == 0 and w not in seen:
+                        if w == b:
+                            return True
+                        seen.add(w)
+                        stack.append(w)
         return False
 
     # -- candidate generation and pricing ----------------------------------

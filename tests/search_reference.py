@@ -24,9 +24,11 @@ well, ``NFloorlessSearchState`` without the N floor on top,
 so two bounds can be compared on one order. ``RankFirstSearchState`` is
 the solver's state with the branch order from before the bound led it.
 
-``swap_probe`` is the swap rule's reference: it replays X·c·a next to
-X·a·c and compares what they committed. ``check_swaps_in_lockstep``
-holds every child the solver drops by the rule to it.
+``mandatory_disjuncts`` reads the disjuncts a prefix made mandatory off
+the positions alone. ``swap_probe`` is the swap rule's reference: it
+replays X·c·a next to X·a·c and compares what they committed.
+``check_swaps_in_lockstep`` holds every child the solver drops by the
+rule to it.
 """
 
 from __future__ import annotations
@@ -604,7 +606,9 @@ def check_pricing_in_lockstep(state, ref, rng, moves: int) -> int:
     """Walk ``state`` and ``ref`` through the same random reachable prefixes
     (place a legal child, or undo) and compare the priced children at each,
     with no cutoff and with cutoffs at and around the node's bound and
-    every child's bound. Returns the number of states compared."""
+    every child's bound. After each placement, compare the mandatory
+    disjuncts and the forced-cycle check too. Returns the number of states
+    compared."""
     compared = 0
     for _ in range(moves):
         lb = ref.lower_bound()
@@ -628,9 +632,30 @@ def check_pricing_in_lockstep(state, ref, rng, moves: int) -> int:
             c = rng.choice(children)[0]
             state.place(c)
             ref.place(c)
+            # the mandatory disjuncts read off the positions are the ones
+            # the reference keeps in its lists, and the cycle checks agree
+            assert mandatory_disjuncts(state) == {
+                (a, oc) for a in range(1, ref.k + 1) if not ref.pos[a]
+                for oc in ref.forced_out[a] if not ref.pos[oc]}, (state.inst, state.prefix)
+            assert state.forced_cycle() == ref.forced_cycle(), (state.inst, state.prefix)
         else:
             break
     return compared
+
+
+def mandatory_disjuncts(st) -> set[tuple[int, int]]:
+    """The disjuncts (a, c) over unplaced jobs that a prefix made
+    mandatory, read off ``st.pos`` alone: the other disjunct of the
+    disjunction died, its 'after' job placed while its 'before' job was
+    not placed earlier."""
+    pos = st.pos
+    out = set()
+    for d in st.inst.disjunctive:
+        first, second = d.disjuncts()
+        for (a, c), (oa, oc) in ((first, second), (second, first)):
+            if not (pos[a] or pos[c]) and pos[oc] and not 0 < pos[oa] < pos[oc]:
+                out.add((a, c))
+    return out
 
 
 def committed(st: SearchState) -> tuple:
@@ -639,7 +664,7 @@ def committed(st: SearchState) -> tuple:
     mandatory disjuncts over unplaced jobs."""
     pos = st.pos
     opened = {st.pair_of[j]: pos[j] for j in st.prefix if st.partner[j] and not pos[st.partner[j]]}
-    mandatory = {(a, oc) for a in range(1, st.k + 1) if not pos[a] for oc in st.forced_out[a]}
+    mandatory = mandatory_disjuncts(st)
     return (st.closed_s, st.m_committed, st.closed_l, st.n_committed), opened, mandatory
 
 

@@ -279,6 +279,17 @@ def test_usage_errors_exit_4(capsys, tmp_path):
     assert run_cli(capsys, "solve", missing)[0] == 4
 
 
+def test_solve_rejects_unindexable_k(tmp_path, capsys):
+    huge = tmp_path / "huge.dat"
+    huge.write_text("k = 1180591620717411303424;\nb = 0;\nAtomicConstraints = {};\n"
+                    "SoftAtomicConstraints = {};\nDisjunctiveConstraints = {};\n"
+                    "DirectSuccessors = {};\n")
+    code, out, err = run_cli(capsys, "solve", huge)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: line 1, column 5: k must be < ")
+
+
 def test_env_var_sets_default_time_limit(five_dat, capsys, monkeypatch):
     monkeypatch.setenv("CTW_TIME_LIMIT_MS", "2500")
     code, out, _ = run_cli(capsys, "solve", five_dat)

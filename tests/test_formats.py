@@ -1,6 +1,7 @@
 import codecs
 import random
 import re
+import sys
 
 import pytest
 
@@ -124,8 +125,12 @@ def test_parse_errors_carry_position():
         ),
         (R024_EXCERPT[: R024_EXCERPT.index("{<8,15")], "unexpected end of input (expected {)", 9, 24),
         ("k", "unexpected end of input (expected =)", 1, 1),
+        # reported at the k token, like a negative k
+        (_dat(k=2**70, b=0), f"k must be < {sys.maxsize}, found {2**70}", 1, 5),
+        (_dat(k=-1, b=0), "k must be >= 0, found -1", 1, 5),
     ],
-    ids=["crlf", "cr", "form-feed", "mid-tuple", "truncated-tuple", "truncated-set", "truncated-name"],
+    ids=["crlf", "cr", "form-feed", "mid-tuple", "truncated-tuple", "truncated-set", "truncated-name",
+         "k-unindexable", "k-negative"],
 )
 def test_parse_error_positions(text, message, line, column):
     with pytest.raises(ParseError) as err:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from typing import Sequence
 
 import pytest
@@ -351,9 +352,18 @@ def test_canonical_sorts_constraints():
             "constraint ids must be integers: "
             "'NoneType' object cannot be interpreted as an integer",
         ),
+        # a k whose jobs 0..k no list can index: refused before any allocation
+        (dict(k=2**70, b=0), f"k={2**70} is too large: k must be < sys.maxsize = {sys.maxsize}"),
+        (dict(k=sys.maxsize, b=1),
+         f"k={sys.maxsize} is too large: k must be < sys.maxsize = {sys.maxsize}"),
     ],
 )
 def test_instance_error_messages(fields, message):
     with pytest.raises(InstanceError) as err:
         Instance(**fields)
     assert str(err.value) == message
+
+
+def test_largest_indexable_k_is_accepted():
+    # building the Instance allocates nothing per job; only solving would
+    assert Instance(k=sys.maxsize - 1, b=0).n == sys.maxsize - 1

@@ -26,7 +26,8 @@ from conftest import (general_disjunction_instances, mas_instances, random_insta
                       soft_heavy_instances)
 from test_search_golden import ANYTIME_NODE_LIMIT, anytime_cases, exact_cases
 from search_reference import (NFloorlessSearchState, ReferenceSearchState,
-                              SwaplessSearchState, check_pricing_in_lockstep, replay)
+                              SwaplessSearchState, check_pricing_in_lockstep,
+                              mandatory_disjuncts, replay)
 
 ALL_MODES = (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE, GenMode.ATOMIC_ONLY,
              GenMode.DS_ONLY)
@@ -296,26 +297,13 @@ def test_leaf_bound_equals_objective():
 
 
 def full_scan_forced_cycle(st):
-    """Reference: topological sort of every atomic edge and survivor over
-    the unplaced jobs. A survivor is a disjunct whose other disjunct died,
-    its 'after' job placed while its 'before' job was not, read off the
-    positions alone."""
+    """Reference: topological sort of every atomic edge and mandatory
+    disjunct over the unplaced jobs, both read off the positions alone."""
     pos = st.pos
-
-    def dead(a, c):
-        return pos[c] and not 0 < pos[a] < pos[c]
-
-    survivors = []
-    for d in st.inst.disjunctive:
-        first, second = d.disjuncts()
-        if dead(*first):
-            survivors.append(second)
-        if dead(*second):
-            survivors.append(first)
     indeg = {}
     out = {}
     edges = 0
-    for a, b in list(st.inst.atomic) + survivors:
+    for a, b in list(st.inst.atomic) + sorted(mandatory_disjuncts(st)):
         if pos[a] == 0 and pos[b] == 0:
             out.setdefault(a, []).append(b)
             indeg[b] = indeg.get(b, 0) + 1
@@ -473,8 +461,36 @@ def test_unplace_restores_every_field():
                 st.place(rng.choice(unplaced))
             assert vars(st) == vars(replay(SearchState, inst, st.prefix)), (inst, st.prefix)
             checked += 1
-            forced += any(st.forced_out)
+            forced += bool(mandatory_disjuncts(st))
     assert checked >= 1500 and forced >= 200
+
+
+def forced_cycle_walk(inst, max_visits):
+    """Depth-first over the cycle-free states of ``inst``, as the search
+    walks them, for at most ``max_visits`` placements. Each placement that
+    makes a disjunct mandatory has ``forced_cycle`` checked against
+    ``full_scan_forced_cycle``. Returns (checks, cycles found)."""
+    st = SearchState(inst)
+    checks = hits = visited = 0
+    stack = [iter(st.extend_candidates())]
+    while stack and visited < max_visits:
+        c, _ = next(stack[-1], (None, None))
+        if c is None:
+            stack.pop()
+            if st.prefix:
+                st.unplace()
+            continue
+        visited += 1
+        if st.place(c):
+            found = st.forced_cycle()
+            assert found == full_scan_forced_cycle(st), (inst, st.prefix)
+            checks += 1
+            hits += found
+        if full_scan_forced_cycle(st):
+            st.unplace()
+        else:
+            stack.append(iter(st.extend_candidates()))
+    return checks, hits
 
 
 def test_forced_cycle_matches_full_scan():
@@ -489,29 +505,11 @@ def test_forced_cycle_matches_full_scan():
                                   p_disjunctive=rng.choice((0.3, 0.6)),
                                   ds_count=rng.randint(0, b), seed=trial,
                                   mode=ALL_MODES[trial % 2]))
-        st = SearchState(inst)
-        if full_scan_forced_cycle(st):
+        if full_scan_forced_cycle(SearchState(inst)):
             continue  # a hard cycle: the precheck stops such instances
-        # depth-first over cycle-free states, as the search walks them
-        stack = [iter(st.extend_candidates())]
-        visited = 0
-        while stack and visited < 400:
-            c, _ = next(stack[-1], (None, None))
-            if c is None:
-                stack.pop()
-                if st.prefix:
-                    st.unplace()
-                continue
-            visited += 1
-            if st.place(c) > 0:
-                found = st.forced_cycle()
-                assert found == full_scan_forced_cycle(st), (inst, st.prefix)
-                checks += 1
-                hits += found
-            if full_scan_forced_cycle(st):
-                st.unplace()
-            else:
-                stack.append(iter(st.extend_candidates()))
+        found = forced_cycle_walk(inst, 400)
+        checks += found[0]
+        hits += found[1]
     assert checks >= 500 and 0 < hits < checks
 
 
