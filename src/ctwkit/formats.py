@@ -13,7 +13,9 @@ Four textual formats are supported:
 
   Whitespace and newlines are insignificant, empty sets and a trailing
   comma before ``}`` are accepted, and exactly these six parameters must
-  each appear once. Anything else is a hard error.
+  each appear once. Anything else is a hard error. The four sets and the
+  arity of their entries are written once, in ``_SETS``; the statement
+  and entry patterns, the token walk and both emitters are built from it.
 
   A scanner reads the syntax only, in a few C-level passes per
   statement: one anchored regex per statement, one ``subn`` per set that
@@ -38,8 +40,8 @@ Four textual formats are supported:
 
 * solution files -- one permutation per file, declared either as the tour
   (``tour 5 3 4 2 1``: job per position) or as positions (``positions ...``:
-  position per job), with optional ``instance`` id and ``claimed`` cost
-  lines; ``#`` starts a comment line.
+  position per job), with at most one ``instance`` id line and at most
+  one ``claimed`` cost line; ``#`` starts a comment line.
 
 CSV report emitters for the benchmark harness live here as well.
 """
@@ -58,14 +60,16 @@ from .costs import CostBreakdown
 from .errors import InstanceError, ParseError, SchemaError
 from .model import Instance, Permutation
 
-DAT_PARAMS = (
-    "k",
-    "b",
-    "AtomicConstraints",
-    "SoftAtomicConstraints",
-    "DisjunctiveConstraints",
-    "DirectSuccessors",
-)
+# The four constraint sets of a ``.dat`` file, in ``Instance``'s field
+# order, and the arity of their entries (1: a bare integer). Every reader
+# and emitter of ``.dat`` and ``.dzn`` text reads the sets from here.
+_SETS = {
+    "AtomicConstraints": 2,
+    "SoftAtomicConstraints": 2,
+    "DisjunctiveConstraints": 4,
+    "DirectSuccessors": 1,
+}
+DAT_PARAMS = ("k", "b", *_SETS)
 
 REPORT_COLUMNS = (
     "instance",
@@ -109,24 +113,18 @@ _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?\d+|[={}<>,;]|\S")
 # One statement for ``_scan_dat``: ``k`` or ``b`` with an integer, or a set
 # name with a brace body that holds no brace and no semicolon.
 _STATEMENT = re.compile(
-    r"\s*(?:(k|b)\s*=\s*(-?\d+)|(%s)\s*=\s*\{([^{};]*)\})\s*;" % "|".join(DAT_PARAMS[2:])
+    r"\s*(?:(k|b)\s*=\s*(-?\d+)|(%s)\s*=\s*\{([^{};]*)\})\s*;" % "|".join(_SETS)
 )
-# One set entry. Each pattern starts with a fixed character and repeats
+
+# One set entry: ``\d+`` for an integer, ``<\s*\d+\s*,\s*\d+\s*>`` for a
+# pair, and so on. Each pattern starts with a fixed character and repeats
 # only single characters: a leading ``\s*`` would make ``subn`` quadratic
 # in a run of whitespace, and a repeated group would keep backtracking
 # state for every entry of a set.
-_PAIR = re.compile(r"<\s*\d+\s*,\s*\d+\s*>")
 _ENTRY = {
-    "AtomicConstraints": _PAIR,
-    "SoftAtomicConstraints": _PAIR,
-    "DisjunctiveConstraints": re.compile(r"<\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*>"),
-    "DirectSuccessors": re.compile(r"\d+"),
+    name: re.compile(r"\d+" if arity == 1 else r"<\s*%s\s*>" % r"\s*,\s*".join([r"\d+"] * arity))
+    for name, arity in _SETS.items()
 }
-_TUPLE_SETS = (
-    ("AtomicConstraints", 2),
-    ("SoftAtomicConstraints", 2),
-    ("DisjunctiveConstraints", 4),
-)
 _TO_SPACE = str.maketrans("<>,", "   ")
 
 
@@ -162,9 +160,10 @@ def _scan_dat(text: str) -> dict[str, object] | None:
         seen[name] = value
     if len(seen) < len(DAT_PARAMS) or text[pos:].strip():
         return None
-    for name, arity in _TUPLE_SETS:
-        values = iter(seen[name])
-        seen[name] = list(zip(*[values] * arity))
+    for name, arity in _SETS.items():
+        if arity > 1:
+            values = iter(seen[name])
+            seen[name] = list(zip(*[values] * arity))
     return seen
 
 
@@ -205,15 +204,24 @@ def _unexpected(text: str, toks: list[str], i: int, expect: str | None) -> Parse
     return _error(text, i, f"expected '{expect}', found '{toks[i]}'")
 
 
-def _read_int_set(text: str, toks: list[str], i: int):
-    """Read ``{v, v, ...}`` from token ``i``.
+def _int(text: str, toks: list[str], i: int) -> int:
+    try:
+        return int(toks[i])
+    except ValueError:
+        raise _unexpected(text, toks, i, None) from None
 
-    Returns the values, the token index of each, and the index after ``}``.
+
+def _read_set(text: str, toks: list[str], i: int, arity: int):
+    """Read ``{e, e, ...}`` from token ``i``.
+
+    An entry is an integer when ``arity`` is 1, else ``<v,...>`` with
+    ``arity`` integers. Returns the entries (tuples for ``arity`` > 1), the
+    token index of each (its ``<`` for a tuple), and the index after ``}``.
     """
     if toks[i] != "{":
         raise _unexpected(text, toks, i, "{")
     i += 1
-    values: list[int] = []
+    values: list = []
     where: list[int] = []
     while True:
         tok = toks[i]
@@ -221,52 +229,22 @@ def _read_int_set(text: str, toks: list[str], i: int):
             return values, where, i + 1
         if not tok:
             raise _unexpected(text, toks, i, "}")
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise _unexpected(text, toks, i, None) from None
         where.append(i)
-        i += 1
-        tok = toks[i]
-        if tok == ",":
-            i += 1
-        elif tok and tok != "}":
-            raise _error(text, i, f"expected ',' or '}}', found '{tok}'")
-
-
-def _read_tuple_set(text: str, toks: list[str], i: int, arity: int):
-    """Read ``{<v,...>, <v,...>, ...}`` of ``arity``-tuples from token ``i``.
-
-    Returns the tuples, the token index of each ``<``, and the index after
-    ``}``.
-    """
-    if toks[i] != "{":
-        raise _unexpected(text, toks, i, "{")
-    i += 1
-    values: list[tuple[int, ...]] = []
-    where: list[int] = []
-    while True:
-        tok = toks[i]
-        if tok == "}":
-            return values, where, i + 1
-        if tok != "<":
-            raise _unexpected(text, toks, i, "<" if tok else "}")
-        where.append(i)
-        row = []
-        for pos in range(arity):
-            i += 1
-            if pos:
+        if arity == 1:
+            values.append(_int(text, toks, i))
+        else:
+            if tok != "<":
+                raise _unexpected(text, toks, i, "<")
+            row = [_int(text, toks, i + 1)]
+            i += 2
+            for _ in range(1, arity):
                 if toks[i] != ",":
                     raise _unexpected(text, toks, i, ",")
-                i += 1
-            try:
-                row.append(int(toks[i]))
-            except ValueError:
-                raise _unexpected(text, toks, i, None) from None
-        i += 1
-        if toks[i] != ">":
-            raise _unexpected(text, toks, i, ">")
-        values.append(tuple(row))
+                row.append(_int(text, toks, i + 1))
+                i += 2
+            if toks[i] != ">":
+                raise _unexpected(text, toks, i, ">")
+            values.append(tuple(row))
         i += 1
         tok = toks[i]
         if tok == ",":
@@ -305,9 +283,9 @@ def parse_dat(text: str) -> Instance:
     seen = _scan_dat(text)
     if seen is None:
         return _walk_dat(text)
-    sets = {name: tuple(dict.fromkeys(seen[name])) for name in DAT_PARAMS[2:]}
+    sets = {name: tuple(dict.fromkeys(seen[name])) for name in _SETS}
     try:
-        # DAT_PARAMS names the sets in the order of Instance's fields
+        # _SETS names the sets in the order of Instance's fields
         inst = Instance(seen["k"], seen["b"], *sets.values())
     except InstanceError:
         return _walk_dat(text)
@@ -336,22 +314,16 @@ def _walk_dat(text: str) -> Instance:
         if toks[i] != "=":
             raise _unexpected(text, toks, i, "=")
         i += 1
-        if name in ("k", "b"):
-            try:
-                value = int(toks[i])
-            except ValueError:
-                raise _unexpected(text, toks, i, None) from None
+        if name in _SETS:
+            seen[name], where[name], i = _read_set(text, toks, i, _SETS[name])
+        else:
+            value = _int(text, toks, i)
             if value < 0:
                 raise _error(text, i, f"{name} must be >= 0, found {value}")
             if name == "k" and value >= sys.maxsize:
                 raise _error(text, i, f"k must be < {sys.maxsize}, found {value}")
             seen[name] = value
             i += 1
-        elif name == "DirectSuccessors":
-            seen[name], where[name], i = _read_int_set(text, toks, i)
-        else:
-            arity = 4 if name == "DisjunctiveConstraints" else 2
-            seen[name], where[name], i = _read_tuple_set(text, toks, i, arity)
         if toks[i] != ";":
             raise _unexpected(text, toks, i, ";")
         i += 1
@@ -364,20 +336,22 @@ def _walk_dat(text: str) -> Instance:
     if 2 * b > k:
         raise _error(text, first["b"], f"b = {b} exceeds k/2 (k = {k})")
 
-    for name, _ in _TUPLE_SETS:
-        for row, at in zip(seen[name], where[name]):
-            for j in row:
-                if not 1 <= j <= k:
-                    raise _error(text, at, f"{name}: job {j} is outside 1..{k}")
+    for name, arity in _SETS.items():
+        if arity > 1:
+            for row, at in zip(seen[name], where[name]):
+                for j in row:
+                    if not 1 <= j <= k:
+                        raise _error(text, at, f"{name}: job {j} is outside 1..{k}")
     for value, at in zip(seen["DirectSuccessors"], where["DirectSuccessors"]):
         if not 1 <= value <= 2 * b:
             raise _error(
                 text, at, f"DirectSuccessors: {value} is not a two-sided cable end (b = {b})"
             )
-    for name in ("AtomicConstraints", "SoftAtomicConstraints"):
-        for (before, after), at in zip(seen[name], where[name]):
-            if before == after:
-                raise _error(text, at, f"{name}: <{before},{after}> relates a job to itself")
+    for name, arity in _SETS.items():
+        if arity == 2:
+            for (before, after), at in zip(seen[name], where[name]):
+                if before == after:
+                    raise _error(text, at, f"{name}: <{before},{after}> relates a job to itself")
     for row, at in zip(seen["DisjunctiveConstraints"], where["DisjunctiveConstraints"]):
         if row[0] == row[1] or row[2] == row[3]:
             raise _error(
@@ -386,41 +360,34 @@ def _walk_dat(text: str) -> Instance:
                 f"DisjunctiveConstraints: <{','.join(map(str, row))}> has a trivial disjunct",
             )
 
-    atomic = _dedupe("AtomicConstraints", seen["AtomicConstraints"])
-    soft = _dedupe("SoftAtomicConstraints", seen["SoftAtomicConstraints"])
-    disj = _dedupe("DisjunctiveConstraints", seen["DisjunctiveConstraints"])
-    ds = _dedupe("DirectSuccessors", seen["DirectSuccessors"])
-
-    both = set(atomic) & set(soft)
+    sets = [_dedupe(name, seen[name]) for name in _SETS]
+    both = set(sets[0]) & set(sets[1])  # the hard and the soft pairs
     if both:
         raise _error(
             text,
             first["SoftAtomicConstraints"],
             f"constraints both hard and soft: {sorted(both)}",
         )
-    return Instance(k=k, b=b, atomic=atomic, soft_atomic=soft, disjunctive=disj,
-                    direct_successors=ds)
+    return Instance(k, b, *sets)
+
+
+def _dat_sets(inst: Instance):
+    """``((name, arity), entries)`` for each set of ``inst``, in ``_SETS`` order."""
+    return zip(_SETS.items(),
+               (inst.atomic, inst.soft_atomic, inst.disjunctive, inst.direct_successors))
 
 
 def emit_dat(inst: Instance) -> str:
     """Serialize to the tuple-set format, constraint sets sorted ascending."""
     c = inst.canonical()
     lines = [f"k = {c.k};", f"b = {c.b};"]
-    lines.append(
-        "AtomicConstraints = {%s};"
-        % ", ".join(f"<{a.before},{a.after}>" for a in c.atomic)
-    )
-    lines.append(
-        "SoftAtomicConstraints = {%s};"
-        % ", ".join(f"<{a.before},{a.after}>" for a in c.soft_atomic)
-    )
-    lines.append(
-        "DisjunctiveConstraints = {%s};"
-        % ", ".join(f"<{d.c1before},{d.c1after},{d.c2before},{d.c2after}>" for d in c.disjunctive)
-    )
-    lines.append(
-        "DirectSuccessors = {%s};" % ",".join(str(i) for i in c.direct_successors)
-    )
+    for (name, arity), entries in _dat_sets(c):
+        if arity == 1:
+            body = ",".join(map(str, entries))
+        else:
+            entry = "<%s>" % ",".join(["%s"] * arity)  # "<%s,%s>" for a pair
+            body = ", ".join(map(entry.__mod__, entries))
+        lines.append(f"{name} = {{{body}}};")
     return "\n".join(lines) + "\n"
 
 
@@ -428,26 +395,19 @@ def emit_dat(inst: Instance) -> str:
 # .DZN
 
 
-def _dzn_table(name: str, rows: list[tuple[int, ...]], width: int) -> str:
-    if not rows:
-        return f"{name} = array2d(1..0, 1..{width}, []);"
-    body = " | ".join(", ".join(str(v) for v in row) for row in rows)
-    return f"{name} = [| {body} |];"
-
-
 def emit_dzn(inst: Instance) -> str:
     """MiniZinc-style data text with the six parameter assignments."""
     c = inst.canonical()
     lines = [f"k = {c.k};", f"b = {c.b};"]
-    lines.append(_dzn_table("AtomicConstraints", [tuple(a) for a in c.atomic], 2))
-    lines.append(_dzn_table("SoftAtomicConstraints", [tuple(a) for a in c.soft_atomic], 2))
-    lines.append(_dzn_table("DisjunctiveConstraints", [tuple(d) for d in c.disjunctive], 4))
-    if c.direct_successors:
-        lines.append(
-            "DirectSuccessors = [%s];" % ", ".join(str(i) for i in c.direct_successors)
-        )
-    else:
-        lines.append("DirectSuccessors = array1d(1..0, []);")
+    for (name, arity), entries in _dat_sets(c):
+        if arity == 1:
+            value = f"[{', '.join(map(str, entries))}]" if entries else "array1d(1..0, [])"
+        elif entries:
+            row = ", ".join(["%s"] * arity)  # "%s, %s" for a pair
+            value = "[| %s |]" % " | ".join(map(row.__mod__, entries))
+        else:
+            value = f"array2d(1..0, 1..{arity}, [])"
+        lines.append(f"{name} = {value};")
     return "\n".join(lines) + "\n"
 
 
@@ -524,12 +484,16 @@ def parse_json(text: str) -> Instance:
 def load_instance(path) -> Instance:
     """Parse an instance file, picking the format from the extension.
 
-    A leading UTF-8 byte-order mark is skipped.
+    A leading UTF-8 byte-order mark is skipped. Text that is not UTF-8 is
+    a ``ParseError``.
     """
     from pathlib import Path
 
     p = Path(path)
-    text = p.read_text(encoding="utf-8-sig")
+    try:
+        text = p.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at offset {exc.start}") from None
     if p.suffix.lower() == ".json":
         return parse_json(text)
     if p.suffix.lower() == ".dat":
@@ -572,17 +536,20 @@ def parse_solution(text: str) -> SolutionFile:
     kind = None
     values: tuple[int, ...] | None = None
     claimed = None
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         head, *tail = line.split(None, 1)
         rest = tail[0] if tail else ""
+        slot = "permutation" if head in ("tour", "positions") else head
+        if slot in seen:
+            raise ParseError(f"more than one {slot} line", lineno, 1)
+        seen.add(slot)
         if head == "instance":
             instance_id = rest or None
-        elif head in ("tour", "positions"):
-            if kind is not None:
-                raise ParseError("more than one permutation line", lineno, 1)
+        elif slot == "permutation":
             kind = head
             try:
                 values = tuple(int(v) for v in rest.split())
@@ -600,7 +567,7 @@ def parse_solution(text: str) -> SolutionFile:
             claimed = CostBreakdown(s, mm, l, n, obj)
         else:
             raise ParseError(f"unknown line '{head}'", lineno, 1)
-    if kind is None or values is None:
+    if kind is None:
         raise ParseError("no 'tour' or 'positions' line found")
     return SolutionFile(instance_id=instance_id, kind=kind, values=values, claimed=claimed)
 

@@ -107,6 +107,16 @@ def test_run_suite_flags_unsatisfiable_and_bad_files(tmp_path):
     assert by_id["J"].state is ResultState.OPTIMAL
 
 
+def test_run_suite_reports_text_that_is_not_utf8_and_continues(tmp_path, five_job):
+    write_suite(tmp_path, [("A", five_job), ("C", five_job)])
+    (tmp_path / "B.dat").write_bytes(b"\xff\xfe" + emit_dat(five_job).encode("utf-16-le"))
+    for jobs in (1, 2):
+        rows = run_suite(tmp_path, SolverConfig(time_limit_ms=5_000), jobs=jobs)
+        assert [(r.instance_id, r.state) for r in rows] == [
+            ("A", ResultState.OPTIMAL), ("B", ResultState.UNDEFINED), ("C", ResultState.OPTIMAL)]
+        assert rows[1].flags == ("error:not UTF-8 text: invalid start byte at offset 0",)
+
+
 def test_run_suite_empty_directory(tmp_path):
     assert run_suite(tmp_path) == []
 

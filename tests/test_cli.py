@@ -228,6 +228,23 @@ def test_bench_and_stats(tmp_path, capsys, five_job):
     assert lines[1].startswith("A,5,2,1")
 
 
+def test_text_that_is_not_utf8_is_a_format_error(tmp_path, capsys, five_job):
+    (tmp_path / "A.dat").write_text(emit_dat(five_job))
+    bad = tmp_path / "B.dat"
+    bad.write_bytes(b"\xff\xfe" + emit_dat(five_job).encode("utf-16-le"))
+    code, out, err = run_cli(capsys, "solve", bad)
+    assert (code, out) == (4, "")
+    assert err == "error: not UTF-8 text: invalid start byte at offset 0\n"
+
+    code, out, _ = run_cli(capsys, "bench", "--dir", tmp_path, "--jobs", "1",
+                           "--time-limit", "5000", "--no-timestamps")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("A,5,2,optimal")
+    assert lines[2] == "B,0,0,undefined,,,,,,0,0,0,0.0,0.0,error:not UTF-8 text: " \
+        "invalid start byte at offset 0"
+
+
 def test_bench_byte_identical_with_no_timestamps(tmp_path, capsys, five_job):
     (tmp_path / "A.dat").write_text(emit_dat(five_job))
     args = ("bench", "--dir", tmp_path, "--time-limit", "5000",

@@ -1,4 +1,5 @@
 import codecs
+import hashlib
 import random
 import re
 import sys
@@ -22,7 +23,13 @@ from ctwkit import (
     parse_solution,
 )
 from ctwkit.bench import metrics
-from ctwkit.generate import GenMode
+from ctwkit.generate import (
+    GenMode,
+    GenParams,
+    anytime_suite,
+    certification_suite,
+    generate_planted,
+)
 
 from conftest import random_instance
 
@@ -153,6 +160,17 @@ def test_load_instance_skips_byte_order_mark(tmp_path, five_job, emit):
     assert load_instance(marked) == load_instance(plain) == five_job
 
 
+def test_load_instance_rejects_text_that_is_not_utf8(tmp_path):
+    for name in ("utf16.dat", "utf16.json", "latin1.dat"):
+        path = tmp_path / name
+        if name.startswith("utf16"):
+            path.write_bytes(b"\xff\xfe" + "k = 1;".encode("utf-16-le"))
+        else:
+            path.write_bytes("k = 1; # caf\xe9\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="^not UTF-8 text: invalid .* at offset [0-9]+$"):
+            load_instance(path)
+
+
 def test_parse_dedupes_with_warning():
     with pytest.warns(UserWarning, match="duplicate"):
         inst = parse_dat(_dat(atomic="{<1,2>, <1,2>, <2,3>}"))
@@ -218,6 +236,78 @@ def test_emit_dzn_matches_dat_tuples():
     assert _dzn_rows(table["AtomicConstraints"]) == [tuple(a) for a in inst.atomic]
 
 
+def _benchmark_shaped(seed):
+    """The first 21 anytime benchmark instances of ``seed`` (k = 40..60) and
+    its eight audit benchmark instances (k = 2000..3000, every fourth one
+    atomic-only), drawn as ``perfbench/workloads.py`` draws them."""
+    rng = random.Random(seed ^ 0x5EED)
+    for idx in range(21):
+        k = 40 + idx
+        b = rng.randint(k // 4, k // 2)
+        yield generate_planted(GenParams(
+            b=b, n=k - 2 * b, p_atomic=0.18, p_soft=rng.choice((0.01, 0.02)),
+            p_disjunctive=rng.choice((0.05, 0.1)), ds_count=rng.randint(0, b),
+            seed=seed * 99_991 + idx))[0]
+    for idx in range(8):
+        k = 2000 + 1000 * idx // 7
+        if idx % 4 == 3:
+            params = GenParams(b=0, n=k, p_atomic=0.002, seed=seed * 100_003 + idx,
+                               mode=GenMode.ATOMIC_ONLY)
+        else:
+            b = k // 4
+            params = GenParams(b=b, n=k - 2 * b, p_atomic=0.001, p_soft=0.0003,
+                               p_disjunctive=0.002, ds_count=b // 4,
+                               seed=seed * 100_003 + idx)
+        yield generate_planted(params)[0]
+
+
+def assert_dat_round_trips(seed: int) -> int:
+    """Each benchmark-shaped instance of ``seed`` reads back from its
+    ``.dat`` text as its canonical form, which writes the same text again.
+    Returns the number of instances."""
+    count = 0
+    for inst in _benchmark_shaped(seed):
+        text = emit_dat(inst)
+        parsed = parse_dat(text)
+        assert parsed == inst.canonical(), (seed, count)
+        assert emit_dat(parsed) == text, (seed, count)
+        count += 1
+    return count
+
+
+def test_dat_round_trips_on_benchmark_shapes():
+    assert assert_dat_round_trips(0) == 29
+
+
+def _emitter_corpus():
+    corpus = [generate_planted(p)[0] for _, p in certification_suite(seed=0)]
+    corpus += [generate_planted(p)[0] for _, p in anytime_suite(seed=0, count=10)]
+    corpus.append(Instance(k=0, b=0))
+    # the shape of the largest audit benchmark files: k = 3000, about 144 KB
+    corpus.append(generate_planted(GenParams(
+        b=750, n=1500, p_atomic=0.001, p_soft=0.0003, p_disjunctive=0.002, ds_count=187,
+        seed=300_009))[0])
+    return corpus
+
+
+# SHA-256 of each emitter's texts over _emitter_corpus(), one after another
+_EMITTER_DIGESTS = {
+    "emit_dat": "28426637712af6f8d7de922560f30ecabaca272276e267fbb15aa6426fb0b330",
+    "emit_dzn": "edaff273cdb6698dcf509229b37e2bb1d4731efb9d9ea636c0ef38684dbb80c5",
+    "emit_json": "2c338a4b2b492ffe27d0c224641bef3b5ddde0d2d2caea822c2f7562e88ca62b",
+}
+
+
+def test_emitters_reproduce_their_pinned_bytes():
+    corpus = _emitter_corpus()
+    assert len(corpus) == 212
+    for emit in (emit_dat, emit_dzn, emit_json):
+        digest = hashlib.sha256()
+        for inst in corpus:
+            digest.update(emit(inst).encode())
+        assert digest.hexdigest() == _EMITTER_DIGESTS[emit.__name__], emit.__name__
+
+
 def test_json_round_trip_is_identity():
     rng = random.Random(53)
     for _ in range(100):
@@ -278,6 +368,16 @@ def test_parse_solution_errors():
         parse_solution("tour 1 2\nwat 3\n")
     with pytest.raises(ParseError, match="claimed line"):
         parse_solution("tour 1 2\nclaimed 161\n")
+    # at most one line of each kind; an empty instance line counts too
+    claim = "claimed S=1 M=1 L=2 N=1 objective=161"
+    with pytest.raises(ParseError, match="^line 4, column 1: more than one claimed line$"):
+        parse_solution(f"tour 5 3 4 2 1\n{claim}\n# again\n{claim}\n")
+    with pytest.raises(ParseError, match="^line 3, column 1: more than one instance line$"):
+        parse_solution("instance A\ntour 1 2\ninstance B\n")
+    with pytest.raises(ParseError, match="^line 2, column 1: more than one instance line$"):
+        parse_solution("instance\ninstance A\ntour 1\n")
+    with pytest.raises(ParseError, match="^line 2, column 1: more than one permutation line$"):
+        parse_solution("tour 1 2\npositions 1 2\n")
     # a duplicated tour is kept as it stands for validate to report; a
     # duplicated position map cannot be inverted at all
     assert not parse_solution("tour 1 1 2\n").permutation().is_bijection()
