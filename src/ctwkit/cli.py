@@ -183,7 +183,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_validate(args) -> int:
     inst = formats.load_instance(args.instance)
-    sol = formats.parse_solution(Path(args.solution).read_text(encoding="utf-8-sig"))
+    sol = formats.parse_solution(formats.read_text(args.solution))
     doc = {"instance": Path(args.instance).stem, "valid": False,
            "violations": [], "breakdown": None}
     fault, violations, bd = bench_mod.audit_solution(inst, sol)
@@ -269,18 +269,23 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    paths = bench_mod.instance_paths(args.dir)
-    items = [(p.stem, bench_mod.metrics(formats.load_instance(p))) for p in paths]
+    items = []
+    for p in bench_mod.instance_paths(args.dir):
+        try:
+            inst = formats.load_instance(p)
+        except (CtwError, ValueError) as exc:  # an OSError names the file itself
+            raise CtwError(f"{p.name}: {exc}") from None
+        items.append((p.stem, bench_mod.metrics(inst)))
     _write(formats.emit_metrics_csv(items), args.out)
     return 0
 
 
 def _cmd_reduce_mas(args) -> int:
-    g = reduction.parse_edge_list(Path(args.graph).read_text(encoding="utf-8-sig"))
+    g = reduction.parse_edge_list(formats.read_text(args.graph))
     if args.extract:
         if not args.solution:
             raise CtwError("--extract needs --solution FILE")
-        sol = formats.parse_solution(Path(args.solution).read_text(encoding="utf-8-sig"))
+        sol = formats.parse_solution(formats.read_text(args.solution))
         perm = sol.permutation()
         kept = reduction.extract_mas(g, perm)
         doc = {

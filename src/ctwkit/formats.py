@@ -481,19 +481,24 @@ def parse_json(text: str) -> Instance:
                     disjunctive=tuple(disj), direct_successors=ds)
 
 
-def load_instance(path) -> Instance:
-    """Parse an instance file, picking the format from the extension.
+def read_text(path) -> str:
+    """The text of the file at ``path``, a leading UTF-8 byte-order mark
+    skipped. Text that is not UTF-8 is a ``ParseError``."""
+    from pathlib import Path
 
-    A leading UTF-8 byte-order mark is skipped. Text that is not UTF-8 is
-    a ``ParseError``.
-    """
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at offset {exc.start}") from None
+
+
+def load_instance(path) -> Instance:
+    """Parse an instance file read by ``read_text``, picking the format
+    from the extension."""
     from pathlib import Path
 
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason} at offset {exc.start}") from None
+    text = read_text(p)
     if p.suffix.lower() == ".json":
         return parse_json(text)
     if p.suffix.lower() == ".dat":

@@ -70,7 +70,6 @@ from .costs import CostBreakdown, breakdown
 from .model import Instance, Permutation, validate
 
 _TIME_CHECK_MASK = 1023  # timer polled every 1024 children tried
-_JOB_AND_BOUND = operator.itemgetter(1, 0)  # (bound, job) -> (job, bound)
 
 
 class ResultState(Enum):
@@ -198,8 +197,9 @@ class SearchState:
     * ``open_list``, the positions of the placed ends of open pairs in
       ascending order: its first entry sets the open pairs' L stretch, its
       last one is the most recently opened pair;
-    * the ready set (unplaced jobs whose hard predecessors are all placed),
-      so candidate generation never scans all k jobs;
+    * per job, ``waiting``, the number of its hard predecessors still
+      unplaced, and the ready set, the unplaced jobs with none, so
+      candidate generation never scans all k jobs;
     * per job, the N that placing it next commits: its soft predecessors
       still unplaced, except those counted from the root, less the live
       triangles through it, which die with its placement. For a ready job
@@ -237,20 +237,16 @@ class SearchState:
         for i, j in inst.atomic:
             preds[j].append(i)
             succs[i].append(j)
-        self.npreds = npreds = list(map(len, preds))
-        self.pred_placed = [0] * (k + 1)
-        # unplaced jobs whose hard predecessors are all placed
-        self.ready = {c for c in range(1, k + 1) if not npreds[c]}
-
-        self.direct = [False] * (k + 1)
-        for i in inst.direct_successors:
-            self.direct[i] = True
+        self.waiting = waiting = list(map(len, preds))  # hard predecessors unplaced
+        self.ready = {c for c in range(1, k + 1) if not waiting[c]}
+        direct = set(inst.direct_successors)
+        self.direct = [i in direct for i in range(k + 1)]
 
         # per pair, indexed by its lower end: 1 when a hard chain runs
         # through a third job between its ends, so they are never adjacent.
         # A hard cycle leaves no valid order: ``solve`` stops on ``acyclic``
         # before the search, and the floors are built over empty reach.
-        reaches = chain_reach(succs, npreds)
+        reaches = chain_reach(succs, waiting)
         self.acyclic = reaches is not None
         reach, deep = reaches or ([0] * (k + 1), [0] * (k + 1))
         # the swap masks (see the class docstring): c < a and no hard chain
@@ -261,16 +257,16 @@ class SearchState:
             (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
         ]
         self.sep_unplaced = sum(self.separated)  # separated pairs, no end placed
-        # per job c: how many hard predecessors of its partner w must be
-        # placed before c for w to follow c directly, all of w's but c. A
-        # child that opens its pair with fewer placed leaves the pair
-        # interrupted in every completion. 0, no charge, for one-sided jobs
-        # and the ends of separated pairs, which S counts from the root.
-        self.close_need = close_need = [0] * (k + 1)
+        # per job c: how many hard predecessors its partner w may still
+        # wait on when c opens the pair, for w to follow c directly: 1 when
+        # c is one of them, else 0. A child that opens its pair with w
+        # waiting on more leaves the pair interrupted in every completion.
+        # k, no charge, for the ends of separated pairs, which S counts from
+        # the root; one-sided jobs have w = 0, which waits on nothing.
+        self.may_wait = may_wait = [0] * (k + 1)
         for p in range(1, b + 1):
-            if not self.separated[p]:
-                for c, w in ((p, p + b), (p + b, p)):
-                    close_need[c] = npreds[w] - (w in succs[c])
+            for c, w in ((p, p + b), (p + b, p)):
+                may_wait[c] = k if self.separated[p] else int(w in succs[c])
 
         # soft edges that every valid order violates a fixed number of times
         # count from the root on: one against a hard chain (j -> ... -> i
@@ -340,15 +336,12 @@ class SearchState:
         self.links = list(zip(self.partner, soft_after_of, triangles_of, succs, by_after))
 
         self.open_list: list[int] = []  # placed-end positions of open pairs, ascending
-        self.closed_s = 0
-        self.closed_l = 0
-        self.m_committed = 0
+        self.closed_s = self.closed_l = self.m_committed = 0
         self.n_committed = n_floor
         self._undo: list[tuple] = []  # per placement: the committed S, L, M, N before it
         # children extend_candidates dropped for a bound at or above the
         # cutoff, and by the swap rule
-        self.bound_drops = 0
-        self.swap_drops = 0
+        self.bound_drops = self.swap_drops = 0
 
     # -- placement ---------------------------------------------------------
 
@@ -389,11 +382,10 @@ class SearchState:
         prefix.append(c)
         ready = self.ready
         ready.discard(c)
-        pred_placed = self.pred_placed
-        npreds = self.npreds
+        waiting = self.waiting
         for s in succs:
-            pred_placed[s] += 1
-            if pred_placed[s] == npreds[s] and pos[s] == 0:
+            waiting[s] -= 1
+            if not (waiting[s] or pos[s]):
                 ready.add(s)
 
         for before, oa, oc in by_after:
@@ -408,13 +400,12 @@ class SearchState:
         other_end, soft_after, triangles, succs, _ = self.links[c]
         pos = self.pos
         ready = self.ready
-        pred_placed = self.pred_placed
-        npreds = self.npreds
+        waiting = self.waiting
         for s in succs:
-            if pred_placed[s] == npreds[s]:
+            if not waiting[s]:
                 ready.discard(s)
-            pred_placed[s] -= 1
-        if pred_placed[c] == npreds[c]:
+            waiting[s] += 1
+        if not waiting[c]:
             ready.add(c)
         pos[c] = 0
         soft_pending = self.soft_pending
@@ -459,12 +450,15 @@ class SearchState:
             stack = [a]
             while stack:
                 v = stack.pop()
-                into = preds[v]
-                if by_after[v]:  # and the disjuncts into v whose alternative died
-                    into = into + [x for x, oa, oc in by_after[v]
-                                   if pos[oc] and not 0 < pos[oa] < pos[oc]]
-                for w in into:
-                    if pos[w] == 0 and w not in seen:
+                for w in preds[v]:
+                    if not pos[w] and w not in seen:
+                        if w == b:
+                            return True
+                        seen.add(w)
+                        stack.append(w)
+                # then the disjuncts into v whose alternative died
+                for w, oa, oc in by_after[v]:
+                    if pos[oc] and not 0 < pos[oa] < pos[oc] and not pos[w] and w not in seen:
                         if w == b:
                             return True
                         seen.add(w)
@@ -473,24 +467,9 @@ class SearchState:
 
     # -- candidate generation and pricing ----------------------------------
 
-    def _legal(self, c: int) -> bool:
-        """True when placing c kills no disjunction; for an unplaced job
-        whose hard predecessors are all placed.
-
-        Placing c kills each disjunct (before, c) with 'before' unplaced.
-        Its disjunction then rests on the other disjunct (oa, oc), which
-        fails once oc is placed, or is c, unless oa was placed first.
-        """
-        pos = self.pos
-        for before, oa, oc in self.by_after[c]:
-            if not pos[before] and (pos[oc] or oc == c):
-                if not pos[oa] or pos[oc] and pos[oc] < pos[oa]:
-                    return False
-        return True
-
     def extend_candidates(self, cutoff: int | None = None) -> list[tuple[int, int]]:
         """Legal next jobs whose bound is below ``cutoff``, strongest branch
-        first, each as (job, ``lower_bound()`` after placing it); empty at
+        first, each as (``lower_bound()`` after placing it, job); empty at
         leaves and dead ends. ``cutoff`` None keeps every legal job.
 
         Order: a partner forced by a direct successor constraint, the only
@@ -522,6 +501,10 @@ class SearchState:
         or L, and N lower by [soft c -> a] - [soft a -> c], with ties
         going to the lower id. Without an incumbent the rule waits, and
         ``drop_dominated`` applies it once one lands.
+
+        A ready job c is illegal when it kills a disjunct (before, c),
+        'before' unplaced, whose alternative (oa, oc) is dead or dies with
+        it: oc is placed or is c, and oa was not placed before oc.
         """
         prefix = self.prefix
         t = len(prefix)
@@ -552,6 +535,14 @@ class SearchState:
             close = base - k2 if n_open > self.m_committed else base
             # closing the oldest pair shortens its stretch by one
             close_low = close - k if t1 - lowest > self.closed_l else close
+        ready = self.ready
+        if base < cutoff:
+            children = ready
+            drops = 0
+        else:
+            # only a child that closes a pair can price below the base
+            children = [c for q in open_list if (c := partner[prefix[q - 1]]) in ready]
+            drops = len(ready) - len(children)
         swap = 0  # the jobs c with X·c·a no worse than X·a·c, a the last job
         if t:
             a = prefix[-1]
@@ -568,19 +559,12 @@ class SearchState:
                     if swap >> p & 1:
                         self.swap_drops += 1
                         return []
-                    return [(p, bound)] if p in self.ready and self._legal(p) else []
+                    children = (p,) if p in ready else ()  # priced again, for legality
+                    drops = 0
 
-        ready = self.ready
         by_after = self.by_after
-        pred_placed = self.pred_placed
-        close_need = self.close_need
-        if base < cutoff:
-            children = ready
-            drops = 0
-        else:
-            # only a child that closes a pair can price below the base
-            children = [c for q in open_list if (c := partner[prefix[q - 1]]) in ready]
-            drops = len(ready) - len(children)
+        waiting = self.waiting
+        may_wait = self.may_wait
         priced = []  # bound, c
         for c in children:
             w = partner[c]
@@ -592,27 +576,32 @@ class SearchState:
                 bound += soft[c]
             else:
                 bound = base + soft[c]
-                if pred_placed[w] < close_need[c]:  # w cannot follow c
+                if waiting[w] > may_wait[c]:  # w cannot follow c
                     bound += k3
             if bound >= cutoff:
                 drops += 1
             elif swap >> c & 1 and (q or not w):  # c opens no pair
                 self.swap_drops += 1
-            elif not by_after[c] or self._legal(c):
-                priced.append((bound, c))
+            else:
+                for before, oa, oc in by_after[c]:
+                    if not pos[before] and (pos[oc] or oc == c) and (
+                            not pos[oa] or pos[oc] and pos[oc] < pos[oa]):
+                        break  # placing c kills this disjunction
+                else:
+                    priced.append((bound, c))
         if drops:
             self.bound_drops += drops
         priced.sort()
-        return list(map(_JOB_AND_BOUND, priced))
+        return priced
 
     def drop_dominated(self, frames: list[tuple]) -> None:
         """Apply the swap rule of ``extend_candidates`` to children priced
         before an incumbent existed, as if it had.
 
-        ``frames[d]`` is (bound, iterator over the children still waiting)
-        of the node at the prefix's first d jobs. Each iterator the rule
-        thins is replaced by one over the children it keeps there; the
-        drops count in ``swap_drops``.
+        ``frames[d]`` is (bound, iterator over the (bound, job) children
+        still waiting) of the node at the prefix's first d jobs. Each
+        iterator the rule thins is replaced by one over the children it
+        keeps there; the drops count in ``swap_drops``.
         """
         pos = self.pos
         partner = self.partner
@@ -621,11 +610,11 @@ class SearchState:
             a = prefix[depth - 1]
             swap = self.swap[a]
             if swap and not 0 < pos[partner[a]] < depth:  # a closed no pair
-                bound, waiting = frames[depth]
-                waiting = list(waiting)
-                kept = [(c, cb) for c, cb in waiting if not (
+                bound, children = frames[depth]
+                children = list(children)
+                kept = [(cb, c) for cb, c in children if not (
                     swap >> c & 1 and (0 < pos[partner[c]] <= depth or not partner[c]))]
-                self.swap_drops += len(waiting) - len(kept)
+                self.swap_drops += len(children) - len(kept)
                 frames[depth] = (bound, iter(kept))
 
     # -- bounding ------------------------------------------------------------
@@ -649,9 +638,7 @@ class SearchState:
             # open position
             if open_list[-1] == t:
                 last = self.prefix[-1]
-                w = self.partner[last]
-                if (not self.separated[self.pair_of[last]]
-                        and self.pred_placed[w] == self.npreds[w]):
+                if not (self.separated[self.pair_of[last]] or self.waiting[self.partner[last]]):
                     s_c -= 1  # the last job's pair can still close adjacently
             if t - open_list[0] > l_c:
                 l_c = t - open_list[0]
@@ -738,21 +725,25 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     place, unplace, extend = state.place, state.unplace, state.extend_candidates
     prefix = state.prefix
     node_limit = cfg.node_limit or sys.maxsize
-    # frame: (node bound, iterator over its [(child, bound), ...])
-    frames: list[tuple] = [(state.lower_bound(), iter(extend(cutoff)))]
+    # frame: (node bound, iterator over its [(bound, child), ...]); the
+    # deepest frame's iterator is also kept in ``children``
+    children = iter(extend(cutoff))
+    frames: list[tuple] = [(state.lower_bound(), children)]
     nodes = 1
     tried = 0
     loop_prunes = cycle_prunes = leaves = max_depth = 0
     interrupted = False
 
-    while frames:
-        child = next(frames[-1][1], None)
+    while True:
+        child = next(children, None)
         if child is None:
             frames.pop()
-            if frames:
-                unplace()
+            if not frames:
+                break
+            unplace()
+            children = frames[-1][1]
             continue
-        c, clb = child
+        clb, c = child
 
         tried += 1
         if tried & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
@@ -779,6 +770,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                 raise AssertionError("propagation admitted an invalid leaf")
             if best_bd is None:
                 state.drop_dominated(frames)  # the swap rule waited for an incumbent
+                children = frames[-1][1]
             # only children below the incumbent are tried: every leaf improves
             best_tour, best_bd = perm.tour, bd
             cutoff = bd.objective
@@ -787,10 +779,15 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         if nodes >= node_limit:
             interrupted = True
             break
-        frames.append((clb, iter(extend(cutoff))))
+        priced = extend(cutoff)
         nodes += 1
         if depth > max_depth:
             max_depth = depth
+        if priced:
+            children = iter(priced)
+            frames.append((clb, children))
+        else:  # a dead end: back up at once
+            unplace()
 
     drops = state.bound_drops
     swaps = state.swap_drops

@@ -24,9 +24,11 @@ well, ``NFloorlessSearchState`` without the N floor on top,
 so two bounds can be compared on one order. ``RankFirstSearchState`` is
 the solver's state with the branch order from before the bound led it.
 
-``mandatory_disjuncts`` reads the disjuncts a prefix made mandatory off
-the positions alone. ``swap_probe`` is the swap rule's reference: it
-replays X·c·a next to X·a·c and compares what they committed.
+``legal`` is the solver's legality test from before ``extend_candidates``
+ran it inline. ``mandatory_disjuncts`` reads the disjuncts a prefix made
+mandatory off the positions alone. ``swap_probe`` is the swap rule's
+reference: it replays X·c·a next to X·a·c and compares what they
+committed.
 ``check_swaps_in_lockstep`` holds every child the solver drops by the
 rule to it.
 """
@@ -54,13 +56,14 @@ class ChargelessSearchState(SwaplessSearchState):
 
     A pair that a child opens is exempt from S while the child is last
     unless it is separated, whether or not its partner still waits on an
-    unplaced hard predecessor: ``close_need`` charges no job, and
-    ``lower_bound`` is the solver's from before the charge, verbatim.
+    unplaced hard predecessor: ``may_wait`` lets every partner wait on
+    up to k, and ``lower_bound`` is the solver's from before the charge,
+    verbatim.
     """
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
-        self.close_need = [0] * (inst.k + 1)
+        self.may_wait = [inst.k] * (inst.k + 1)
 
     def lower_bound(self) -> int:
         """Objective that every valid completion of this prefix must reach.
@@ -144,7 +147,7 @@ class RankFirstSearchState(SearchState):
         fresh = fresh_end(self)
         succs = self.succs
         return sorted(super().extend_candidates(cutoff),
-                      key=lambda cb: (cb[0] != fresh, -len(succs[cb[0]]), cb[1], cb[0]))
+                      key=lambda bc: (bc[1] != fresh, -len(succs[bc[1]]), bc))
 
 
 def id_tie_order(cls):
@@ -160,7 +163,7 @@ def id_tie_order(cls):
             fresh = fresh_end(self)
             succs = self.succs
             return sorted(super().extend_candidates(cutoff),
-                          key=lambda cb: (cb[0] != fresh, -len(succs[cb[0]]), cb[0]))
+                          key=lambda bc: (bc[1] != fresh, -len(succs[bc[1]]), bc[1]))
 
     IdTie.__name__ = IdTie.__qualname__ = f"IdTie{cls.__name__}"
     return IdTie
@@ -584,10 +587,10 @@ class FloorlessReferenceState(ReferenceSearchState):
 
 
 def reference_children(ref: ReferenceSearchState, cutoff: int | None) -> list[tuple[int, int]]:
-    """(job, child_bound) in the reference's branch order, bound below the
+    """(child_bound, job) in the reference's branch order, bound below the
     cutoff: what ``SearchState.extend_candidates(cutoff)`` must return."""
-    priced = [(c, ref.child_bound(c)) for c in ref.extend_candidates()]
-    return [(c, bound) for c, bound in priced if cutoff is None or bound < cutoff]
+    priced = [(ref.child_bound(c), c) for c in ref.extend_candidates()]
+    return [(bound, c) for bound, c in priced if cutoff is None or bound < cutoff]
 
 
 def pricing_pool(ref: ReferenceSearchState) -> list[int]:
@@ -615,7 +618,7 @@ def check_pricing_in_lockstep(state, ref, rng, moves: int) -> int:
         assert state.lower_bound() == lb, state.prefix
         children = reference_children(ref, None)
         cutoffs = {None, lb - 1, lb, lb + 1}
-        cutoffs.update(bound + d for _, bound in children for d in (0, 1))
+        cutoffs.update(bound + d for bound, _ in children for d in (0, 1))
         for cutoff in cutoffs:
             drops = state.bound_drops
             assert state.extend_candidates(cutoff) == reference_children(ref, cutoff), \
@@ -629,7 +632,7 @@ def check_pricing_in_lockstep(state, ref, rng, moves: int) -> int:
             state.unplace()
             ref.unplace()
         elif children:
-            c = rng.choice(children)[0]
+            c = rng.choice(children)[1]
             state.place(c)
             ref.place(c)
             # the mandatory disjuncts read off the positions are the ones
@@ -668,6 +671,24 @@ def committed(st: SearchState) -> tuple:
     return (st.closed_s, st.m_committed, st.closed_l, st.n_committed), opened, mandatory
 
 
+def legal(st: SearchState, c: int) -> bool:
+    """True when placing c kills no disjunction; for an unplaced job
+    whose hard predecessors are all placed. ``SearchState._legal`` from
+    before ``extend_candidates`` ran the same test inline, verbatim but
+    for ``st`` in place of ``self``.
+
+    Placing c kills each disjunct (before, c) with 'before' unplaced.
+    Its disjunction then rests on the other disjunct (oa, oc), which
+    fails once oc is placed, or is c, unless oa was placed first.
+    """
+    pos = st.pos
+    for before, oa, oc in st.by_after[c]:
+        if not pos[before] and (pos[oc] or oc == c):
+            if not pos[oa] or pos[oc] and pos[oc] < pos[oa]:
+                return False
+    return True
+
+
 def place_if_legal(st: SearchState, c: int) -> bool:
     """Place c when it may come next and closes no forced cycle: ready, no
     disjunction killed, and not pushed aside by a direct successor
@@ -677,7 +698,7 @@ def place_if_legal(st: SearchState, c: int) -> bool:
         w = st.partner[last]
         if st.direct[last] and not st.pos[w] and w != c:
             return False
-    if c not in st.ready or not st._legal(c):
+    if c not in st.ready or not legal(st, c):
         return False
     if st.place(c) and st.forced_cycle():
         st.unplace()
@@ -744,7 +765,7 @@ def check_swaps_in_lockstep(inst: Instance, rng, moves: int) -> tuple[int, int, 
         children = swapless.extend_candidates()
         assert state.extend_candidates() == children, (inst, state.prefix)
         cutoffs = {state.unbounded - 1}
-        cutoffs.update(bound + d for _, bound in children for d in (0, 1))
+        cutoffs.update(bound + d for bound, _ in children for d in (0, 1))
         for cutoff in cutoffs:
             before = state.bound_drops, swapless.bound_drops, state.swap_drops
             kept = state.extend_candidates(cutoff)
@@ -754,13 +775,13 @@ def check_swaps_in_lockstep(inst: Instance, rng, moves: int) -> tuple[int, int, 
             # the rule tests only children priced below the cutoff, legal or not
             assert state.bound_drops - before[0] == swapless.bound_drops - before[1]
             assert state.swap_drops - before[2] >= len(gone)
-            for c, _ in gone:
+            for _, c in gone:
                 assert swap_probe(swapless, c) or closes_forced_cycle(swapless, c), \
                     (inst, state.prefix, c)
             dropped += len(gone)
             if cutoff == state.unbounded - 1:
                 if state.prefix:
-                    probe_only += sum(swap_probe(swapless, c) for c, _ in kept)
+                    probe_only += sum(swap_probe(swapless, c) for _, c in kept)
                 incumbent = kept
         # frames[d]: the node on the prefix's first d jobs, priced before
         # an incumbent, and its children with one
@@ -773,7 +794,7 @@ def check_swaps_in_lockstep(inst: Instance, rng, moves: int) -> tuple[int, int, 
             swapless.unplace()
             priced.pop()
         elif children:
-            c = rng.choice(children)[0]
+            c = rng.choice(children)[1]
             swapless.place(c)
             if state.place(c) and state.forced_cycle():  # where solve prunes
                 state.unplace()

@@ -245,6 +245,29 @@ def test_text_that_is_not_utf8_is_a_format_error(tmp_path, capsys, five_job):
         "invalid start byte at offset 0"
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "{dat}", "--solution", "{bad}"),
+    ("reduce-mas", "{bad}"),
+    ("reduce-mas", "{graph}", "--extract", "--solution", "{bad}"),
+])
+def test_other_inputs_that_are_not_utf8_are_format_errors(tmp_path, capsys, five_dat, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + "tour 1 2 3\n".encode("utf-16-le"))
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n2 3\n3 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *(a.format(dat=five_dat, bad=bad, graph=graph) for a in argv))
+    assert (code, out) == (4, "")
+    assert err == "error: not UTF-8 text: invalid start byte at offset 0\n"
+
+
+def test_stats_names_the_file_it_cannot_parse(tmp_path, capsys, five_job):
+    (tmp_path / "A.dat").write_text(emit_dat(five_job), encoding="utf-8")
+    (tmp_path / "C.dat").write_text("k = 1;\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", "--dir", tmp_path)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: C.dat: missing parameter(s): b")
+
+
 def test_bench_byte_identical_with_no_timestamps(tmp_path, capsys, five_job):
     (tmp_path / "A.dat").write_text(emit_dat(five_job))
     args = ("bench", "--dir", tmp_path, "--time-limit", "5000",

@@ -72,11 +72,11 @@ def test_n_floor_reference_cases():
     # a soft digon: whichever job comes first breaks the other's edge
     digon = SearchState(Instance(k=2, b=0, soft_atomic=[(1, 2), (2, 1)]))
     assert digon.lower_bound() == 1
-    assert digon.extend_candidates() == [(1, 1), (2, 1)]
+    assert digon.extend_candidates() == [(1, 1), (1, 2)]
     # a triangle of two soft edges closed by a hard one
     triangle = SearchState(Instance(k=3, b=0, atomic=[(3, 1)], soft_atomic=[(1, 2), (2, 3)]))
     assert triangle.lower_bound() == 1
-    assert triangle.extend_candidates() == [(2, 1), (3, 1)]
+    assert triangle.extend_candidates() == [(1, 2), (1, 3)]
     assert replay(SearchState, triangle.inst, [2]).lower_bound() == 1  # 1 -> 2 fell
     # a soft triangle and the digon beside it share no soft edge: two
     # violations from the root
@@ -131,7 +131,7 @@ def test_floor_upkeep_matches_its_definition_on_reachable_states():
             if st.prefix and (rng.random() < 0.3 or not children):
                 st.unplace()
             elif children:
-                st.place(rng.choice(children)[0])
+                st.place(rng.choice(children)[1])
     assert checked >= 10_000
 
 

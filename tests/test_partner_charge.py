@@ -26,11 +26,11 @@ K3 = 27  # one interrupted pair at k = 3
 def test_an_unplaced_other_predecessor_is_charged():
     # pair (1, 2); 2 waits on 3, so 1 opening the pair leaves it interrupted
     inst = Instance(k=3, b=1, atomic=[(3, 2)])
-    assert SearchState(inst).extend_candidates() == [(3, 0), (1, K3)]
+    assert SearchState(inst).extend_candidates() == [(0, 3), (K3, 1)]
     assert replay(SearchState, inst, [1]).lower_bound() == K3
     # with 3 placed, either end may open the pair with the other behind it
     st = replay(SearchState, inst, [3])
-    assert st.extend_candidates() == [(1, 0), (2, 0)]
+    assert st.extend_candidates() == [(0, 1), (0, 2)]
     assert replay(SearchState, inst, [3, 1]).lower_bound() == 0
     assert solve(inst).best[1].objective == 0
 
@@ -39,13 +39,13 @@ def test_the_opener_as_the_last_predecessor_is_not_charged():
     # 2 waits on both 1 and 3: 1 is charged while 3 is unplaced, and not
     # once 3 is placed, as 1 itself is then 2's last hard predecessor
     inst = Instance(k=3, b=1, atomic=[(1, 2), (3, 2)])
-    assert SearchState(inst).close_need == [0, 1, 0, 0]
-    assert SearchState(inst).extend_candidates() == [(3, 0), (1, K3)]
-    assert replay(SearchState, inst, [3]).extend_candidates() == [(1, 0)]
+    assert SearchState(inst).may_wait == [0, 1, 0, 0]
+    assert SearchState(inst).extend_candidates() == [(0, 3), (K3, 1)]
+    assert replay(SearchState, inst, [3]).extend_candidates() == [(0, 1)]
     assert replay(SearchState, inst, [3, 1]).lower_bound() == 0
     # the partner waits on nothing but the opener
     adjacent = Instance(k=2, b=1, atomic=[(1, 2)])
-    assert SearchState(adjacent).extend_candidates() == [(1, 0)]
+    assert SearchState(adjacent).extend_candidates() == [(0, 1)]
     assert replay(SearchState, adjacent, [1]).lower_bound() == 0
 
 
@@ -54,9 +54,9 @@ def test_a_separated_pair_is_not_counted_twice():
     # root, and opening it while 2 waits on 3 adds nothing
     inst = Instance(k=3, b=1, atomic=[(1, 3), (3, 2)])
     st = SearchState(inst)
-    assert st.separated == [0, 1] and st.close_need == [0, 0, 0, 0]
+    assert st.separated == [0, 1] and st.may_wait == [0, 3, 3, 0]
     assert st.lower_bound() == K3
-    assert st.extend_candidates() == [(1, K3)]
+    assert st.extend_candidates() == [(K3, 1)]
     assert replay(SearchState, inst, [1]).lower_bound() == K3
     assert solve(inst).best[1].objective == K3 + 9 + 3  # S = M = L = 1
 
@@ -65,11 +65,11 @@ def test_a_direct_successor_end_is_charged():
     # 1 carries a direct successor constraint, so 2 must follow it at once;
     # while 2 waits on 3 that cannot happen, and the charge prices 1 out
     inst = Instance(k=3, b=1, atomic=[(3, 2)], direct_successors=[1])
-    assert SearchState(inst).extend_candidates() == [(3, 0), (1, K3)]
+    assert SearchState(inst).extend_candidates() == [(0, 3), (K3, 1)]
     st = replay(SearchState, inst, [1])
     assert st.lower_bound() == K3
     assert st.extend_candidates() == []  # the forced partner is not ready
-    assert SearchState(inst).extend_candidates(K3) == [(3, 0)]
+    assert SearchState(inst).extend_candidates(K3) == [(0, 3)]
     res = solve(inst)
     assert res.best[0] == Permutation((3, 1, 2)) and res.best[1].objective == 0
 
@@ -105,13 +105,13 @@ def test_charged_child_bound_equals_bound_after_place():
             cands = st.extend_candidates()
             if not cands:
                 break
-            for c, bound in cands:
+            for bound, c in cands:
                 fired += charged(st, c)
                 st.place(c)
                 assert bound == st.lower_bound(), (inst, st.prefix)
                 st.unplace()
                 priced += 1
-            st.place(rng.choice(cands)[0])
+            st.place(rng.choice(cands)[1])
         if len(st.prefix) == inst.k:
             perm = Permutation(tuple(st.prefix))
             assert st.lower_bound() == breakdown(inst, perm).objective, inst

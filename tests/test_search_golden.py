@@ -16,13 +16,20 @@ bound is also a new branch order, under which an anytime objective may
 move either way. A rule that drops a child for a prefix that does no
 worse (the swap rule) moves node counts and tours the same way, next to
 its probe and oracle checks (``tests/test_swap_rule.py``).
+
+``search_digest`` pins more of the search than the rows do: one SHA-256
+over every counter of ``SolveStats`` but ``time_ms``, with the state,
+objective and tour, of many more solves. A kernel change that keeps the
+search the same leaves ``SEARCH_DIGESTS`` unchanged.
 """
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from ctwkit import SolverConfig, enumerate_solutions, solve
+from ctwkit import SolveStats, SolverConfig, enumerate_solutions, solve
 from ctwkit.generate import GenParams, generate_planted
 
 ANYTIME_NODE_LIMIT = 500
@@ -49,6 +56,40 @@ def exact_cases() -> list[GenParams]:
         out.append(GenParams(b=b, n=k - 2 * b, p_atomic=0.30, p_soft=0.02,
                              p_disjunctive=0.10, ds_count=b, seed=8_000 + idx))
     return out
+
+
+def digest_cases(seed: int, anytime: int, exact: int) -> list[tuple[GenParams, int | None]]:
+    """(params, node limit) of ``anytime`` instances shaped like the
+    anytime benchmark's (k = 40..60, a 500-node budget) and ``exact`` ones
+    shaped like the exact benchmark's planted ones (k = 11..13, to proof)."""
+    rng = random.Random(seed)
+    out = []
+    for idx in range(anytime):
+        k = 40 + idx % 21
+        b = rng.randint(k // 4, k // 2)
+        out.append((GenParams(b=b, n=k - 2 * b, p_atomic=0.18, p_soft=rng.choice((0.01, 0.02)),
+                              p_disjunctive=rng.choice((0.05, 0.1)), ds_count=rng.randint(0, b),
+                              seed=rng.randrange(2 ** 30)), ANYTIME_NODE_LIMIT))
+    for idx in range(exact):
+        k = 11 + idx % 3
+        b = k // 2
+        out.append((GenParams(b=b, n=k - 2 * b, p_atomic=0.30, p_soft=0.02, p_disjunctive=0.10,
+                              ds_count=b, seed=rng.randrange(2 ** 30)), None))
+    return out
+
+
+def search_digest(seed: int, anytime: int = 60, exact: int = 120) -> str:
+    """SHA-256 over (state, each ``SolveStats`` field but ``time_ms``,
+    objective, tour) of every solve of ``digest_cases``."""
+    counters = [f.name for f in dataclasses.fields(SolveStats) if f.name != "time_ms"]
+    h = hashlib.sha256()
+    for params, node_limit in digest_cases(seed, anytime, exact):
+        inst, _ = generate_planted(params)
+        res = solve(inst, SolverConfig(time_limit_ms=3_600_000, node_limit=node_limit))
+        best = (None, None) if res.best is None else (res.best[1].objective, res.best[0].tour)
+        row = (res.state.value, *(getattr(res.stats, name) for name in counters), *best)
+        h.update(repr(row).encode())
+    return h.hexdigest()
 
 
 def outcome(params: GenParams, node_limit: int | None) -> tuple:
@@ -111,6 +152,15 @@ EXACT_GOLDEN = [
 ]
 # fmt: on
 
+# search_digest(seed) for tier-1 (seed 0, default sizes), and
+# search_digest(seed, 200, 400) for seeds 1-3, which CI runs
+SEARCH_DIGESTS = {
+    (0, 60, 120): "71825ca84251c924d1093ebc7c193022dfe25ed785565f8d78752c8c7b774922",
+    (1, 200, 400): "ddfd24db3ed4501f1d960043b34c4739edbcc8289f8bb7b0d6d2f9c15af799af",
+    (2, 200, 400): "be461ead1e9a1c4314ed5d16a5b3ded1bc1a008c78bd26590d717886d8b06ca4",
+    (3, 200, 400): "5d8b66822538eebb1ac56501e1cdfcbad9b40eea937afef62094479017f28577",
+}
+
 
 @pytest.mark.parametrize("idx", range(len(ANYTIME_GOLDEN)))
 def test_anytime_search_is_pinned(idx):
@@ -129,3 +179,7 @@ def test_exact_pins_are_oracle_optima(idx):
     orc = enumerate_solutions(inst, limit_k=10)
     assert objective == orc.optimal_objective
     assert tuple(map(int, tour.split())) in {p.tour for p in orc.optimal_solutions}
+
+
+def test_search_digest_is_pinned():
+    assert search_digest(0) == SEARCH_DIGESTS[0, 60, 120]

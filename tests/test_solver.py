@@ -26,7 +26,7 @@ from conftest import (general_disjunction_instances, mas_instances, random_insta
                       soft_heavy_instances)
 from test_search_golden import ANYTIME_NODE_LIMIT, anytime_cases, exact_cases
 from search_reference import (NFloorlessSearchState, ReferenceSearchState,
-                              SwaplessSearchState, check_pricing_in_lockstep,
+                              SwaplessSearchState, check_pricing_in_lockstep, legal,
                               mandatory_disjuncts, replay)
 
 ALL_MODES = (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE, GenMode.ATOMIC_ONLY,
@@ -88,20 +88,20 @@ def test_extend_candidates_reference_cases(five_job):
     # 4 and 1 wait for predecessors; urgency order: most unplaced
     # successors first; every child pays the separated pair (1, 3), and 2
     # also its own pair: it opens (2, 4) while 4 waits on 3 and 5
-    assert cands == [(3, 125), (5, 125), (2, 250)]
+    assert cands == [(125, 3), (125, 5), (250, 2)]
     assert st.extend_candidates(125) == []  # none beats an incumbent of 125
 
     st = replay(SwaplessSearchState, five_job, [5, 3, 4])
     # successor constraint forces the partner, which closes (2, 4)
     # adjacently while (1, 3) stays open from position 2: S, M, L = 1, 1, 2
-    assert st.extend_candidates() == [(2, 160)]
-    assert st.extend_candidates(161) == [(2, 160)]
+    assert st.extend_candidates() == [(160, 2)]
+    assert st.extend_candidates(161) == [(160, 2)]
     assert st.extend_candidates(160) == []
 
     # with an incumbent the swap rule drops it: 5 3 2 4 commits as much,
     # and 2 < 4 breaks the tie
     st = replay(SearchState, five_job, [5, 3, 4])
-    assert st.extend_candidates() == [(2, 160)]
+    assert st.extend_candidates() == [(160, 2)]
     assert st.extend_candidates(161) == []
     assert (st.bound_drops, st.swap_drops) == (0, 1)
 
@@ -113,19 +113,19 @@ def test_branch_order_is_bound_then_id():
     # soft predecessors alone set the bounds, so 4 (one soft predecessor)
     # comes before 3 (two), 1 before 2 by id
     st = SearchState(Instance(k=4, b=0, soft_atomic=[(1, 3), (2, 3), (1, 4)]))
-    assert st.extend_candidates() == [(1, 0), (2, 0), (4, 1), (3, 2)]
+    assert st.extend_candidates() == [(0, 1), (0, 2), (1, 4), (2, 3)]
     # a lower bound goes first, over more hard successors
     st = SearchState(Instance(k=5, b=0, atomic=[(3, 5)],
                               soft_atomic=[(1, 3), (2, 3), (1, 4)]))
-    assert st.extend_candidates() == [(1, 0), (2, 0), (4, 1), (3, 2)]
+    assert st.extend_candidates() == [(0, 1), (0, 2), (1, 4), (2, 3)]
     # equal bounds: the lower id, whatever the hard successors
     st = SearchState(Instance(k=4, b=0, atomic=[(3, 4), (3, 2)]))
-    assert st.extend_candidates() == [(1, 0), (3, 0)]
+    assert st.extend_candidates() == [(0, 1), (0, 3)]
     # pairs (1, 3) and (2, 4) open at positions 1 and 2, then job 5:
     # closing the older pair shortens L by one (k = 6 cheaper), so 3 comes
     # before 4, the unplaced end of the newer pair
     st = replay(SearchState, Instance(k=6, b=2), [1, 2, 5])
-    assert st.extend_candidates() == [(3, 516), (4, 522), (6, 522)]
+    assert st.extend_candidates() == [(516, 3), (522, 4), (522, 6)]
 
 
 def test_lower_bound_reference_cases(five_job):
@@ -332,16 +332,16 @@ def scan_candidates(st):
     pos = st.pos
     b = st.b
 
-    def legal(c):
-        return st.pred_placed[c] == st.npreds[c] and st._legal(c)
+    def placeable(c):
+        return not st.waiting[c] and legal(st, c)
 
     if t:
         last = st.prefix[-1]
         if last in st.inst.direct_successors:
             p = last + b if last <= b else last - b
             if pos[p] == 0:
-                return [p] if legal(p) else []
-    legal_jobs = [c for c in range(1, st.k + 1) if pos[c] == 0 and legal(c)]
+                return [p] if placeable(p) else []
+    legal_jobs = [c for c in range(1, st.k + 1) if pos[c] == 0 and placeable(c)]
     legal_jobs.sort(key=lambda c: (bound_after_place(st, c), c))
     return legal_jobs
 
@@ -374,13 +374,13 @@ def test_child_bound_equals_bound_after_place():
             cands = st.extend_candidates()
             if not cands:
                 break
-            for c, bound in cands:
+            for bound, c in cands:
                 st.place(c)
                 assert bound == st.lower_bound(), (inst, st.prefix)
                 st.unplace()
                 priced += 1
             # a walk that does not follow the branch order
-            st.place(rng.choice(sorted(cands))[0])
+            st.place(rng.choice(sorted(c for _, c in cands)))
         if len(st.prefix) == inst.k:
             perm = Permutation(tuple(st.prefix))
             assert st.lower_bound() == breakdown(inst, perm).objective, inst
@@ -456,7 +456,7 @@ def test_unplace_restores_every_field():
             if st.prefix and (rng.random() < 0.35 or not unplaced):
                 st.unplace()
             elif children and rng.random() < 0.7:
-                st.place(rng.choice(children)[0])
+                st.place(rng.choice(children)[1])
             else:
                 st.place(rng.choice(unplaced))
             assert vars(st) == vars(replay(SearchState, inst, st.prefix)), (inst, st.prefix)
@@ -474,7 +474,7 @@ def forced_cycle_walk(inst, max_visits):
     checks = hits = visited = 0
     stack = [iter(st.extend_candidates())]
     while stack and visited < max_visits:
-        c, _ = next(stack[-1], (None, None))
+        _, c = next(stack[-1], (None, None))
         if c is None:
             stack.pop()
             if st.prefix:
@@ -517,15 +517,15 @@ def test_ready_set_candidates_match_full_scan():
     for rng, inst in random_instances(103, 120):
         st = SearchState(inst)
         for _ in range(4 * inst.k):
-            assert [c for c, _ in st.extend_candidates()] == scan_candidates(st)
+            assert [c for _, c in st.extend_candidates()] == scan_candidates(st)
             assert st.ready == {c for c in range(1, inst.k + 1)
-                                if st.pos[c] == 0 and st.pred_placed[c] == st.npreds[c]}
+                                if st.pos[c] == 0 and not st.waiting[c]}
             unplaced = [c for c in range(1, inst.k + 1) if st.pos[c] == 0]
             roll = rng.random()
             if st.prefix and (roll < 0.3 or not unplaced):
                 st.unplace()
             elif roll < 0.85 and st.extend_candidates():
-                st.place(rng.choice(st.extend_candidates())[0])
+                st.place(rng.choice(st.extend_candidates())[1])
             elif unplaced:
                 st.place(rng.choice(unplaced))  # an illegal move, as replay allows
 
