@@ -150,6 +150,14 @@ def _solve_one(path_str: str, engine: str, cfg: SolverConfig) -> BenchRow:
     except (CtwError, ValueError) as exc:
         return BenchRow(instance_id, ResultState.UNDEFINED, None,
                         int((time.monotonic() - started) * 1000), 0, m, (f"error:{exc}",))
+    return result_row(instance_id, inst, m, result)
+
+
+def result_row(instance_id: str, inst: Instance, m: InstanceMetrics,
+               result: SolveResult) -> BenchRow:
+    """The report row of an engine's ``result`` on ``inst``: its solution
+    revalidated, re-priced and flagged. An invalid solution is an engine
+    defect and gives an ``undefined`` row."""
     runtime = result.stats.time_ms
     flags: list[str] = []
     bd = None

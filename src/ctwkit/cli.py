@@ -30,7 +30,6 @@ from . import formats, oracle, reduction
 from .errors import CtwError
 from .generate import GenMode, GenParams, anytime_suite, certification_suite
 from .generate import generate as generate_instance
-from .costs import breakdown
 from .solver import ResultState, SolverConfig, solve
 
 TIME_LIMIT_ENV = "CTW_TIME_LIMIT_MS"
@@ -170,14 +169,8 @@ def _cmd_solve(args) -> int:
         }
         _write(_dump_json(doc), args.out)
     else:
-        bd = None
-        if result.best:
-            bd = breakdown(inst, result.best[0])
-        row = bench_mod.BenchRow(
-            Path(args.instance).stem, result.state, bd, time_ms,
-            result.stats.nodes_expanded, bench_mod.metrics(inst),
-        )
-        _write(formats.emit_report_csv([row]), args.out)
+        row = bench_mod.result_row(Path(args.instance).stem, inst, bench_mod.metrics(inst), result)
+        _write(formats.emit_report_csv([dataclasses.replace(row, runtime_ms=time_ms)]), args.out)
     return STATE_EXIT[result.state]
 
 

@@ -16,12 +16,18 @@ The weighted objective k^3*S + k^2*M + k*L + N separates the criteria into
 non-overlapping value bands whenever N < k, so minimising it optimises
 (S, M, L, N) lexicographically. All arithmetic is exact: Python integers do
 not overflow, which covers the k <= 1000 operating range and beyond.
+
+``breakdown`` is the one pricing of a tour: a walk over the pairs gives S,
+L and the storage load at each position, whose peak is M, and a walk over
+the soft edges gives N. ``cost_s`` .. ``cost_n`` read one criterion off
+it. ``edge_cost_s`` is the second formulation, the paper's: S as the sum
+of the tour's edge costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
 
 from .model import Instance, Permutation
 
@@ -53,82 +59,47 @@ def _checked_pos(inst: Instance, perm: Permutation) -> tuple[int, ...]:
     return perm._pos
 
 
-def _s_from_pos(inst: Instance, pos: Sequence[int]) -> int:
+def breakdown(inst: Instance, perm: Permutation) -> CostBreakdown:
+    """All four criteria plus the weighted objective, in one walk over the
+    pairs and one over the soft edges."""
+    pos = _checked_pos(inst, perm)
     b = inst.b
-    if b == 0:
-        return 0
-    count = 0
-    for i in range(1, b + 1):
-        if abs(pos[i] - pos[i + b]) > 1:
-            count += 1
-    return count
-
-
-def _m_from_pos(inst: Instance, pos: Sequence[int]) -> int:
-    # Sweep over positions with a difference array: pair (lo, hi) holds one
-    # end in storage at every position strictly between lo and hi. The max
-    # over positions equals the max over jobs of the defining count, because
-    # positions and jobs are in bijection.
-    b = inst.b
-    if b == 0:
-        return 0
-    k = inst.k
-    diff = [0] * (k + 2)
-    for i in range(1, b + 1):
-        lo, hi = pos[i], pos[i + b]
+    s = l = 0
+    # pair (lo, hi) holds one end in storage at every position strictly
+    # between its ends: +1 at lo + 1, -1 at hi, and the running sum is the
+    # load at each position
+    diff = [0] * (inst.k + 1)
+    for lo, hi in zip(pos[1:b + 1], pos[b + 1:2 * b + 1]):
         if lo > hi:
             lo, hi = hi, lo
         if hi - lo > 1:
+            s += 1
+            if hi - lo - 1 > l:
+                l = hi - lo - 1
             diff[lo + 1] += 1
             diff[hi] -= 1
-    peak = 0
-    load = 0
-    for x in range(1, k + 1):
-        load += diff[x]
-        if load > peak:
-            peak = load
-    return peak
-
-
-def _l_from_pos(inst: Instance, pos: Sequence[int]) -> int:
-    b = inst.b
-    if b == 0:
-        return 0
-    return max(abs(pos[i] - pos[i + b]) - 1 for i in range(1, b + 1))
-
-
-def _n_from_pos(inst: Instance, pos: Sequence[int]) -> int:
-    count = 0
+    m = max(accumulate(diff)) if s else 0  # no interrupted pair, nothing stored
+    n = 0
     for i, j in inst.soft_atomic:
         if pos[i] > pos[j]:
-            count += 1
-    return count
+            n += 1
+    return CostBreakdown(s, m, l, n, objective(s, m, l, n, inst.k))
 
 
 def cost_s(inst: Instance, perm: Permutation) -> int:
-    return _s_from_pos(inst, _checked_pos(inst, perm))
+    return breakdown(inst, perm).S
 
 
 def cost_m(inst: Instance, perm: Permutation) -> int:
-    return _m_from_pos(inst, _checked_pos(inst, perm))
+    return breakdown(inst, perm).M
 
 
 def cost_l(inst: Instance, perm: Permutation) -> int:
-    return _l_from_pos(inst, _checked_pos(inst, perm))
+    return breakdown(inst, perm).L
 
 
 def cost_n(inst: Instance, perm: Permutation) -> int:
-    return _n_from_pos(inst, _checked_pos(inst, perm))
-
-
-def breakdown(inst: Instance, perm: Permutation) -> CostBreakdown:
-    """All four criteria plus the weighted objective."""
-    pos = _checked_pos(inst, perm)
-    s = _s_from_pos(inst, pos)
-    m = _m_from_pos(inst, pos)
-    l = _l_from_pos(inst, pos)
-    n = _n_from_pos(inst, pos)
-    return CostBreakdown(s, m, l, n, objective(s, m, l, n, inst.k))
+    return breakdown(inst, perm).N
 
 
 def edge_cost_s(inst: Instance, perm: Permutation) -> int:

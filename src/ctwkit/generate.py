@@ -17,6 +17,7 @@ sorting the output, even for k in the tens of thousands.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +54,13 @@ class GenParams:
     mode: GenMode = GenMode.SATISFIABLE
 
     def __post_init__(self):
+        for name in ("b", "n", "ds_count", "seed"):
+            # stored as the int ``operator.index`` reads: a float or None
+            # (which would seed from the OS) is no count or seed
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError as exc:
+                raise ValueError(f"{name} must be an integer: {exc}") from None
         if self.b < 0 or self.n < 0:
             raise ValueError("b and n must be non-negative")
         for name in ("p_atomic", "p_soft", "p_disjunctive"):

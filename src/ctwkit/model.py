@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 import sys
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -84,7 +83,9 @@ class Instance:
     """An immutable problem statement.
 
     ``direct_successors`` lists constrained ends i (each must be <= 2b); the
-    entry i stands for the constraint on the pair (i, partner(i)).
+    entry i stands for the constraint on the pair (i, partner(i)). k, b and
+    every job id are stored as the plain int ``operator.index`` reads, so a
+    bool is kept as 0 or 1.
     """
 
     k: int
@@ -97,23 +98,30 @@ class Instance:
     def __post_init__(self):
         for name, kind in (("atomic", AtomicConstraint), ("soft_atomic", AtomicConstraint),
                            ("disjunctive", DisjunctiveConstraint)):
-            object.__setattr__(self, name, _constraints(kind, getattr(self, name)))
-        try:  # every id an integer, in one C-level pass
-            deque(map(operator.index, chain.from_iterable(
-                chain(self.atomic, self.soft_atomic, self.disjunctive))), 0)
-        except TypeError as exc:
-            raise InstanceError(f"constraint ids must be integers: {exc}") from None
+            rows = _constraints(kind, getattr(self, name))
+            # every id a plain int, seen in one C-level pass; any other
+            # integer type, such as a bool, is stored as the int it stands for
+            if not set(map(type, chain.from_iterable(rows))) <= {int}:
+                try:
+                    rows = _constraints(kind, [map(operator.index, row) for row in rows])
+                except TypeError as exc:
+                    raise InstanceError(f"constraint ids must be integers: {exc}") from None
+            object.__setattr__(self, name, rows)
         try:
             ds = tuple(map(operator.index, self.direct_successors))
         except TypeError as exc:
             raise InstanceError(f"direct_successors: {exc}") from None
         object.__setattr__(self, "direct_successors", ds)
+        try:
+            k, b = operator.index(self.k), operator.index(self.b)
+        except TypeError:
+            raise InstanceError(f"k and b must be integers: k={self.k!r}, b={self.b!r}") from None
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "b", b)
         self._check()
 
     def _check(self):
         k = self.k
-        if not (isinstance(k, int) and isinstance(self.b, int)):
-            raise InstanceError(f"k and b must be integers: k={k!r}, b={self.b!r}")
         if self.b < 0 or k < 0:
             raise InstanceError(f"negative size: k={k}, b={self.b}")
         if k >= sys.maxsize:  # jobs 0..k index lists

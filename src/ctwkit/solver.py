@@ -26,15 +26,16 @@ Propagation baked into candidate generation:
   partner is still open, the partner is the only legal next job.
 
 The per-node work is incremental. ``SearchState.extend_candidates`` prices
-every child of a node in one pass: a base bound shared by the children
+every child of a node in one loop: a base bound shared by the children
 that close no pair, plus each child's own soft, opening or closing delta.
 A child whose bound reaches the incumbent's objective is dropped before
 its legality is checked, and no child is placed to be priced. Candidates
 come from a ready set of unplaced jobs whose hard predecessors are all
 placed, and the open pairs' positions from an ascending list, both kept
-by ``place``/``unplace``. The forced-edge cycle check searches back,
-by reachability, only from the disjuncts the last placement made
-mandatory, instead of rescanning every atomic edge.
+by ``place``/``unplace``; the loop prices a partner forced by a direct
+successor constraint as any other child. The forced-edge cycle check
+searches back, by reachability, only from the disjuncts the last
+placement made mandatory, instead of rescanning every atomic edge.
 
 Once an incumbent exists, a dominance rule drops children too: the
 adjacent-interchange rule of sequencing branch-and-bound. At a node X·a,
@@ -174,7 +175,7 @@ class SearchState:
 
     At a full prefix the committed values equal the exact criteria, so the
     bound of a leaf is its objective. ``extend_candidates`` prices every
-    child in one pass from these values without placing anything.
+    child in one loop from these values without placing anything.
 
     ``swap[a]`` is a static bitset per job a of the jobs c for which
     X·c·a does no worse than X·a·c, whenever c opens no pair and a closed
@@ -476,7 +477,7 @@ class SearchState:
         legal child; else the lower child bound first, which finds a good
         incumbent early, ties by the lower id.
 
-        One pass prices every child. The base bound is that of a child
+        One loop prices every child. The base bound is that of a child
         that closes no pair: after it every open pair counts in S (a pair
         the child opens is exempt while the child is last, and a separated
         one only moves from the unplaced to the open pairs), the storage
@@ -489,8 +490,9 @@ class SearchState:
         that closes a pair may lower the base: S when the pair was opened
         by the last job (adjacent ends), M when the open pairs set the
         load, L when it closes the oldest pair. A child at or above
-        ``cutoff`` is dropped before its legality is checked; when the base
-        alone reaches it, only the open pairs' unplaced ends are priced.
+        ``cutoff`` is dropped before its legality is checked. A forced
+        partner is the one child, and is dropped after the bound and swap
+        tests while it still waits on a hard predecessor.
 
         A ``cutoff`` below ``unbounded`` stands for an incumbent, and then
         the swap rule drops a child c below it, also before legality, when
@@ -535,14 +537,7 @@ class SearchState:
             close = base - k2 if n_open > self.m_committed else base
             # closing the oldest pair shortens its stretch by one
             close_low = close - k if t1 - lowest > self.closed_l else close
-        ready = self.ready
-        if base < cutoff:
-            children = ready
-            drops = 0
-        else:
-            # only a child that closes a pair can price below the base
-            children = [c for q in open_list if (c := partner[prefix[q - 1]]) in ready]
-            drops = len(ready) - len(children)
+        children = self.ready
         swap = 0  # the jobs c with X·c·a no worse than X·a·c, a the last job
         if t:
             a = prefix[-1]
@@ -550,21 +545,13 @@ class SearchState:
             if not pos[p]:  # a closed no pair
                 if cutoff < self.unbounded:  # an incumbent exists
                     swap = self.swap[a]
-                if self.direct[a]:
-                    # a opened this pair: p comes next and closes it adjacently
-                    bound = (close_low if n_open == 1 else close) - k3 + soft[p]
-                    if bound >= cutoff:
-                        self.bound_drops += 1
-                        return []
-                    if swap >> p & 1:
-                        self.swap_drops += 1
-                        return []
-                    children = (p,) if p in ready else ()  # priced again, for legality
-                    drops = 0
+                if self.direct[a]:  # a opened this pair: p must come next
+                    children = (p,)
 
         by_after = self.by_after
         waiting = self.waiting
         may_wait = self.may_wait
+        drops = 0
         priced = []  # bound, c
         for c in children:
             w = partner[c]
@@ -582,7 +569,7 @@ class SearchState:
                 drops += 1
             elif swap >> c & 1 and (q or not w):  # c opens no pair
                 self.swap_drops += 1
-            else:
+            elif not waiting[c]:  # a forced partner may still wait on a hard predecessor
                 for before, oa, oc in by_after[c]:
                     if not pos[before] and (pos[oc] or oc == c) and (
                             not pos[oa] or pos[oc] and pos[oc] < pos[oa]):

@@ -60,6 +60,19 @@ def test_solve_csv_output(five_dat, capsys):
     assert lines[1].startswith("five,5,2,optimal,1,1,2,0,160,0,")
 
 
+def test_solve_csv_row_equals_the_bench_row(tmp_path, capsys):
+    # every ordered pair a soft edge: N = 3 >= k, which both rows flag
+    soft = [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j]
+    (tmp_path / "soft.dat").write_text(emit_dat(Instance(k=3, b=0, soft_atomic=soft)))
+    code, solved, _ = run_cli(capsys, "solve", tmp_path / "soft.dat", "--output", "csv",
+                              "--no-timestamps")
+    assert code == 0
+    code, benched, _ = run_cli(capsys, "bench", "--dir", tmp_path, "--jobs", "1",
+                               "--no-timestamps")
+    assert code == 0
+    assert solved == benched and solved.splitlines()[1].endswith(",N>=k")
+
+
 def test_validate_good_and_bad_solutions(five_dat, tmp_path, capsys):
     good = tmp_path / "good.sol"
     good.write_text("instance five\ntour 5 3 4 2 1\n")

@@ -1,9 +1,11 @@
 import itertools
 import random
+from typing import Sequence
 
 import pytest
 
 from ctwkit import (
+    CostBreakdown,
     Instance,
     Permutation,
     breakdown,
@@ -15,6 +17,7 @@ from ctwkit import (
     objective,
 )
 from conftest import random_instance
+from test_formats import audit_shaped
 
 
 def naive_storage_peak(inst, perm):
@@ -179,6 +182,103 @@ def test_breakdown_is_consistent():
         inst, plant = random_instance(rng)
         bd = breakdown(inst, plant)
         assert bd.objective == objective(bd.S, bd.M, bd.L, bd.N, inst.k)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-criterion pricers that ``breakdown`` replaced, copied
+# unchanged. Each walks the pairs or the soft edges on its own.
+
+
+def _s_from_pos(inst: Instance, pos: Sequence[int]) -> int:
+    b = inst.b
+    if b == 0:
+        return 0
+    count = 0
+    for i in range(1, b + 1):
+        if abs(pos[i] - pos[i + b]) > 1:
+            count += 1
+    return count
+
+
+def _m_from_pos(inst: Instance, pos: Sequence[int]) -> int:
+    # Sweep over positions with a difference array: pair (lo, hi) holds one
+    # end in storage at every position strictly between lo and hi. The max
+    # over positions equals the max over jobs of the defining count, because
+    # positions and jobs are in bijection.
+    b = inst.b
+    if b == 0:
+        return 0
+    k = inst.k
+    diff = [0] * (k + 2)
+    for i in range(1, b + 1):
+        lo, hi = pos[i], pos[i + b]
+        if lo > hi:
+            lo, hi = hi, lo
+        if hi - lo > 1:
+            diff[lo + 1] += 1
+            diff[hi] -= 1
+    peak = 0
+    load = 0
+    for x in range(1, k + 1):
+        load += diff[x]
+        if load > peak:
+            peak = load
+    return peak
+
+
+def _l_from_pos(inst: Instance, pos: Sequence[int]) -> int:
+    b = inst.b
+    if b == 0:
+        return 0
+    return max(abs(pos[i] - pos[i + b]) - 1 for i in range(1, b + 1))
+
+
+def _n_from_pos(inst: Instance, pos: Sequence[int]) -> int:
+    count = 0
+    for i, j in inst.soft_atomic:
+        if pos[i] > pos[j]:
+            count += 1
+    return count
+
+
+def reference_breakdown(inst, perm):
+    pos = perm._pos
+    s, m = _s_from_pos(inst, pos), _m_from_pos(inst, pos)
+    l, n = _l_from_pos(inst, pos), _n_from_pos(inst, pos)
+    return CostBreakdown(s, m, l, n, objective(s, m, l, n, inst.k))
+
+
+def test_breakdown_matches_reference_randomised():
+    rng = random.Random(53)
+    for trial in range(3000):
+        k = trial if trial < 2 else rng.randint(0, 14)  # k = 0 and k = 1 first
+        b = 0 if trial % 4 == 0 else rng.randint(0, k // 2)
+        arcs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+        soft = rng.sample(arcs, rng.randint(0, min(len(arcs), 2 * k)))
+        inst = Instance(k=k, b=b, soft_atomic=soft)
+        tour = list(range(1, k + 1))
+        rng.shuffle(tour)
+        perm = Permutation(tuple(tour))
+        assert breakdown(inst, perm) == reference_breakdown(inst, perm), (inst, tour)
+
+
+def assert_breakdown_matches_reference(seed: int) -> int:
+    """``breakdown`` equals the reference on the audit benchmark instances
+    of ``seed`` (k = 2000..3000), on each plant and on one shuffled tour.
+    Returns the number of tours priced."""
+    rng = random.Random(seed)
+    count = 0
+    for inst, plant in audit_shaped(seed):
+        tour = list(plant.tour)
+        rng.shuffle(tour)
+        for perm in (plant, Permutation(tuple(tour))):
+            assert breakdown(inst, perm) == reference_breakdown(inst, perm), (seed, inst.k)
+            count += 1
+    return count
+
+
+def test_breakdown_matches_reference_on_audit_shapes():
+    assert assert_breakdown_matches_reference(0) == 16
 
 
 PRICED = (breakdown, cost_s, cost_m, cost_l, cost_n, edge_cost_s)

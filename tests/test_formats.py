@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 import sys
+from itertools import chain
 
 import pytest
 
@@ -236,10 +237,9 @@ def test_emit_dzn_matches_dat_tuples():
     assert _dzn_rows(table["AtomicConstraints"]) == [tuple(a) for a in inst.atomic]
 
 
-def _benchmark_shaped(seed):
-    """The first 21 anytime benchmark instances of ``seed`` (k = 40..60) and
-    its eight audit benchmark instances (k = 2000..3000, every fourth one
-    atomic-only), drawn as ``perfbench/workloads.py`` draws them."""
+def anytime_shaped(seed):
+    """The first 21 anytime benchmark instances of ``seed`` (k = 40..60)
+    with their plants, drawn as ``perfbench/workloads.py`` draws them."""
     rng = random.Random(seed ^ 0x5EED)
     for idx in range(21):
         k = 40 + idx
@@ -247,7 +247,13 @@ def _benchmark_shaped(seed):
         yield generate_planted(GenParams(
             b=b, n=k - 2 * b, p_atomic=0.18, p_soft=rng.choice((0.01, 0.02)),
             p_disjunctive=rng.choice((0.05, 0.1)), ds_count=rng.randint(0, b),
-            seed=seed * 99_991 + idx))[0]
+            seed=seed * 99_991 + idx))
+
+
+def audit_shaped(seed):
+    """The eight audit benchmark instances of ``seed`` (k = 2000..3000,
+    every fourth one atomic-only) with their plants, drawn as
+    ``perfbench/workloads.py`` draws them."""
     for idx in range(8):
         k = 2000 + 1000 * idx // 7
         if idx % 4 == 3:
@@ -258,7 +264,7 @@ def _benchmark_shaped(seed):
             params = GenParams(b=b, n=k - 2 * b, p_atomic=0.001, p_soft=0.0003,
                                p_disjunctive=0.002, ds_count=b // 4,
                                seed=seed * 100_003 + idx)
-        yield generate_planted(params)[0]
+        yield generate_planted(params)
 
 
 def assert_dat_round_trips(seed: int) -> int:
@@ -266,7 +272,7 @@ def assert_dat_round_trips(seed: int) -> int:
     ``.dat`` text as its canonical form, which writes the same text again.
     Returns the number of instances."""
     count = 0
-    for inst in _benchmark_shaped(seed):
+    for inst, _ in chain(anytime_shaped(seed), audit_shaped(seed)):
         text = emit_dat(inst)
         parsed = parse_dat(text)
         assert parsed == inst.canonical(), (seed, count)
@@ -314,6 +320,24 @@ def test_json_round_trip_is_identity():
         mode = rng.choice(list(GenMode))
         inst, _ = random_instance(rng, mode)
         assert parse_json(emit_json(inst)) == inst
+
+
+@pytest.mark.parametrize("inst", [
+    Instance(k=True, b=False),
+    Instance(k=2, b=0, atomic=[(True, 2)]),
+    Instance(k=4, b=True, atomic=[(True, 3)], soft_atomic=[(4, 2)],
+             disjunctive=[(3, True, 3, 2)], direct_successors=[True]),
+])
+def test_bool_fields_emit_as_numbers_and_round_trip(inst):
+    # a bool k, b or job id is kept as the int it stands for, so each
+    # emitter writes a number that its reader takes back
+    ids = chain((inst.k, inst.b), inst.direct_successors,
+                *chain(inst.atomic, inst.soft_atomic, inst.disjunctive))
+    assert {type(x) for x in ids} == {int}
+    text = emit_dat(inst)
+    assert parse_dat(text) == inst.canonical() and emit_dat(parse_dat(text)) == text
+    assert parse_json(emit_json(inst)) == inst
+    assert "True" not in emit_dzn(inst) and "true" not in emit_json(inst)
 
 
 def test_json_schema_errors():

@@ -99,6 +99,22 @@ def test_parameter_validation():
         GenParams(b=-1, n=2)
 
 
+@pytest.mark.parametrize("name, fields", [
+    ("b", dict(b=1.5, n=1)), ("n", dict(b=1, n=2.0)), ("ds_count", dict(b=2, ds_count=1.5)),
+    ("seed", dict(seed=None)), ("seed", dict(seed="7")),
+])
+def test_integer_fields_must_be_integers(name, fields):
+    # None would seed from the OS, so two draws of the same parameters differ
+    with pytest.raises(ValueError, match=f"^{name} must be an integer: "):
+        GenParams(**fields)
+
+
+def test_integer_fields_are_stored_as_plain_ints():
+    params = GenParams(b=True, n=2, ds_count=True, seed=False)
+    assert [type(getattr(params, f)) for f in ("b", "n", "ds_count", "seed")] == [int] * 4
+    assert emit_dat(generate(params)) == emit_dat(generate(GenParams(b=1, n=2, ds_count=1)))
+
+
 def test_same_seed_same_bytes():
     params = GenParams(b=3, n=2, p_atomic=0.3, p_soft=0.2, p_disjunctive=0.25,
                        ds_count=2, seed=77)

@@ -16,11 +16,12 @@ including those of the blocks it skips unchecked.
 import itertools
 import math
 import random
+from typing import Sequence
 
 import pytest
 
 from ctwkit import oracle
-from ctwkit.costs import _m_from_pos, breakdown, objective
+from ctwkit.costs import breakdown, objective
 from ctwkit.digraph import DiGraph
 from ctwkit.generate import GenMode, GenParams, certification_suite, generate_planted
 from ctwkit.model import Instance, Permutation
@@ -30,6 +31,33 @@ from conftest import CountingItertools
 
 # ---------------------------------------------------------------------------
 # Reference oracle
+
+# the storage-peak pricer the reference called, from ``ctwkit.costs`` before
+# ``breakdown`` priced the four criteria in one walk
+def _m_from_pos(inst: Instance, pos: Sequence[int]) -> int:
+    # Sweep over positions with a difference array: pair (lo, hi) holds one
+    # end in storage at every position strictly between lo and hi. The max
+    # over positions equals the max over jobs of the defining count, because
+    # positions and jobs are in bijection.
+    b = inst.b
+    if b == 0:
+        return 0
+    k = inst.k
+    diff = [0] * (k + 2)
+    for i in range(1, b + 1):
+        lo, hi = pos[i], pos[i + b]
+        if lo > hi:
+            lo, hi = hi, lo
+        if hi - lo > 1:
+            diff[lo + 1] += 1
+            diff[hi] -= 1
+    peak = 0
+    load = 0
+    for x in range(1, k + 1):
+        load += diff[x]
+        if load > peak:
+            peak = load
+    return peak
 
 
 def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> OracleResult:

@@ -74,6 +74,20 @@ def test_a_direct_successor_end_is_charged():
     assert res.best[0] == Permutation((3, 1, 2)) and res.best[1].objective == 0
 
 
+def test_a_forced_partner_not_ready_counts_its_drops():
+    # the forced partner prices at 0 after the opener, ready or not: at a
+    # cutoff of 0 it is a bound drop, above that a swap drop when the swap
+    # rule covers it (2 opened, 1 < 2) and no drop at all when not (1
+    # opened); it is never a child while it waits on 3
+    for inst, opener, swaps in ((Instance(k=3, b=1, atomic=[(3, 2)], direct_successors=[1]), 1, 0),
+                                (Instance(k=3, b=1, atomic=[(3, 1)], direct_successors=[2]), 2, 1)):
+        st = replay(SearchState, inst, [opener])
+        for cutoff, drops in ((None, (0, 0)), (0, (1, 0)), (1, (0, swaps)), (K3, (0, swaps))):
+            before = st.bound_drops, st.swap_drops
+            assert st.extend_candidates(cutoff) == []
+            assert (st.bound_drops - before[0], st.swap_drops - before[1]) == drops, (inst, cutoff)
+
+
 def pair_heavy_instances(rng, count, max_k):
     """Planted instances with every job but at most one in a pair and a
     direct successor on 0..b of them, of every mode that has pairs."""
