@@ -3,14 +3,18 @@
 Used for the hard-precedence constraint graph of an instance and for the
 maximum-acyclic-subgraph machinery. Deliberately minimal: vertices are
 implicit (1..vertex_count), edges are a frozen set of (tail, head) pairs,
-self-loops are rejected. The algorithms take a vertex count and a plain
-edge sequence, so callers need not build a DiGraph.
+self-loops are rejected. The vertex count and every edge end are stored as
+the plain int ``operator.index`` reads; one that is no integer raises
+InstanceError. The algorithms take a vertex count and a plain edge
+sequence, so callers need not build a DiGraph.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from .errors import InstanceError
@@ -22,7 +26,20 @@ class DiGraph:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+        try:
+            object.__setattr__(self, "vertex_count", operator.index(self.vertex_count))
+        except TypeError:
+            raise InstanceError(
+                f"vertex_count must be an integer: {self.vertex_count!r}") from None
+        edges = frozenset(map(tuple, self.edges))
+        # every end a plain int, seen in one C-level pass; any other integer
+        # type, such as a bool, is stored as the int it stands for
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:
+            try:
+                edges = frozenset(tuple(map(operator.index, e)) for e in edges)
+            except TypeError as exc:
+                raise InstanceError(f"edge ends must be integers: {exc}") from None
+        object.__setattr__(self, "edges", edges)
         if self.vertex_count < 0:
             raise InstanceError("vertex_count must be >= 0")
         for u, v in self.edges:

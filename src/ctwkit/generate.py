@@ -17,6 +17,7 @@ sorting the output, even for k in the tens of thousands.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -41,7 +42,9 @@ class GenParams:
     job pairs for atomic/soft constraints, (pair, third job) combinations
     for disjunctive ones. ``ds_count`` asks for that many constrained cable
     ends; in SATISFIABLE mode fewer may be emitted when the plant leaves
-    fewer consistent choices. ATOMIC_ONLY requires b = 0.
+    fewer consistent choices. ATOMIC_ONLY requires b = 0. A density must
+    be a real number and ``mode`` a ``GenMode``; anything else raises
+    ValueError.
     """
 
     b: int = 0
@@ -63,8 +66,13 @@ class GenParams:
                 raise ValueError(f"{name} must be an integer: {exc}") from None
         if self.b < 0 or self.n < 0:
             raise ValueError("b and n must be non-negative")
+        if not isinstance(self.mode, GenMode):
+            # compared by identity below: a string would match no mode
+            raise ValueError(f"mode must be a GenMode, got {self.mode!r}")
         for name in ("p_atomic", "p_soft", "p_disjunctive"):
             p = getattr(self, name)
+            if not isinstance(p, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if self.ds_count < 0 or self.ds_count > 2 * self.b:

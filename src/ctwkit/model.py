@@ -201,21 +201,29 @@ def _ints(values: Iterable) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
+_INT = frozenset({int})
+
+
+@dataclass(frozen=True, init=False)
 class Permutation:
     """A candidate solution, stored as the tour (job at position 1, 2, ...).
 
     The dual view -- position of each job -- is derived once and cached.
     A Permutation may hold a non-bijective tour (e.g. read from a defective
     solution file); ``validate`` reports that instead of the constructor
-    rejecting it, and the cost functions refuse it with ValueError. An
-    entry that is no integer (1.5, "a") raises ValueError here.
+    rejecting it, and the cost functions refuse it with ValueError. A tuple
+    whose entries are all exactly ``int`` is stored as it is, after one
+    C-level pass over their types; any other tour is read by ``_ints``, so
+    a string is parsed, a bool or an integral float becomes its int, and an
+    entry that is no integer (1.5, "a") raises ValueError.
     """
 
     tour: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "tour", _ints(self.tour))
+    def __init__(self, tour: Iterable):
+        if type(tour) is not tuple or not _INT.issuperset(map(type, tour)):
+            tour = _ints(tour)
+        self.__dict__["tour"] = tour  # frozen: set past __setattr__
 
     @classmethod
     def from_positions(cls, positions: Sequence[int]) -> "Permutation":

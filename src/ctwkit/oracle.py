@@ -10,8 +10,11 @@ into a position map before checking. Each hard check is tagged with the
 last entry it reads; the first broken check of a vector condemns every
 vector that shares its entries up to that one, and in lexicographic
 drawing order those follow it as one block, so the block is pulled from
-the iterator unchecked. The optimal set is inverted into tours and
-reported in lexicographic tour order.
+the iterator unchecked. Jobs that no check reads and no criterion prices
+(free jobs) are drawn last, so a valid vector stands for the block of
+vectors that differ only in their free entries: the block is counted,
+priced and kept once, and pulled unchecked like a broken one. The optimal
+blocks are expanded into tours and reported in lexicographic tour order.
 
 ``brute_mas`` solves maximum acyclic subgraph exactly by the subset
 recurrence over vertex sets, in O(2^n * n) steps; it draws no
@@ -25,7 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+# the orders of the free jobs within a block; vectors are drawn through
+# ``itertools.permutations`` alone, so a stand-in for the module counts draws
+from itertools import permutations as arrangements
 
 from .digraph import DiGraph
 from .model import Instance, Permutation
@@ -47,10 +54,13 @@ def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> Oracl
 
     Permutations are drawn from ``itertools.permutations`` as position
     vectors over a draw order of the jobs: entry n of a vector is the
-    position of job ``order[n]``. The order puts the most constrained jobs
-    first, by their count of hard atomic, disjunctive and direct-successor
-    entries (both ends of a direct successor count), ties by job id. The
-    k! vectors cover the same k! orders as drawing tours.
+    position of job ``order[n]``. A job is free when no hard check reads it
+    (it has no atomic, disjunctive or direct-successor entry) and no
+    criterion prices it (it is no pair end 1..2b and on no soft edge). The
+    order puts the most constrained jobs first, by their count of hard
+    atomic, disjunctive and direct-successor entries (both ends of a direct
+    successor count), ties by job id, and the f free jobs last. The k!
+    vectors cover the same k! orders as drawing tours.
 
     Each hard check (an atomic precedence, a disjunction, a direct
     successor) has a level: the last vector entry it reads. The checks run
@@ -58,24 +68,32 @@ def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> Oracl
     that shares entries 0..L with this one breaks it too; in the drawing
     order they are this vector and the next (k-L-1)! - 1, so those are
     pulled from the iterator unchecked and counted as enumerated and
-    invalid. Every vector is still pulled, so ``enumerated`` is k!.
+    invalid. A valid vector has level L = k-f-1: the f! vectors that share
+    its entries 0..k-f-1 differ only in where the free jobs go, so all are
+    valid at the same cost. The next f! - 1 are pulled unchecked, the block
+    adds f! to the valid count and is priced once. Every vector is still
+    pulled, so ``enumerated`` is k!.
 
-    The skip is exact because every vector the loop examines is the first
-    of its level-L block, where L is the level of its first broken check
-    (its entries after L ascend). The first vector drawn ascends
-    throughout. Any other v examined comes after w, the vector examined
-    last, as the first vector after w's block: w's level-L_w block when
-    w broke a check at level L_w, w alone (L_w = k - 1) when w was valid.
-    So v first differs from w at some entry d <= L_w, and v's entries
-    after d ascend. If L < d, v shares entries 0..L with w, so w breaks
-    v's level-L check too, and w's first broken level is at most L < d,
-    which contradicts d <= L_w. So L >= d, and v's entries after L ascend.
+    The skips are exact because every vector the loop examines is the
+    first of its level-L block, where L is the level of its first broken
+    check, or k-f-1 when it is valid (its entries after L ascend). The
+    first vector drawn ascends throughout. Any other v examined comes after
+    w, the vector examined last, as the first vector after w's level-L_w
+    block. So v first differs from w at some entry d <= L_w, and v's
+    entries after d ascend. If v breaks a check, let L be the level of the
+    first one. If L < d, v shares entries 0..L with w, so w breaks v's
+    level-L check too: then w is not valid, and w's first broken level is
+    at most L < d, which contradicts d <= L_w. So L >= d, and v's entries
+    after L ascend. If v is valid, d <= L_w <= k-f-1, since no check reads
+    a free entry, so v's entries after k-f-1 ascend.
 
-    A valid permutation is priced criterion by criterion and dropped as
-    soon as its S band alone exceeds the best objective so far. The
-    optimal vectors are inverted through the draw order into tours and
-    reported in lexicographic tour order, so the set is deterministic.
-    Raises ValueError when k exceeds the guard.
+    A valid block is priced criterion by criterion and dropped as soon as
+    its S band alone exceeds the best objective so far. Each optimal block
+    becomes f! tours: the non-free jobs in draw order followed by one
+    arrangement of the free jobs, put in tour order by one itemgetter per
+    block (the free jobs fill the block's free positions in ascending
+    order). The tours are reported in lexicographic order, so the set is
+    deterministic. Raises ValueError when k exceeds the guard.
     """
     k = inst.k
     if k > limit_k:
@@ -88,7 +106,9 @@ def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> Oracl
     for d in itertools.chain(inst.atomic, inst.disjunctive, ds):
         for job in d:
             entries[job] += 1
-    order = sorted(range(1, k + 1), key=lambda job: -entries[job])
+    priced = set(range(1, 2 * b + 1)).union(*inst.soft_atomic)
+    free = [job for job in range(1, k + 1) if not entries[job] and job not in priced]
+    order = sorted(range(1, k + 1), key=lambda job: (-entries[job], job in free))
     at = [0] * (k + 1)  # job -> its entry in a drawn vector
     for n, job in enumerate(order):
         at[job] = n
@@ -104,6 +124,8 @@ def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> Oracl
     # the one examined: (k-L-1)! - 1
     checks = [c + (math.factorial(k - 1 - level) - 1,) for level, c in
               sorted((max(c[0], c[1], c[3], c[4]), c) for c in checks)]
+    block = math.factorial(len(free))  # the vectors a valid one stands for
+    rest = block - 1
     pairs = tuple((at[i], at[i + b]) for i in range(1, b + 1))
     soft = tuple((at[i], at[j]) for i, j in inst.soft_atomic)
     k2 = k * k
@@ -125,7 +147,10 @@ def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> Oracl
                     enumerated += skip
                 break
         else:
-            valid_count += 1
+            if rest:
+                next(islice(drawn, rest, rest), None)
+                enumerated += rest
+            valid_count += block
             # S counts the open spans; M, L and N cannot lower an
             # objective whose S band is already above the best
             spans = []
@@ -163,18 +188,25 @@ def enumerate_solutions(inst: Instance, limit_k: int = DEFAULT_LIMIT_K) -> Oracl
             elif obj == best:
                 best_pos.append(p)
 
-    # invert each optimal position vector into its tour, in place
-    tour = [0] * k
-    for idx, p in enumerate(best_pos):
-        for job, x in zip(order, p):
-            tour[x - 1] = job
-        best_pos[idx] = tuple(tour)
-    best_pos.sort()
+    # each optimal block's first vector has its free entries ascending, so
+    # its inverse is the block's slot order: position x holds entry
+    # slots[x-1] of a row, the non-free jobs followed by an arrangement of
+    # the free ones
+    rows = list(map(tuple(order[:k - len(free)]).__add__, arrangements(free)))
+    slots = [0] * k
+    tours: list[tuple[int, ...]] = []
+    for p in best_pos:
+        for n, x in enumerate(p):
+            slots[x - 1] = n
+        # one index makes an itemgetter return an item; with k < 2 the
+        # one row is the tour already
+        tours += map(operator.itemgetter(*slots) if k > 1 else tuple, rows)
+    tours.sort()
     return OracleResult(
         valid_count=valid_count,
         enumerated=enumerated,
         optimal_objective=best if valid_count else None,
-        optimal_solutions=tuple(map(Permutation, best_pos)),
+        optimal_solutions=tuple(map(Permutation, tours)),
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,29 @@ def test_integer_fields_are_stored_as_plain_ints():
     params = GenParams(b=True, n=2, ds_count=True, seed=False)
     assert [type(getattr(params, f)) for f in ("b", "n", "ds_count", "seed")] == [int] * 4
     assert emit_dat(generate(params)) == emit_dat(generate(GenParams(b=1, n=2, ds_count=1)))
+
+
+@pytest.mark.parametrize("mode", ["satisfiable", None, "ds-only", 0])
+def test_mode_must_be_a_gen_mode(mode):
+    # a mode is compared by identity: the string would generate as no mode
+    # at all, with no disjunctions
+    with pytest.raises(ValueError, match="^mode must be a GenMode, got "):
+        GenParams(b=4, n=2, p_disjunctive=0.5, seed=3, mode=mode)
+    inst = generate(GenParams(b=4, n=2, p_disjunctive=0.5, seed=3, mode=GenMode.SATISFIABLE))
+    assert len(inst.disjunctive) == 8
+
+
+@pytest.mark.parametrize("name", ["p_atomic", "p_soft", "p_disjunctive"])
+def test_densities_must_be_real_numbers(name):
+    for bad in ("0.5", None, 0.5j, [0.5]):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            GenParams(b=2, n=1, **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\], got nan$"):
+        GenParams(b=2, n=1, **{name: float("nan")})
+    # any real number in [0, 1] is a density
+    assert emit_dat(generate(GenParams(b=2, n=1, seed=5, **{name: Fraction(1, 2)}))) == \
+        emit_dat(generate(GenParams(b=2, n=1, seed=5, **{name: 0.5})))
+    GenParams(b=2, n=1, **{name: True})
 
 
 def test_same_seed_same_bytes():

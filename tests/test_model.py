@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 from typing import Sequence
 
@@ -15,7 +16,7 @@ from ctwkit import (
     validate,
 )
 from ctwkit.generate import GenMode
-from ctwkit.model import AtomicConstraint, DisjunctiveConstraint
+from ctwkit.model import AtomicConstraint, DisjunctiveConstraint, _ints
 
 from conftest import random_instance
 
@@ -249,6 +250,30 @@ def test_permutation_rejects_non_integral_numbers(entries):
     # an integral float is the int it equals
     assert Permutation((1.0, 2, 3, 4)).tour == (1, 2, 3, 4)
     assert Permutation.from_positions([2.0, 1, 3, 4]).tour == (2, 1, 3, 4)
+
+
+class _Tour(tuple):
+    pass
+
+
+def test_permutation_keeps_a_tuple_of_ints_and_reads_anything_else_by_ints():
+    tour = (3, 1, 2)
+    assert Permutation(tour).tour is tour
+    assert Permutation(()).tour == ()
+    for given, want in (([3, 1, 2], (3, 1, 2)), ((True, False), (1, 0)), ((1, 2.0), (1, 2)),
+                        (("3", 1), (3, 1)), (_Tour((2, 1)), (2, 1)), ((1, True), (1, 1))):
+        got = Permutation(given).tour
+        assert got == want == _ints(given), given
+        assert type(got) is tuple and set(map(type, got)) == {int}, given
+    for bad in ((1, 1.5), (1, "a"), [2.5]):
+        with pytest.raises(ValueError) as err:
+            _ints(bad)
+        with pytest.raises(ValueError, match=re.escape(str(err.value))):
+            Permutation(bad)
+    # equal and hashed by the tour, whatever it was built from
+    assert Permutation([True, 2]) == Permutation((1, 2))
+    assert hash(Permutation(_Tour((1, 2)))) == hash(Permutation((1, 2)))
+    assert Permutation(tour=(2, 1)).tour == (2, 1)
 
 
 def test_canonical_sorts_constraints():

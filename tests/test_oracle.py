@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ import ctwkit.oracle
 from ctwkit import (
     DiGraph,
     Instance,
+    InstanceError,
     Permutation,
     breakdown,
     brute_mas,
@@ -68,6 +70,29 @@ def test_optimal_set_is_lexicographically_ordered():
     tours = [p.tour for p in result.optimal_solutions]
     assert tours == sorted(tours)
     assert len(tours) == 6
+
+
+def test_digraph_fields_must_be_integers():
+    # brute_mas read DiGraph(2.5) as an edgeless graph and answered 0, and
+    # hit a float or string end only deep inside its recurrence
+    for args, message in (((2.5,), "vertex_count must be an integer: 2.5"),
+                          ((None,), "vertex_count must be an integer: None"),
+                          ((3, [(1.0, 2)]), "edge ends must be integers: 'float' object"),
+                          ((3, [("1", 2)]), "edge ends must be integers: 'str' object"),
+                          ((3, [(1, 2), (2, None)]), "edge ends must be integers: 'NoneType'")):
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}"):
+            DiGraph(*args)
+    # a bool is the int it stands for, and is stored as that int
+    g = DiGraph(3, [(True, 2), (1, 2), (3, True)])
+    assert g == DiGraph(3, frozenset({(1, 2), (3, 1)}))
+    assert {type(v) for e in g.edges for v in e} == {int}
+    assert brute_mas(g) == 2
+    assert type(DiGraph(True).vertex_count) is int and brute_mas(DiGraph(True)) == 0
+    # the range checks still apply
+    with pytest.raises(InstanceError, match="leaves 1..2"):
+        DiGraph(2, [(1, 3)])
+    with pytest.raises(InstanceError, match="vertex_count must be >= 0"):
+        DiGraph(-1)
 
 
 def test_brute_mas_three_cycle():

@@ -223,8 +223,10 @@ def test_certification_suite_matches_reference():
 
 def test_trivial_sizes_match_reference():
     for k in (0, 1):
-        result = _assert_same(Instance(k=k, b=0))
+        result, skips = _census(Instance(k=k, b=0))
         assert result.valid_count == 1
+        assert skips == []  # no job or one free job: a block of one vector
+        assert [p.tour for p in result.optimal_solutions] == [tuple(range(1, k + 1))]
 
 
 def test_unconstrained_instance_ties_everywhere():
@@ -317,23 +319,68 @@ def test_check_at_the_last_level_skips_nothing():
 
 
 def test_check_on_the_first_two_entries_skips_the_largest_blocks():
-    # jobs 1 and 2 are drawn first: a vector with job 2 before job 1 skips
-    # the rest of its block of 6! vectors, once per such prefix
+    # jobs 1 and 2 are drawn first and 3..8 are free: a vector with job 2
+    # before job 1 skips the rest of its broken block of 6! vectors, one
+    # with job 1 first the rest of its valid block, once per such prefix
     result, skips = _census(Instance(k=8, b=0, atomic=[(1, 2)]))
     assert result.valid_count == math.factorial(8) // 2
-    assert skips == [math.factorial(6) - 1] * 28
+    assert skips == [math.factorial(6) - 1] * 56
 
 
 def test_disjunction_is_checked_at_its_later_disjunct():
     # the disjuncts read entries 0-1 and 2-3: the disjunction is broken only
-    # once entry 3 is known, so its blocks hold 3! vectors, not 5!
+    # once entry 3 is known, so its blocks hold 3! vectors, not 5!; jobs
+    # 5..7 are free, so each valid prefix is a block of 3! as well
     inst = Instance(k=7, b=0, disjunctive=[(1, 2, 3, 4)])
     result, skips = _census(inst)
     assert result.valid_count == math.factorial(7) * 3 // 4
-    assert skips == [math.factorial(3) - 1] * (7 * 6 * 5 * 4 // 4)
+    assert skips == [math.factorial(3) - 1] * (7 * 6 * 5 * 4)
     # a disjunct sharing its 'before' job with the other
     result, _ = _census(Instance(k=6, b=2, atomic=[(3, 4)], disjunctive=[(2, 5, 2, 1)]))
     assert 0 < result.valid_count < math.factorial(6)
+
+
+def test_free_jobs_beside_pair_ends_and_soft_jobs():
+    # pair ends 1..4 and the soft-only jobs 5 and 6 are priced, so only 7
+    # and 8 are free: each of the 8!/2! prefixes is one valid block
+    result, skips = _census(Instance(k=8, b=2, soft_atomic=[(6, 5)]))
+    assert skips == [1] * (math.factorial(8) // 2)
+    # the free jobs 3..5 come before the soft-only 6 and 7 by id and are
+    # drawn after them
+    result, skips = _census(Instance(k=7, b=1, soft_atomic=[(7, 6)]))
+    assert skips == [math.factorial(3) - 1] * (math.factorial(7) // 6)
+    # optimal: 1 and 2 adjacent (2 * 6! tours), 7 before 6 in half of them
+    assert result.optimal_objective == 0
+    assert len(result.optimal_solutions) == math.factorial(6)
+    # a hard check on 1 and 5, drawn first: 28 broken blocks of 6!, and
+    # the valid prefixes are blocks of 2! for the free 7 and 8
+    result, skips = _census(
+        Instance(k=8, b=2, atomic=[(1, 5)], soft_atomic=[(6, 5), (2, 6)]))
+    assert sorted(skips) == [1] * (math.factorial(8) // 4) + [719] * 28
+    # 7 and 8 read by a hard check are not free, and no other job is:
+    # every valid vector is examined alone
+    result, skips = _census(Instance(k=8, b=2, atomic=[(7, 8)], soft_atomic=[(6, 5)],
+                                     direct_successors=[3]))
+    assert 0 < result.valid_count <= result.enumerated - sum(skips) - len(skips)
+
+
+def test_all_jobs_free_make_one_block():
+    result, skips = _census(Instance(k=6, b=0))
+    assert skips == [math.factorial(6) - 1]
+    assert result.valid_count == result.enumerated == 720
+    assert [p.tour for p in result.optimal_solutions] == list(
+        itertools.permutations(range(1, 7)))
+
+
+def test_one_direct_successor_and_six_free_jobs():
+    # the heaviest certify shape: the pair (1, 2) with end 1 constrained is
+    # drawn first, and each of its 56 prefixes is a block of 6! vectors,
+    # 21 broken and 35 valid ones: 28 with 2 before 1 and 7 with 2 right
+    # after 1
+    result, skips = _census(Instance(k=8, b=1, direct_successors=[1]))
+    assert skips == [math.factorial(6) - 1] * 56
+    assert result.enumerated - sum(skips) == 56  # vectors examined
+    assert result.valid_count == 35 * math.factorial(6) == 25_200
 
 
 def test_direct_successor_with_its_partner_first_is_valid():
