@@ -15,14 +15,16 @@ Four textual formats are supported:
   comma before ``}`` are accepted, and exactly these six parameters must
   each appear once. Anything else is a hard error. The four sets and the
   arity of their entries are written once, in ``_SETS``; the statement
-  and entry patterns, the token walk and both emitters are built from it.
+  pattern, the set reader, the token walk and both emitters are built
+  from it.
 
   A scanner reads the syntax only, in a few C-level passes per
-  statement: one anchored regex per statement, one ``subn`` per set that
-  replaces every entry with a placeholder to check the set's shape, and
-  ``translate`` and ``split`` to read the integers. No pattern repeats a
-  group, so the regex engine keeps no state per entry. Whether the values
-  make a valid instance is decided by ``Instance`` alone. A text that the
+  statement: one anchored regex per statement, then per set one
+  ``translate`` into a JSON array (``<>`` as brackets), one
+  ``json.loads`` and type and length checks over the entries. The
+  ``_scan_dat`` docstring argues why this accepts exactly the ``.dat``
+  grammar with the values ``int`` reads. Whether the values make a valid
+  instance is decided by ``Instance`` alone. A text that the
   scanner or ``Instance`` rejects is read again from the start by a token
   walk: one regex scan into token strings, walked by index. Only the walk
   raises a ``ParseError``, which carries the line and column of the
@@ -55,6 +57,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 from .costs import CostBreakdown
 from .errors import InstanceError, ParseError, SchemaError
@@ -116,31 +119,96 @@ _STATEMENT = re.compile(
     r"\s*(?:(k|b)\s*=\s*(-?\d+)|(%s)\s*=\s*\{([^{};]*)\})\s*;" % "|".join(_SETS)
 )
 
-# One set entry: ``\d+`` for an integer, ``<\s*\d+\s*,\s*\d+\s*>`` for a
-# pair, and so on. Each pattern starts with a fixed character and repeats
-# only single characters: a leading ``\s*`` would make ``subn`` quadratic
-# in a run of whitespace, and a repeated group would keep backtracking
-# state for every entry of a set.
-_ENTRY = {
-    name: re.compile(r"\d+" if arity == 1 else r"<\s*%s\s*>" % r"\s*,\s*".join([r"\d+"] * arity))
-    for name, arity in _SETS.items()
-}
-_TO_SPACE = str.maketrans("<>,", "   ")
+# A set body as the items of a JSON array: ``<`` and ``>`` become its
+# brackets, and the ASCII whitespace that ``\s`` accepts but JSON does not
+# becomes a blank. ``[``, ``]`` and ``-``, which the grammar lacks and
+# JSON reads, become ``x``, which JSON refuses outside a string.
+_TO_JSON = str.maketrans({
+    "<": "[", ">": "]", "[": "x", "]": "x", "-": "x",
+    **dict.fromkeys("\v\f\x1c\x1d\x1e\x1f", " "),
+})
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+_ZERO_LED = re.compile(r"(?<![0-9])0[0-9]+")  # a numeral JSON refuses and int() reads
+
+
+def _to_ascii(m: re.Match) -> str:
+    """A non-ASCII digit as its ASCII digit, non-ASCII whitespace as a blank."""
+    c = m.group()
+    return str(int(c)) if c.isdecimal() else " " if c.isspace() else c
+
+
+def _int_str(m: re.Match) -> str:
+    return str(int(m.group()))
+
+
+def _read_body(body: str, arity: int) -> list | None:
+    """The entries of one set body (ints, or tuples of ``arity`` ints), or None."""
+    body = body.translate(_TO_JSON)
+    if not body.isascii():
+        body = _NON_ASCII.sub(_to_ascii, body)
+    body = body.rstrip()
+    comma = body.endswith(",")
+    array = f"[{body[:-1] if comma else body}]"
+    try:
+        try:
+            entries = json.loads(array)
+        except ValueError:
+            # JSON refuses a leading zero; a numeral longer than int()
+            # reads raises ValueError in either read
+            entries = json.loads(_ZERO_LED.sub(_int_str, array))
+    except (ValueError, RecursionError):
+        return None
+    if comma and not entries:
+        return None
+    if arity == 1:
+        return entries if set(map(type, entries)) <= {int} else None
+    if (
+        set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {arity}
+        and set(map(type, chain.from_iterable(entries))) <= {int}
+    ):
+        return list(map(tuple, entries))
+    return None
 
 
 def _scan_dat(text: str) -> dict[str, object] | None:
     """The six values of ``text`` when it is well-formed, else None.
 
     Tuple sets come back as lists of tuples and DirectSuccessors as a list
-    of ints, duplicates kept. A set's shape is checked by replacing every
-    entry with ``x`` and comparing what is left, whitespace removed, with
-    ``x,x,...,x`` (one ``x`` per replaced entry) and an optional trailing
-    comma after at least one entry; an ``x`` in the input itself makes the
-    lengths differ. The integers are then read by ``split``. Entries carry
-    no sign, because no negative id is in range. No semantic check (b
-    against k, ranges, self-loops, ...) is made here: ``Instance`` makes
-    them. A text accepted here is one whose values ``_walk_dat`` reads the
-    same before its own semantic checks.
+    of ints, duplicates kept. No semantic check (b against k, ranges,
+    self-loops, ...) is made here: ``Instance`` makes them. A text accepted
+    here is one whose values ``_walk_dat`` reads the same before its own
+    semantic checks.
+
+    A set body is well-formed when it is empty, or holds entries separated
+    by commas with at most one comma after the last, whitespace (``\\s``)
+    around any of them. An entry is a numeral (``\\d+``, any Unicode decimal
+    digits, no sign) when the arity is 1, else ``<`` and ``>`` around
+    ``arity`` numerals separated by commas. ``_read_body`` reads the body
+    as one JSON array and accepts exactly these bodies:
+
+    * Translation makes every grammar body a JSON array with the same
+      values. ``<`` and ``>`` become brackets and ``\\s`` a JSON blank
+      (non-ASCII characters are mapped only in a body that has one). A
+      numeral becomes ASCII digits of the same value. JSON refuses only a
+      leading zero among these, so on a refusal each numeral led by a zero
+      is written as ``int`` reads it and the array read once more. The one
+      trailing comma is cut off, and a body cut to nothing is refused.
+    * Every accepted array was such a body. ``[``, ``]`` and ``-`` of the
+      text become ``x``, which JSON refuses, so every bracket came from
+      ``<`` or ``>`` and no number has a sign. The type and length checks
+      keep only ints, or lists of ``arity`` ints, so no string, float,
+      ``true``, ``null``, ``NaN`` or deeper list is read. What is left is
+      ASCII digits, brackets, commas and JSON blanks, and each of them
+      came from a digit, ``<``, ``>``, a comma or ``\\s`` in the body,
+      placed as the grammar places them. Translation maps each character
+      to one, and the second read only shortens runs of digits, so digits
+      that JSON reads as one number were one run of digits in the body.
+
+    A numeral longer than ``int`` reads (``sys.get_int_max_str_digits``)
+    makes the text ill-formed, here and in ``_walk_dat``, which reports it.
+    So does nesting deep enough that JSON raises ``RecursionError``: such a
+    body cannot be well-formed.
     """
     seen: dict[str, object] = {}
     pos = 0
@@ -148,22 +216,19 @@ def _scan_dat(text: str) -> dict[str, object] | None:
         size, number, name, body = m.groups()
         pos = m.end()
         if size:
-            name, value = size, int(number)
-        else:
-            marked, count = _ENTRY[name].subn("x", body)
-            shape = "x," * count
-            if "".join(marked.split()) not in (shape, shape[:-1]):
+            try:
+                name, value = size, int(number)
+            except ValueError:  # more digits than int() reads
                 return None
-            value = list(map(int, body.translate(_TO_SPACE).split()))
+        else:
+            value = _read_body(body, _SETS[name])
+            if value is None:
+                return None
         if name in seen:
             return None
         seen[name] = value
     if len(seen) < len(DAT_PARAMS) or text[pos:].strip():
         return None
-    for name, arity in _SETS.items():
-        if arity > 1:
-            values = iter(seen[name])
-            seen[name] = list(zip(*[values] * arity))
     return seen
 
 
@@ -208,6 +273,14 @@ def _int(text: str, toks: list[str], i: int) -> int:
     try:
         return int(toks[i])
     except ValueError:
+        digits = toks[i].removeprefix("-")
+        if digits.isdecimal():  # a numeral longer than int() reads
+            raise _error(
+                text,
+                i,
+                f"integer of {len(digits)} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits",
+            ) from None
         raise _unexpected(text, toks, i, None) from None
 
 

@@ -22,8 +22,8 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from . import digraph
@@ -70,7 +70,7 @@ def _constraints(kind, rows) -> tuple:
     """``tuple(map(kind._make, rows))`` built at C level: ``tuple.__new__``
     per row, then one arity check over the list, which raises ``_make``'s
     TypeError for the first row of the wrong length."""
-    out = tuple(map(partial(tuple.__new__, kind), rows))
+    out = tuple(map(tuple.__new__, repeat(kind), rows))
     arity = len(kind._fields)
     if not set(map(len, out)) <= {arity}:
         bad = next(row for row in out if len(row) != arity)

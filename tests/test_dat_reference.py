@@ -8,24 +8,34 @@ and a ``_Cursor`` walked through method calls. Its module-level name
 Instance and the same warnings, or the same error type, message, line and
 column. A text the reference accepts must never reach the token walk,
 ``formats._walk_dat``, and each text it rejects must be explained by it.
+
+The earlier scanner in front of the walk is kept here too, also copied
+unchanged: it checks a set's shape by replacing every entry with a
+placeholder (``subn``) and reads the integers by ``split`` and ``int``.
+Its module-level name ``scan_dat`` is the reference for
+``formats._scan_dat``, which must return the same values or None on every
+text.
 """
 
 import random
 import re
+import sys
 import time
 import tracemalloc
 import warnings
+from itertools import chain
 from unittest import mock
 
 import pytest
 
 from ctwkit import formats
 from ctwkit.errors import ParseError
-from ctwkit.formats import DAT_PARAMS
+from ctwkit.formats import _SETS, DAT_PARAMS
 from ctwkit.generate import GenMode, GenParams, generate_planted
 from ctwkit.model import Instance
 
 from conftest import random_instance
+from test_formats import anytime_shaped, audit_shaped
 
 # ---------------------------------------------------------------------------
 # Reference parser
@@ -233,6 +243,67 @@ def parse_dat(text: str) -> Instance:
 
 
 # ---------------------------------------------------------------------------
+# Reference scanner
+
+
+# One statement for ``_scan_dat``: ``k`` or ``b`` with an integer, or a set
+# name with a brace body that holds no brace and no semicolon.
+_STATEMENT = re.compile(
+    r"\s*(?:(k|b)\s*=\s*(-?\d+)|(%s)\s*=\s*\{([^{};]*)\})\s*;" % "|".join(_SETS)
+)
+
+# One set entry: ``\d+`` for an integer, ``<\s*\d+\s*,\s*\d+\s*>`` for a
+# pair, and so on. Each pattern starts with a fixed character and repeats
+# only single characters: a leading ``\s*`` would make ``subn`` quadratic
+# in a run of whitespace, and a repeated group would keep backtracking
+# state for every entry of a set.
+_ENTRY = {
+    name: re.compile(r"\d+" if arity == 1 else r"<\s*%s\s*>" % r"\s*,\s*".join([r"\d+"] * arity))
+    for name, arity in _SETS.items()
+}
+_TO_SPACE = str.maketrans("<>,", "   ")
+
+
+def scan_dat(text: str) -> dict[str, object] | None:
+    """The six values of ``text`` when it is well-formed, else None.
+
+    Tuple sets come back as lists of tuples and DirectSuccessors as a list
+    of ints, duplicates kept. A set's shape is checked by replacing every
+    entry with ``x`` and comparing what is left, whitespace removed, with
+    ``x,x,...,x`` (one ``x`` per replaced entry) and an optional trailing
+    comma after at least one entry; an ``x`` in the input itself makes the
+    lengths differ. The integers are then read by ``split``. Entries carry
+    no sign, because no negative id is in range. No semantic check (b
+    against k, ranges, self-loops, ...) is made here: ``Instance`` makes
+    them. A text accepted here is one whose values ``_walk_dat`` reads the
+    same before its own semantic checks.
+    """
+    seen: dict[str, object] = {}
+    pos = 0
+    while m := _STATEMENT.match(text, pos):
+        size, number, name, body = m.groups()
+        pos = m.end()
+        if size:
+            name, value = size, int(number)
+        else:
+            marked, count = _ENTRY[name].subn("x", body)
+            shape = "x," * count
+            if "".join(marked.split()) not in (shape, shape[:-1]):
+                return None
+            value = list(map(int, body.translate(_TO_SPACE).split()))
+        if name in seen:
+            return None
+        seen[name] = value
+    if len(seen) < len(DAT_PARAMS) or text[pos:].strip():
+        return None
+    for name, arity in _SETS.items():
+        if arity > 1:
+            values = iter(seen[name])
+            seen[name] = list(zip(*[values] * arity))
+    return seen
+
+
+# ---------------------------------------------------------------------------
 # Mutated inputs
 
 _SEPARATORS = ("\n", "\r\n", "\r", "\t", "\v", "\f", "\x1c", "\x85", "\u2028", " ")
@@ -364,6 +435,38 @@ def test_parse_dat_matches_reference_parser():
     _assert_matches_reference(20201126, 6000)
 
 
+def _mutated_texts(seed: int, count: int):
+    """The ``count`` texts that ``_assert_matches_reference(seed, count)``
+    draws, in its order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = _base_text(rng)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            text = _mutate(rng, text)
+        yield text
+
+
+def assert_scan_matches_reference(seed: int, count: int) -> int:
+    """``formats._scan_dat`` returns what ``scan_dat`` returns, values or
+    None, on the ``count`` mutated texts of ``seed`` and on the ``.dat``
+    texts of its anytime- and audit-shaped benchmark instances. Returns
+    the number of texts both scanners read."""
+    shaped = (formats.emit_dat(inst) for inst, _ in chain(anytime_shaped(seed),
+                                                          audit_shaped(seed)))
+    scanned = 0
+    for text in chain(_mutated_texts(seed, count), shaped):
+        values = scan_dat(text)
+        assert formats._scan_dat(text) == values, repr(text[:200])
+        scanned += values is not None
+    return scanned
+
+
+def test_scan_matches_reference_scanner():
+    # both scanners read the 1,261 mutated texts that parse, the 432 that
+    # Instance sends to the walk and the 29 shaped texts
+    assert assert_scan_matches_reference(20201126, 6000) == 1261 + 432 + 29
+
+
 # ---------------------------------------------------------------------------
 # Hand-written spellings, for the scanner in front of the token walk
 
@@ -454,6 +557,70 @@ def test_traps_are_rejected_and_explained_once():
     assert [message for _, message in warned] == [
         "AtomicConstraints: 1 duplicate entry dropped"
     ]
+
+
+# Spellings that only JSON reads: the scanner, which reads each set body as
+# a JSON array, must decline them, and the walk must explain each with a
+# ParseError (never a RecursionError from the deep nesting).
+_JSON_ONLY = {
+    "NaN": _PLAIN.replace("{1,3}", "{1,NaN}"),
+    "Infinity": _PLAIN.replace("<3,4>", "<3,Infinity>"),
+    "true": _PLAIN.replace("{1,3}", "{true,3}"),
+    "null": _PLAIN.replace("<2,1>", "<2,null>"),
+    "float": _PLAIN.replace("{1,3}", "{1,2.0}"),
+    "exponent": _PLAIN.replace("<1,5,2,5>", "<1,5,2e0,5>"),
+    "negative": _PLAIN.replace("{1,3}", "{1,-2}"),
+    "negative zero entry": _PLAIN.replace("<3,4>", "<3,-0>"),
+    "square brackets": _PLAIN.replace("{<2,1>}", "{[2,1]}"),
+    "string": _PLAIN.replace("{1,3}", '{1,"2"}'),
+    "nested pair": _PLAIN.replace("<1,2>", "<<1,2>>"),
+    "100,000 nested": _PLAIN.replace("<1,2>", "<" * 100_000 + "1,2" + ">" * 100_000),
+    "empty entry": _PLAIN.replace("{<2,1>}", "{<>}"),
+    "tuple in DirectSuccessors": _PLAIN.replace("{1,3}", "{<1>,3}"),
+}
+
+
+def test_json_only_spellings_are_declined_to_the_walk():
+    for name, text in _JSON_ONLY.items():
+        assert formats._scan_dat(text) is None, name
+        assert scan_dat(text) is None, name
+        new, walked = _walked(text)
+        assert new == _outcome(parse_dat, text), name
+        assert new[0][0] == "ParseError", name
+        assert walked, name
+
+
+def test_scanner_matches_reference_scanner_on_hand_written_texts():
+    for name, text in chain(_VALID_SPELLINGS.items(), _TRAPS.items()):
+        assert formats._scan_dat(text) == scan_dat(text), name
+    assert all(formats._scan_dat(text) for text in _VALID_SPELLINGS.values())
+
+
+_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "old, numeral",
+    [("k = 5", "k = " + "9" * 5000), ("<3,4>", "<3," + "4" * 5000 + ">"),
+     ("{1,3}", "{1," + "0" * _LIMIT + "3}")],
+    ids=["k", "atomic-entry", "leading-zeros"],
+)
+def test_numeral_longer_than_int_reads_is_a_parse_error(old, numeral):
+    # the earlier scanner let int()'s ValueError escape, with no position
+    text = _PLAIN.replace(old, numeral)
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        scan_dat(text)
+    assert formats._scan_dat(text) is None
+    digits = re.search(r"\d{1000,}", text)
+    line = text.count("\n", 0, digits.start()) + 1
+    column = digits.start() - text.rfind("\n", 0, digits.start())
+    ((kind, message, *at), warned), walked = _walked(text)
+    assert kind == "ParseError" and walked and not warned
+    assert message == (
+        f"line {line}, column {column}: integer of {len(digits.group())} digits exceeds "
+        f"the limit of {_LIMIT} digits"
+    )
+    assert at == [line, column]
 
 
 def _audit_shaped():
