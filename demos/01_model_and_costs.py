@@ -23,7 +23,8 @@ inst = Instance(
     direct_successors=[4],  # once 4 is plugged, its partner 2 must follow at once
 )
 
-print(f"instance: k={inst.k}, b={inst.b}, pairs={inst.pairs()}")
+pairs = [(i, i + inst.b) for i in range(1, inst.b + 1)]
+print(f"instance: k={inst.k}, b={inst.b}, pairs={pairs}")
 
 good = Permutation((5, 3, 4, 2, 1))  # job 5 first, then 3, 4, 2, 1
 print(f"\n{good.tour} violations: {validate(inst, good)}")

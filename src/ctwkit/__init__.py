@@ -8,16 +8,7 @@ generate seeded benchmark instances and run them through a reporting
 harness.
 """
 
-from .costs import (
-    CostBreakdown,
-    breakdown,
-    cost_l,
-    cost_m,
-    cost_n,
-    cost_s,
-    edge_cost_s,
-    objective,
-)
+from .costs import CostBreakdown, breakdown, edge_cost_s, objective
 from .digraph import DiGraph
 from .errors import CtwError, InstanceError, ParseError, SchemaError
 from .formats import (
@@ -40,7 +31,6 @@ from .model import (
     Permutation,
     Violation,
     ViolationKind,
-    hard_atomic_graph,
     partner,
     validate,
 )
@@ -81,10 +71,6 @@ __all__ = [
     "breakdown",
     "brute_mas",
     "certification_suite",
-    "cost_l",
-    "cost_m",
-    "cost_n",
-    "cost_s",
     "ds_only_solve",
     "edge_cost_s",
     "emit_dat",
@@ -96,7 +82,6 @@ __all__ = [
     "extract_mas",
     "generate",
     "generate_planted",
-    "hard_atomic_graph",
     "load_instance",
     "mas_to_ctw",
     "metrics",

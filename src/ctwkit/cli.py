@@ -10,10 +10,11 @@ stats), diagnostics to stderr. Exit codes:
 * 3 -- unsolved (a limit was hit with nothing to show)
 * 4 -- usage or format error
 
-``--no-timestamps`` zeroes every wall-clock field so that repeated runs
-with the same inputs (for gen, the same seed) are byte-identical. The
-default time limit can be set through the CTW_TIME_LIMIT_MS environment
-variable; the --time-limit flag wins.
+``--no-timestamps``, on solve and bench (the two commands that report a
+wall-clock time), zeroes every wall-clock field so that repeated runs with
+the same inputs are byte-identical. The default time limit can be set
+through the CTW_TIME_LIMIT_MS environment variable; the --time-limit flag
+wins.
 """
 
 from __future__ import annotations
@@ -76,36 +77,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctw", description="Cable tree wiring toolkit"
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--no-timestamps",
-        action="store_true",
-        help="zero wall-clock fields for byte-reproducible output",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve an instance", parents=[common])
+    p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("instance")
     p.add_argument("--engine", choices=bench_mod.ENGINES, default="bb")
     p.add_argument("--time-limit", type=int, default=None, metavar="MS")
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, metavar="FILE")
+    p.add_argument("--no-timestamps", action="store_true",
+                   help="zero wall-clock fields for byte-reproducible output")
 
-    p = sub.add_parser("validate", help="check a solution file against an instance",
-                       parents=[common])
+    p = sub.add_parser("validate", help="check a solution file against an instance")
     p.add_argument("instance")
     p.add_argument("--solution", required=True)
     p.add_argument("--out", default=None, metavar="FILE")
 
-    p = sub.add_parser("oracle", help="exhaustively enumerate a small instance",
-                       parents=[common])
+    p = sub.add_parser("oracle", help="exhaustively enumerate a small instance")
     p.add_argument("instance")
     p.add_argument("--limit-k", type=int, default=oracle.DEFAULT_LIMIT_K)
     p.add_argument("--out", default=None, metavar="FILE")
 
-    p = sub.add_parser("gen", help="generate an instance or a benchmark suite",
-                       parents=[common])
+    p = sub.add_parser("gen", help="generate an instance or a benchmark suite")
     p.add_argument("what", nargs="?", choices=("instance", "suite"), default="instance")
     p.add_argument("--mode", choices=[m.value for m in GenMode],
                    default="satisfiable")
@@ -120,26 +114,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="output file (instance) or directory (suite)")
 
-    p = sub.add_parser("convert", help="convert an instance between formats",
-                       parents=[common])
+    p = sub.add_parser("convert", help="convert an instance between formats")
     p.add_argument("instance")
     p.add_argument("--to", required=True, choices=("dat", "dzn", "json"))
     p.add_argument("--out", default=None, metavar="FILE")
 
-    p = sub.add_parser("bench", help="run an engine over an instance directory",
-                       parents=[common])
+    p = sub.add_parser("bench", help="run an engine over an instance directory")
     p.add_argument("--dir", required=True)
     p.add_argument("--engine", choices=bench_mod.ENGINES, default="bb")
     p.add_argument("--time-limit", type=int, default=None, metavar="MS")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default=None, metavar="FILE")
+    p.add_argument("--no-timestamps", action="store_true",
+                   help="zero wall-clock fields for byte-reproducible output")
 
-    p = sub.add_parser("stats", help="emit instance metrics as CSV", parents=[common])
+    p = sub.add_parser("stats", help="emit instance metrics as CSV")
     p.add_argument("--dir", required=True)
     p.add_argument("--out", default=None, metavar="FILE")
 
-    p = sub.add_parser("reduce-mas", help="encode a digraph as a wiring instance",
-                       parents=[common])
+    p = sub.add_parser("reduce-mas", help="encode a digraph as a wiring instance")
     p.add_argument("graph", help="edge list, one 'tail head' per line")
     p.add_argument("--format", choices=("dat", "dzn", "json"), default="dat")
     p.add_argument("--extract", action="store_true",

@@ -19,9 +19,8 @@ not overflow, which covers the k <= 1000 operating range and beyond.
 
 ``breakdown`` is the one pricing of a tour: a walk over the pairs gives S,
 L and the storage load at each position, whose peak is M, and a walk over
-the soft edges gives N. ``cost_s`` .. ``cost_n`` read one criterion off
-it. ``edge_cost_s`` is the second formulation, the paper's: S as the sum
-of the tour's edge costs.
+the soft edges gives N. ``edge_cost_s`` is the second formulation, the
+paper's: S as the sum of the tour's edge costs.
 """
 
 from __future__ import annotations
@@ -86,29 +85,13 @@ def breakdown(inst: Instance, perm: Permutation) -> CostBreakdown:
     return CostBreakdown(s, m, l, n, objective(s, m, l, n, inst.k))
 
 
-def cost_s(inst: Instance, perm: Permutation) -> int:
-    return breakdown(inst, perm).S
-
-
-def cost_m(inst: Instance, perm: Permutation) -> int:
-    return breakdown(inst, perm).M
-
-
-def cost_l(inst: Instance, perm: Permutation) -> int:
-    return breakdown(inst, perm).L
-
-
-def cost_n(inst: Instance, perm: Permutation) -> int:
-    return breakdown(inst, perm).N
-
-
 def edge_cost_s(inst: Instance, perm: Permutation) -> int:
     """S recomputed as a sum of tour edge costs.
 
     The edge leaving position x costs 1 exactly when the job at x is a
     two-sided end whose partner is neither already plugged nor plugged at
     x + 1; each interrupted pair contributes that cost once, at its earlier
-    end, so the sum equals ``cost_s`` on every bijection.
+    end, so the sum equals ``breakdown(inst, perm).S`` on every bijection.
     """
     pos = _checked_pos(inst, perm)
     tour = perm.tour

@@ -527,7 +527,8 @@ def _expect_rows(value, path: str, width: int) -> list[tuple[int, ...]]:
 def parse_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, a numeral longer than int() reads, or nesting too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", "$")
@@ -641,8 +642,12 @@ def parse_solution(text: str) -> SolutionFile:
                     lineno,
                     1,
                 )
-            s, mm, l, n, obj = (int(g) for g in m.groups())
-            claimed = CostBreakdown(s, mm, l, n, obj)
+            try:
+                claimed = CostBreakdown(*map(int, m.groups()))
+            except ValueError:  # a numeral longer than int() reads
+                digits = max(map(len, m.groups()))
+                raise ParseError(f"integer of {digits} digits exceeds the limit of "
+                                 f"{sys.get_int_max_str_digits()} digits", lineno, 1) from None
         else:
             raise ParseError(f"unknown line '{head}'", lineno, 1)
     if kind is None:

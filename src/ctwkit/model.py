@@ -26,7 +26,6 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from . import digraph
 from .errors import InstanceError
 
 
@@ -165,12 +164,6 @@ class Instance:
         """Number of one-sided cables."""
         return self.k - 2 * self.b
 
-    def partner(self, i: int) -> int:
-        return partner(i, self.b)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, i + self.b) for i in range(1, self.b + 1))
-
     def canonical(self) -> "Instance":
         """Equal instance with every constraint list sorted ascending."""
         return Instance(
@@ -305,17 +298,8 @@ def validate(inst: Instance, perm: Permutation) -> list[Violation]:
         if not (pos[d.c1before] < pos[d.c1after] or pos[d.c2before] < pos[d.c2after]):
             out.append(Violation(ViolationKind.DISJUNCTIVE, d))
     for i in inst.direct_successors:
-        j = inst.partner(i)
+        j = partner(i, inst.b)
         if not (pos[j] == pos[i] + 1 or pos[j] < pos[i]):
             out.append(Violation(ViolationKind.DIRECT_SUCCESSOR, i))
     return out
 
-
-def hard_atomic_graph(inst: Instance) -> digraph.DiGraph:
-    """Constraint graph over jobs: one edge per hard atomic precedence.
-
-    Parallel duplicates collapse because edges form a set.
-    """
-    return digraph.DiGraph(
-        inst.k, frozenset((c.before, c.after) for c in inst.atomic)
-    )

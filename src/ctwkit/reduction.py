@@ -10,6 +10,8 @@ forward in the permutation, and such a set can never contain a cycle.
 
 from __future__ import annotations
 
+import sys
+
 from .digraph import DiGraph
 from .errors import ParseError
 from .model import Instance, Permutation
@@ -59,7 +61,11 @@ def parse_edge_list(text: str) -> DiGraph:
         if parts[0] == "vertices":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError("vertices line must read 'vertices <count>'", lineno, 1)
-            declared = int(parts[1])
+            try:
+                declared = int(parts[1])
+            except ValueError:  # a numeral longer than int() reads
+                raise ParseError(f"integer of {len(parts[1])} digits exceeds the limit of "
+                                 f"{sys.get_int_max_str_digits()} digits", lineno, 1) from None
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'tail head', found {line!r}", lineno, 1)

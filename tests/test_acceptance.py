@@ -23,7 +23,6 @@ from ctwkit import (
     breakdown,
     brute_mas,
     certification_suite,
-    cost_s,
     ds_only_solve,
     edge_cost_s,
     emit_dat,
@@ -31,7 +30,6 @@ from ctwkit import (
     enumerate_solutions,
     generate,
     generate_planted,
-    hard_atomic_graph,
     mas_to_ctw,
     objective,
     parse_dat,
@@ -138,7 +136,7 @@ def test_04_edge_cost_reformulation_matches_everywhere():
             assert inst.k <= 6
             for tour in itertools.permutations(range(1, inst.k + 1)):
                 perm = Permutation(tour)
-                assert edge_cost_s(inst, perm) == cost_s(inst, perm)
+                assert edge_cost_s(inst, perm) == breakdown(inst, perm).S
         for _ in range(1000):
             b = rng.randint(0, 20)
             n = rng.randint(0, 15)
@@ -146,7 +144,7 @@ def test_04_edge_cost_reformulation_matches_everywhere():
             tour = list(range(1, inst.k + 1))
             rng.shuffle(tour)
             perm = Permutation(tuple(tour))
-            assert edge_cost_s(inst, perm) == cost_s(inst, perm)
+            assert edge_cost_s(inst, perm) == breakdown(inst, perm).S
 
 
 def _fit_exponent(sizes, times):
@@ -183,7 +181,7 @@ def test_05_polynomial_cases_and_linear_growth():
                                       seed=seed, mode=GenMode.UNSATISFIABLE))
             cert = topo_solve(inst)
             assert isinstance(cert, UnsatCertificate)
-            edges = hard_atomic_graph(inst).edges
+            edges = frozenset(inst.atomic)
             cyc = cert.cycle
             assert all(
                 (v, cyc[(i + 1) % len(cyc)]) in edges for i, v in enumerate(cyc)

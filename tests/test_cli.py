@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ctwkit import Instance, emit_dat, parse_dat, parse_json
+from ctwkit import Instance, emit_dat, emit_json, parse_dat, parse_json
 from ctwkit.cli import main
 
 
@@ -248,6 +248,13 @@ def test_text_that_is_not_utf8_is_a_format_error(tmp_path, capsys, five_job):
     code, out, err = run_cli(capsys, "solve", bad)
     assert (code, out) == (4, "")
     assert err == "error: not UTF-8 text: invalid start byte at offset 0\n"
+    # JSON nested too deep, or with a numeral longer than int() reads
+    (tmp_path / "C.json").write_text("[" * 100_000, encoding="utf-8")
+    long_k = emit_json(Instance(k=1, b=0)).replace('"k": 1', '"k": ' + "9" * 5000)
+    (tmp_path / "D.json").write_text(long_k, encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", tmp_path / "C.json")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
 
     code, out, _ = run_cli(capsys, "bench", "--dir", tmp_path, "--jobs", "1",
                            "--time-limit", "5000", "--no-timestamps")
@@ -256,6 +263,10 @@ def test_text_that_is_not_utf8_is_a_format_error(tmp_path, capsys, five_job):
     assert lines[1].startswith("A,5,2,optimal")
     assert lines[2] == "B,0,0,undefined,,,,,,0,0,0,0.0,0.0,error:not UTF-8 text: " \
         "invalid start byte at offset 0"
+    assert lines[3].startswith("C,0,0,undefined,,,,,,0,0,0,0.0,0.0,error:invalid JSON: "
+                               "maximum recursion depth exceeded")
+    assert lines[4].startswith("D,0,0,undefined,,,,,,0,0,0,0.0,0.0,error:invalid JSON: ")
+    assert "5000 digits" in lines[4] and len(lines) == 5
 
 
 @pytest.mark.parametrize("argv", [
@@ -271,6 +282,34 @@ def test_other_inputs_that_are_not_utf8_are_format_errors(tmp_path, capsys, five
     code, out, err = run_cli(capsys, *(a.format(dat=five_dat, bad=bad, graph=graph) for a in argv))
     assert (code, out) == (4, "")
     assert err == "error: not UTF-8 text: invalid start byte at offset 0\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("solve", "{dat}"), 0),
+    (("bench", "--dir", "{dir}", "--jobs", "1"), 0),
+    (("validate", "{dat}", "--solution", "{sol}"), 4),
+    (("oracle", "{dat}"), 4),
+    (("gen",), 4),
+    (("convert", "{dat}", "--to", "json"), 4),
+    (("stats", "--dir", "{dir}"), 4),
+    (("reduce-mas", "{graph}"), 4),
+])
+def test_no_timestamps_only_where_a_wall_clock_is_reported(tmp_path, capsys, five_dat,
+                                                           argv, code):
+    sol = tmp_path / "good.sol"
+    sol.write_text("tour 5 3 4 2 1\n", encoding="utf-8")
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n", encoding="utf-8")
+    argv = [a.format(dat=five_dat, sol=sol, dir=tmp_path, graph=graph) for a in argv]
+    assert run_cli(capsys, *argv)[0] == 0
+    got, out, err = run_cli(capsys, *argv, "--no-timestamps")
+    assert got == code
+    if code:
+        assert out == "" and "unrecognized arguments: --no-timestamps" in err
+    elif argv[0] == "solve":
+        assert json.loads(out)["stats"]["time_ms"] == 0
+    else:
+        assert out.splitlines()[1].startswith("five,5,2,optimal,1,1,2,0,160,0,")
 
 
 def test_stats_names_the_file_it_cannot_parse(tmp_path, capsys, five_job):

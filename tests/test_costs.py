@@ -9,10 +9,6 @@ from ctwkit import (
     Instance,
     Permutation,
     breakdown,
-    cost_l,
-    cost_m,
-    cost_n,
-    cost_s,
     edge_cost_s,
     objective,
 )
@@ -39,26 +35,24 @@ def naive_storage_peak(inst, perm):
 
 def test_reference_solution_costs(five_job):
     perm = Permutation((5, 3, 4, 2, 1))
-    assert cost_s(five_job, perm) == 1
-    assert cost_m(five_job, perm) == 1
-    assert cost_l(five_job, perm) == 2
-    assert cost_n(five_job, perm) == 0  # no soft constraints in the fixture
-    assert breakdown(five_job, perm).objective == 160
+    bd = breakdown(five_job, perm)
+    assert (bd.S, bd.M, bd.L) == (1, 1, 2)
+    assert bd.N == 0  # no soft constraints in the fixture
+    assert bd.objective == 160
 
 
 def test_costs_zero_without_pairs():
     inst = Instance(k=3, b=0)
     perm = Permutation((2, 3, 1))
-    assert cost_s(inst, perm) == 0
-    assert cost_m(inst, perm) == 0
-    assert cost_l(inst, perm) == 0
+    bd = breakdown(inst, perm)
+    assert (bd.S, bd.M, bd.L) == (0, 0, 0)
 
 
 def test_adjacent_pairs_cost_nothing():
     inst = Instance(k=4, b=2)
     perm = Permutation((1, 3, 2, 4))  # pairs (1,3) and (2,4) back to back
-    assert cost_s(inst, perm) == 0
-    assert cost_l(inst, perm) == 0
+    bd = breakdown(inst, perm)
+    assert (bd.S, bd.L) == (0, 0)
     assert edge_cost_s(inst, perm) == 0
 
 
@@ -66,7 +60,7 @@ def test_storage_peak_interleaved_pairs():
     # pairs (1,3), (2,4); tour 1,2,3,4 holds one pair open at positions 2 and 3
     inst = Instance(k=4, b=2)
     perm = Permutation((1, 2, 3, 4))
-    assert cost_m(inst, perm) == naive_storage_peak(inst, perm) == 1
+    assert breakdown(inst, perm).M == naive_storage_peak(inst, perm) == 1
 
 
 def test_storage_peak_seen_at_one_sided_job():
@@ -74,7 +68,7 @@ def test_storage_peak_seen_at_one_sided_job():
     # to pair ends would miss it
     inst = Instance(k=3, b=1)
     perm = Permutation((1, 3, 2))  # pair (1,2) split around one-sided job 3
-    assert cost_m(inst, perm) == 1
+    assert breakdown(inst, perm).M == 1
     pos = perm.positions_by_job()
     pair_end_loads = []
     for l in (1, 2):
@@ -92,17 +86,17 @@ def test_storage_peak_matches_definition_randomised():
         tour = list(range(1, inst.k + 1))
         rng.shuffle(tour)
         perm = Permutation(tuple(tour))
-        assert cost_m(inst, perm) == naive_storage_peak(inst, perm)
+        assert breakdown(inst, perm).M == naive_storage_peak(inst, perm)
 
 
 def test_soft_violations():
     inst = Instance(k=2, b=0, soft_atomic=[(1, 2)])
-    assert cost_n(inst, Permutation((2, 1))) == 1
-    assert cost_n(inst, Permutation((1, 2))) == 0
+    assert breakdown(inst, Permutation((2, 1))).N == 1
+    assert breakdown(inst, Permutation((1, 2))).N == 0
     both = Instance(k=2, b=0, soft_atomic=[(1, 2), (2, 1)])
     # exactly one direction is violated under either order
     for tour in ((1, 2), (2, 1)):
-        assert cost_n(both, Permutation(tour)) == 1
+        assert breakdown(both, Permutation(tour)).N == 1
 
 
 def test_objective_values():
@@ -130,7 +124,7 @@ def test_edge_cost_equals_interrupted_pairs_exhaustive():
         inst = Instance(k=2 * b + n, b=b)
         for tour in itertools.permutations(range(1, inst.k + 1)):
             perm = Permutation(tour)
-            assert edge_cost_s(inst, perm) == cost_s(inst, perm)
+            assert edge_cost_s(inst, perm) == breakdown(inst, perm).S
 
 
 def test_edge_cost_equals_interrupted_pairs_randomised():
@@ -142,7 +136,7 @@ def test_edge_cost_equals_interrupted_pairs_randomised():
         tour = list(range(1, inst.k + 1))
         rng.shuffle(tour)
         perm = Permutation(tuple(tour))
-        assert edge_cost_s(inst, perm) == cost_s(inst, perm)
+        assert edge_cost_s(inst, perm) == breakdown(inst, perm).S
 
 
 def test_criteria_bounds_on_valid_solutions():
@@ -281,7 +275,7 @@ def test_breakdown_matches_reference_on_audit_shapes():
     assert assert_breakdown_matches_reference(0) == 16
 
 
-PRICED = (breakdown, cost_s, cost_m, cost_l, cost_n, edge_cost_s)
+PRICED = (breakdown, edge_cost_s)
 
 
 def test_non_bijective_tour_is_refused():

@@ -11,7 +11,7 @@ ascending order, so they must return the identical cycle, or both None.
 import itertools
 import random
 
-from ctwkit import Instance, UnsatCertificate, hard_atomic_graph, topo_solve, unsat_precheck
+from ctwkit import Instance, UnsatCertificate, topo_solve, unsat_precheck
 from ctwkit import digraph
 from ctwkit.digraph import DiGraph
 from ctwkit.generate import GenMode, certification_suite, generate
@@ -124,7 +124,7 @@ def test_certificates_unchanged_on_unsatisfiable_suite_instances():
     unsat = [generate(p) for _, p in certification_suite(0) if p.mode == GenMode.UNSATISFIABLE]
     assert len(unsat) == 30
     for inst in unsat:
-        want = find_cycle(hard_atomic_graph(inst))
+        want = find_cycle(DiGraph(inst.k, frozenset(inst.atomic)))
         assert want is not None
         assert unsat_precheck(inst) == UnsatCertificate(tuple(want))
         atomic_only = Instance(k=inst.k, b=0, atomic=inst.atomic)

@@ -360,6 +360,12 @@ def test_json_schema_errors():
 
     with pytest.raises(ParseError):
         parse_json("{not json")
+    # the decoder raises RecursionError and a bare ValueError for these
+    with pytest.raises(ParseError, match="^invalid JSON: maximum recursion depth exceeded"):
+        parse_json("[" * 100_000)
+    text = emit_json(Instance(k=1, b=0)).replace('"k": 1', '"k": ' + "9" * 5000)
+    with pytest.raises(ParseError, match="^invalid JSON: .* 5000 digits"):
+        parse_json(text)
 
 
 def test_cross_format_equality(five_job):
@@ -402,6 +408,13 @@ def test_parse_solution_errors():
         parse_solution("instance\ninstance A\ntour 1\n")
     with pytest.raises(ParseError, match="^line 2, column 1: more than one permutation line$"):
         parse_solution("tour 1 2\npositions 1 2\n")
+    claim = "claimed S=1 M=1 L=2 N=1 objective=" + "1" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_solution(f"# a claim too long to read\ntour 5 3 4 2 1\n{claim}\n")
+    assert str(err.value) == (
+        f"line 3, column 1: integer of 5000 digits exceeds the limit of "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
     # a duplicated tour is kept as it stands for validate to report; a
     # duplicated position map cannot be inverted at all
     assert not parse_solution("tour 1 1 2\n").permutation().is_bijection()

@@ -11,7 +11,6 @@ from ctwkit import (
     InstanceError,
     Permutation,
     ViolationKind,
-    hard_atomic_graph,
     partner,
     validate,
 )
@@ -205,15 +204,6 @@ def test_instance_allows_reverse_pair_in_both_sets():
     # violated by every valid permutation, which is a cost, not an error
     inst = Instance(k=2, b=0, atomic=[(1, 2)], soft_atomic=[(2, 1)])
     assert validate(inst, Permutation((1, 2))) == []
-
-
-def test_hard_atomic_graph(five_job):
-    g = hard_atomic_graph(five_job)
-    assert g.vertex_count == 5
-    assert g.edges == {(3, 4), (4, 1), (5, 4)}
-    chain = Instance(k=3, b=0, atomic=[(1, 2), (2, 3)])
-    assert hard_atomic_graph(chain).edges == {(1, 2), (2, 3)}
-    assert hard_atomic_graph(Instance(k=4, b=0)).edges == frozenset()
 
 
 def test_permutation_round_trip():

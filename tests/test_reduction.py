@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -162,3 +163,10 @@ def test_parse_edge_list_vertex_count_digits():
     assert (err.value.line, err.value.column) == (1, 1)
     # fullwidth digits are decimal digits, and int() reads them
     assert parse_edge_list("vertices ３\n1 2\n").vertex_count == 3
+    # a numeral longer than int() reads
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("1 2\n\nvertices " + "7" * 5000 + "\n")
+    assert str(err.value) == (
+        f"line 3, column 1: integer of 5000 digits exceeds the limit of "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
