@@ -21,7 +21,8 @@ Four textual formats are supported:
   A scanner reads the syntax only, in a few C-level passes per
   statement: one anchored regex per statement, then per set one
   ``translate`` into a JSON array (``<>`` as brackets), one
-  ``json.loads`` and type and length checks over the entries. The
+  ``json.loads``, a bracket count and type and length checks over the
+  entries, which become the ``Instance``'s rows as they are read. The
   ``_scan_dat`` docstring argues why this accepts exactly the ``.dat``
   grammar with the values ``int`` reads. Whether the values make a valid
   instance is decided by ``Instance`` alone. A text that the
@@ -54,14 +55,15 @@ import csv
 import io as _io
 import json
 import re
+import string
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 
 from .costs import CostBreakdown
-from .errors import InstanceError, ParseError, SchemaError
-from .model import Instance, Permutation
+from .errors import InstanceError, ParseError, SchemaError, digit_limit_error, read_ints
+from .model import AtomicConstraint, DisjunctiveConstraint, Instance, Permutation
 
 # The four constraint sets of a ``.dat`` file, in ``Instance``'s field
 # order, and the arity of their entries (1: a bare integer). Every reader
@@ -121,12 +123,16 @@ _STATEMENT = re.compile(
 
 # A set body as the items of a JSON array: ``<`` and ``>`` become its
 # brackets, and the ASCII whitespace that ``\s`` accepts but JSON does not
-# becomes a blank. ``[``, ``]`` and ``-``, which the grammar lacks and
-# JSON reads, become ``x``, which JSON refuses outside a string.
+# becomes a blank. ``[``, ``]``, ``-``, ``.``, ``"`` and the ASCII letters,
+# which the grammar lacks and JSON reads (in a sign, a fraction, an
+# exponent, a string, ``true``, ``NaN``, ...), become ``x``, which JSON
+# refuses outside a string. JSON then reads only ints and lists.
 _TO_JSON = str.maketrans({
-    "<": "[", ">": "]", "[": "x", "]": "x", "-": "x",
+    "<": "[", ">": "]",
+    **dict.fromkeys('[]-."' + string.ascii_letters, "x"),
     **dict.fromkeys("\v\f\x1c\x1d\x1e\x1f", " "),
 })
+_ROW = {2: AtomicConstraint, 4: DisjunctiveConstraint}  # the row class of each arity
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 _ZERO_LED = re.compile(r"(?<![0-9])0[0-9]+")  # a numeral JSON refuses and int() reads
 
@@ -142,7 +148,7 @@ def _int_str(m: re.Match) -> str:
 
 
 def _read_body(body: str, arity: int) -> list | None:
-    """The entries of one set body (ints, or tuples of ``arity`` ints), or None."""
+    """The entries of one set body (ints, or ``_ROW[arity]`` rows), or None."""
     body = body.translate(_TO_JSON)
     if not body.isascii():
         body = _NON_ASCII.sub(_to_ascii, body)
@@ -160,25 +166,28 @@ def _read_body(body: str, arity: int) -> list | None:
         return None
     if comma and not entries:
         return None
+    # each list JSON read opened at one "[" of the body
+    lists = body.count("[")
     if arity == 1:
-        return entries if set(map(type, entries)) <= {int} else None
+        return None if lists else entries
     if (
-        set(map(type, entries)) <= {list}
+        lists == len(entries)
+        and set(map(type, entries)) <= {list}
         and set(map(len, entries)) <= {arity}
-        and set(map(type, chain.from_iterable(entries))) <= {int}
     ):
-        return list(map(tuple, entries))
+        return list(map(tuple.__new__, repeat(_ROW[arity]), entries))
     return None
 
 
 def _scan_dat(text: str) -> dict[str, object] | None:
     """The six values of ``text`` when it is well-formed, else None.
 
-    Tuple sets come back as lists of tuples and DirectSuccessors as a list
-    of ints, duplicates kept. No semantic check (b against k, ranges,
-    self-loops, ...) is made here: ``Instance`` makes them. A text accepted
-    here is one whose values ``_walk_dat`` reads the same before its own
-    semantic checks.
+    Tuple sets come back as lists of ``AtomicConstraint`` or
+    ``DisjunctiveConstraint`` rows, which ``Instance`` keeps as they are,
+    and DirectSuccessors as a list of ints, duplicates kept. No semantic
+    check (b against k, ranges, self-loops, ...) is made here: ``Instance``
+    makes them. A text accepted here is one whose values ``_walk_dat``
+    reads the same before its own semantic checks.
 
     A set body is well-formed when it is empty, or holds entries separated
     by commas with at most one comma after the last, whitespace (``\\s``)
@@ -194,16 +203,21 @@ def _scan_dat(text: str) -> dict[str, object] | None:
       leading zero among these, so on a refusal each numeral led by a zero
       is written as ``int`` reads it and the array read once more. The one
       trailing comma is cut off, and a body cut to nothing is refused.
-    * Every accepted array was such a body. ``[``, ``]`` and ``-`` of the
-      text become ``x``, which JSON refuses, so every bracket came from
-      ``<`` or ``>`` and no number has a sign. The type and length checks
-      keep only ints, or lists of ``arity`` ints, so no string, float,
-      ``true``, ``null``, ``NaN`` or deeper list is read. What is left is
-      ASCII digits, brackets, commas and JSON blanks, and each of them
-      came from a digit, ``<``, ``>``, a comma or ``\\s`` in the body,
-      placed as the grammar places them. Translation maps each character
-      to one, and the second read only shortens runs of digits, so digits
-      that JSON reads as one number were one run of digits in the body.
+    * Every accepted array was such a body. Translation turns ``[``,
+      ``]``, ``-``, ``.``, ``"`` and every ASCII letter of the text into
+      ``x``, which JSON refuses, and non-ASCII characters other than
+      digits and ``\\s`` are refused as they stand. So JSON reads only
+      ASCII digits, commas, brackets and blanks: no sign, fraction,
+      exponent, string, ``true``, ``null`` or ``NaN``, only ints and
+      lists, and every bracket came from ``<`` or ``>``. Each ``[`` opens
+      one list, so counting them rules out nesting: a DirectSuccessors
+      body must have none, and a tuple-set body exactly one per entry,
+      each entry a list of ``arity`` items, which are then ints. Each
+      digit, bracket, comma and blank came from a digit, ``<``, ``>``, a
+      comma or ``\\s`` in the body, placed as the grammar places them.
+      Translation maps each character to one, and the second read only
+      shortens runs of digits, so digits that JSON reads as one number
+      were one run of digits in the body.
 
     A numeral longer than ``int`` reads (``sys.get_int_max_str_digits``)
     makes the text ill-formed, here and in ``_walk_dat``, which reports it.
@@ -275,12 +289,7 @@ def _int(text: str, toks: list[str], i: int) -> int:
     except ValueError:
         digits = toks[i].removeprefix("-")
         if digits.isdecimal():  # a numeral longer than int() reads
-            raise _error(
-                text,
-                i,
-                f"integer of {len(digits)} digits exceeds the limit of "
-                f"{sys.get_int_max_str_digits()} digits",
-            ) from None
+            raise digit_limit_error(len(digits), *_position(text, i)) from None
         raise _unexpected(text, toks, i, None) from None
 
 
@@ -630,10 +639,7 @@ def parse_solution(text: str) -> SolutionFile:
             instance_id = rest or None
         elif slot == "permutation":
             kind = head
-            try:
-                values = tuple(int(v) for v in rest.split())
-            except ValueError:
-                raise ParseError(f"non-integer entry in {head} line", lineno, 1)
+            values = read_ints(rest.split(), lineno, f"non-integer entry in {head} line")
         elif head == "claimed":
             m = _CLAIMED.match(rest)
             if not m:
@@ -645,9 +651,7 @@ def parse_solution(text: str) -> SolutionFile:
             try:
                 claimed = CostBreakdown(*map(int, m.groups()))
             except ValueError:  # a numeral longer than int() reads
-                digits = max(map(len, m.groups()))
-                raise ParseError(f"integer of {digits} digits exceeds the limit of "
-                                 f"{sys.get_int_max_str_digits()} digits", lineno, 1) from None
+                raise digit_limit_error(max(map(len, m.groups())), lineno) from None
         else:
             raise ParseError(f"unknown line '{head}'", lineno, 1)
     if kind is None:

@@ -66,10 +66,17 @@ def partner(i: int, b: int) -> int:
 
 
 def _constraints(kind, rows) -> tuple:
-    """``tuple(map(kind._make, rows))`` built at C level: ``tuple.__new__``
-    per row, then one arity check over the list, which raises ``_make``'s
-    TypeError for the first row of the wrong length."""
-    out = tuple(map(tuple.__new__, repeat(kind), rows))
+    """``tuple(map(kind._make, rows))`` built at C level.
+
+    Rows that are all exactly ``kind`` are kept as they are, seen in one
+    pass over their types (a tuple of them is not even copied); any others
+    are built with ``tuple.__new__`` per row. One arity check over the
+    result then raises ``_make``'s TypeError for the first row of the wrong
+    length.
+    """
+    out = tuple(rows)  # the same object when rows is a tuple
+    if not set(map(type, out)) <= {kind}:
+        out = tuple(map(tuple.__new__, repeat(kind), out))
     arity = len(kind._fields)
     if not set(map(len, out)) <= {arity}:
         bad = next(row for row in out if len(row) != arity)
@@ -84,7 +91,9 @@ class Instance:
     ``direct_successors`` lists constrained ends i (each must be <= 2b); the
     entry i stands for the constraint on the pair (i, partner(i)). k, b and
     every job id are stored as the plain int ``operator.index`` reads, so a
-    bool is kept as 0 or 1.
+    bool is kept as 0 or 1. Constraint rows that are already exactly
+    ``AtomicConstraint`` or ``DisjunctiveConstraint`` are kept, not built
+    again, and their ids are still checked.
     """
 
     k: int
@@ -127,9 +136,13 @@ class Instance:
             raise InstanceError(f"k={k} is too large: k must be < sys.maxsize = {sys.maxsize}")
         if 2 * self.b > k:
             raise InstanceError(f"b={self.b} exceeds k/2 (k={k})")
+        # a valid row passes one chained comparison; the tests after it
+        # only choose the message for a row that fails it
         for name in ("atomic", "soft_atomic"):
             for c in getattr(self, name):
                 before, after = c
+                if after != before <= k >= after >= 1 <= before:
+                    continue
                 if not 1 <= before <= k:
                     raise InstanceError(f"job {before} in {name} is outside 1..{k}")
                 if not 1 <= after <= k:
@@ -137,6 +150,10 @@ class Instance:
                 if before == after:
                     raise InstanceError(f"{name} constraint {c} relates a job to itself")
         for d in self.disjunctive:
+            c1before, c1after, c2before, c2after = d
+            if (c1after != c1before <= k >= c1after >= 1 <= c1before
+                    and c2after != c2before <= k >= c2after >= 1 <= c2before):
+                continue
             for j in d:
                 if not 1 <= j <= k:
                     raise InstanceError(f"job {j} in disjunctive is outside 1..{k}")

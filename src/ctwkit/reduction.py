@@ -10,10 +10,8 @@ forward in the permutation, and such a set can never contain a cycle.
 
 from __future__ import annotations
 
-import sys
-
 from .digraph import DiGraph
-from .errors import ParseError
+from .errors import ParseError, digit_limit_error, read_ints
 from .model import Instance, Permutation
 
 
@@ -64,15 +62,10 @@ def parse_edge_list(text: str) -> DiGraph:
             try:
                 declared = int(parts[1])
             except ValueError:  # a numeral longer than int() reads
-                raise ParseError(f"integer of {len(parts[1])} digits exceeds the limit of "
-                                 f"{sys.get_int_max_str_digits()} digits", lineno, 1) from None
+                raise digit_limit_error(len(parts[1]), lineno) from None
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'tail head', found {line!r}", lineno, 1)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", lineno, 1)
-        edges.append((u, v))
+        edges.append(read_ints(parts, lineno, "non-integer endpoint {token!r}"))
     count = declared if declared is not None else max((max(e) for e in edges), default=0)
     return DiGraph(count, frozenset(edges))

@@ -577,6 +577,18 @@ _JSON_ONLY = {
     "100,000 nested": _PLAIN.replace("<1,2>", "<" * 100_000 + "1,2" + ">" * 100_000),
     "empty entry": _PLAIN.replace("{<2,1>}", "{<>}"),
     "tuple in DirectSuccessors": _PLAIN.replace("{1,3}", "{<1>,3}"),
+    # declined by the translation of letters, "." and '"', or by the count
+    # of one "[" per entry, with no type check over the ids
+    "nested pair in a later slot": _PLAIN.replace("<3,4>", "<3,<4>>"),
+    "nested disjunct entry": _PLAIN.replace("<1,5,2,5>", "<1,5,<2>,5>"),
+    "nested entry in the first slot": _PLAIN.replace("<1,5,2,5>", "<<1>,5,2,5>"),
+    "capital exponent": _PLAIN.replace("<1,5,2,5>", "<1,5,2E0,5>"),
+    "fraction in a pair": _PLAIN.replace("<2,1>", "<2,1.0>"),
+    "-Infinity": _PLAIN.replace("<3,4>", "<3,-Infinity>"),
+    "quoted numeral in a pair": _PLAIN.replace("<2,1>", '<2,"1">'),
+    "false in a pair": _PLAIN.replace("<1,2>", "<1,false>"),
+    "letter in DirectSuccessors": _PLAIN.replace("{1,3}", "{1,b}"),
+    "true in DirectSuccessors": _PLAIN.replace("{1,3}", "{1,true}"),
 }
 
 

@@ -24,6 +24,7 @@ from ctwkit import (
     parse_solution,
 )
 from ctwkit.bench import metrics
+from ctwkit.model import AtomicConstraint, DisjunctiveConstraint
 from ctwkit.generate import (
     GenMode,
     GenParams,
@@ -270,13 +271,20 @@ def audit_shaped(seed):
 def assert_dat_round_trips(seed: int) -> int:
     """Each benchmark-shaped instance of ``seed`` reads back from its
     ``.dat`` text as its canonical form, which writes the same text again.
-    Returns the number of instances."""
+    Every parsed row is exactly its NamedTuple class and every id a plain
+    int. Returns the number of instances."""
     count = 0
     for inst, _ in chain(anytime_shaped(seed), audit_shaped(seed)):
         text = emit_dat(inst)
         parsed = parse_dat(text)
         assert parsed == inst.canonical(), (seed, count)
         assert emit_dat(parsed) == text, (seed, count)
+        for rows, kind in ((parsed.atomic, AtomicConstraint),
+                           (parsed.soft_atomic, AtomicConstraint),
+                           (parsed.disjunctive, DisjunctiveConstraint)):
+            assert set(map(type, rows)) <= {kind}, (seed, count)
+            assert set(map(type, chain.from_iterable(rows))) <= {int}, (seed, count)
+        assert set(map(type, parsed.direct_successors)) <= {int}, (seed, count)
         count += 1
     return count
 
@@ -420,6 +428,24 @@ def test_parse_solution_errors():
     assert not parse_solution("tour 1 1 2\n").permutation().is_bijection()
     with pytest.raises(ValueError, match="not a bijection at job 2"):
         parse_solution("positions 1 1 2\n").permutation()
+
+
+@pytest.mark.parametrize("line", [
+    "tour 5 3 " + "4" * 5000 + " 2 1",
+    "positions 5 4 2 3 -" + "1" * 5000,
+    "tour 5 3 +" + "4" * 5000 + " x 1",
+], ids=["tour", "signed-position", "before-a-non-integer"])
+def test_parse_solution_numeral_longer_than_int_reads(line):
+    with pytest.raises(ParseError) as err:
+        parse_solution(f"instance A\n# a tour too long to read\n{line}\n")
+    message = (f"line 3, column 1: integer of 5000 digits exceeds the limit of "
+               f"{sys.get_int_max_str_digits()} digits")
+    assert str(err.value) == message and len(str(err.value)) < 80
+    assert (err.value.line, err.value.column) == (3, 1)
+    # the first entry int() refuses is the one reported
+    with pytest.raises(ParseError) as err:
+        parse_solution("tour 5 x " + "4" * 5000 + "\n")
+    assert str(err.value) == "line 1, column 1: non-integer entry in tour line"
 
 
 def test_parse_solution_keywords_may_be_followed_by_any_whitespace():

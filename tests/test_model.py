@@ -169,6 +169,12 @@ def test_instance_rejects_bad_shapes():
     (dict(soft_atomic=[(1,)]), AtomicConstraint, (1,), "Expected 2 arguments, got 1"),
     (dict(disjunctive=[(1, 2, 3, 4), (1, 2, 3)]), DisjunctiveConstraint, (1, 2, 3),
      "Expected 4 arguments, got 3"),
+    # rows of the kind, made without _make, are kept but checked all the same
+    (dict(atomic=(tuple.__new__(AtomicConstraint, (1, 2, 3)),)), AtomicConstraint, (1, 2, 3),
+     "Expected 2 arguments, got 3"),
+    (dict(disjunctive=(DisjunctiveConstraint(1, 2, 3, 4),
+                       tuple.__new__(DisjunctiveConstraint, (1, 2, 3)))),
+     DisjunctiveConstraint, (1, 2, 3), "Expected 4 arguments, got 3"),
 ])
 def test_instance_rejects_wrong_arity_like_make(fields, kind, bad, message):
     with pytest.raises(TypeError, match=message):
@@ -197,6 +203,29 @@ def test_instance_constraints_equal_and_hash_as_before():
         assert built == tuple(rows[name])
         assert [hash(c) for c in built] == [hash(r) for r in rows[name]]
     assert inst.atomic[0].before == 1 and inst.disjunctive[0].c2after == 4
+
+
+def test_instance_keeps_rows_already_of_their_kind():
+    atomic = (AtomicConstraint(1, 2), AtomicConstraint(3, 4))
+    soft = [AtomicConstraint(2, 1)]
+    disjunctive = (DisjunctiveConstraint(1, 3, 2, 4),)
+    inst = Instance(k=5, b=2, atomic=atomic, soft_atomic=soft, disjunctive=disjunctive)
+    assert inst.atomic is atomic and inst.disjunctive is disjunctive
+    assert type(inst.soft_atomic) is tuple and inst.soft_atomic[0] is soft[0]
+    kept = Instance(k=3, b=0, atomic=(c for c in [AtomicConstraint(1, 2)]))
+    assert type(kept.atomic) is tuple and kept.atomic == ((1, 2),)
+    # plain tuples, lists, and rows of the kind mixed with them, are built
+    built = Instance(k=5, b=2, atomic=[AtomicConstraint(1, 2), (3, 4)], soft_atomic=([2, 1],),
+                     disjunctive=[(1, 3, 2, 4)])
+    assert built == inst
+    for rows, kind in ((built.atomic, AtomicConstraint), (built.soft_atomic, AtomicConstraint),
+                       (built.disjunctive, DisjunctiveConstraint)):
+        assert type(rows) is tuple and all(type(c) is kind for c in rows)
+    # a bool in a row of the kind is stored as the int it stands for
+    row = AtomicConstraint(True, 2)
+    inst = Instance(k=4, b=0, soft_atomic=(row,), disjunctive=(DisjunctiveConstraint(4, 2, 3, True),))
+    assert inst.soft_atomic == ((1, 2),) and type(inst.soft_atomic[0]) is AtomicConstraint
+    assert [type(j) for j in inst.soft_atomic[0] + inst.disjunctive[0]] == [int] * 6
 
 
 def test_instance_allows_reverse_pair_in_both_sets():
@@ -371,6 +400,11 @@ def test_canonical_sorts_constraints():
         (dict(k=2**70, b=0), f"k={2**70} is too large: k must be < sys.maxsize = {sys.maxsize}"),
         (dict(k=sys.maxsize, b=1),
          f"k={sys.maxsize} is too large: k must be < sys.maxsize = {sys.maxsize}"),
+        # a row of the kind is kept, and its ids are checked all the same
+        (
+            dict(k=4, b=0, atomic=(AtomicConstraint(1, "2"),)),
+            "constraint ids must be integers: 'str' object cannot be interpreted as an integer",
+        ),
     ],
 )
 def test_instance_error_messages(fields, message):

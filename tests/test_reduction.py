@@ -155,6 +155,27 @@ def test_parse_edge_list():
         parse_edge_list("vertices five\n")
 
 
+def test_parse_edge_list_endpoint_errors_name_the_endpoint():
+    # a numeral longer than int() reads, with or without a sign
+    for edge in ("1 " + "2" * 5000, "-" + "2" * 5000 + " 1", "2" * 5000 + " x"):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(f"vertices 3\n1 2\n{edge}\n")
+        assert str(err.value) == (
+            f"line 3, column 1: integer of 5000 digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        )
+        assert (err.value.line, err.value.column) == (3, 1)
+        assert len(str(err.value)) < 80
+    # any other endpoint is quoted alone, not with its line
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("1 2\n3 x\n")
+    assert str(err.value) == "line 2, column 1: non-integer endpoint 'x'"
+    assert (err.value.line, err.value.column) == (2, 1)
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("a b\n")
+    assert str(err.value) == "line 1, column 1: non-integer endpoint 'a'"
+
+
 def test_parse_edge_list_vertex_count_digits():
     # a superscript two is a digit to str.isdigit but not to int()
     with pytest.raises(ParseError) as err:
