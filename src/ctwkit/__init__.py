@@ -25,8 +25,6 @@ from .formats import (
 )
 from .generate import GenMode, GenParams, anytime_suite, certification_suite, generate, generate_planted
 from .model import (
-    AtomicConstraint,
-    DisjunctiveConstraint,
     Instance,
     Permutation,
     Violation,
@@ -43,12 +41,10 @@ from .solver import ResultState, SearchState, SolveResult, SolveStats, SolverCon
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicConstraint",
     "BenchRow",
     "CostBreakdown",
     "CtwError",
     "DiGraph",
-    "DisjunctiveConstraint",
     "GenMode",
     "GenParams",
     "Instance",

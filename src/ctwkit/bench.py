@@ -61,11 +61,11 @@ class BenchRow:
 
 def metrics(inst: Instance) -> InstanceMetrics:
     load = [0.0] * (inst.k + 1)
-    for c in inst.atomic:
-        load[c.before] += 1.0
-    for d in inst.disjunctive:
-        load[d.c1before] += 0.5
-        load[d.c2before] += 0.5
+    for before, _ in inst.atomic:
+        load[before] += 1.0
+    for c1before, _, c2before, _ in inst.disjunctive:
+        load[c1before] += 0.5
+        load[c2before] += 0.5
     per_job = load[1:]
     return InstanceMetrics(
         k=inst.k,

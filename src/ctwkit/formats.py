@@ -22,7 +22,7 @@ Four textual formats are supported:
   statement: one anchored regex per statement, then per set one
   ``translate`` into a JSON array (``<>`` as brackets), one
   ``json.loads``, a bracket count and type and length checks over the
-  entries, which become the ``Instance``'s rows as they are read. The
+  entries, whose lists become the ``Instance``'s plain tuple rows. The
   ``_scan_dat`` docstring argues why this accepts exactly the ``.dat``
   grammar with the values ``int`` reads. Whether the values make a valid
   instance is decided by ``Instance`` alone. A text that the
@@ -59,11 +59,10 @@ import string
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 from .costs import CostBreakdown
 from .errors import InstanceError, ParseError, SchemaError, digit_limit_error, read_ints
-from .model import AtomicConstraint, DisjunctiveConstraint, Instance, Permutation
+from .model import Instance, Permutation
 
 # The four constraint sets of a ``.dat`` file, in ``Instance``'s field
 # order, and the arity of their entries (1: a bare integer). Every reader
@@ -132,7 +131,6 @@ _TO_JSON = str.maketrans({
     **dict.fromkeys('[]-."' + string.ascii_letters, "x"),
     **dict.fromkeys("\v\f\x1c\x1d\x1e\x1f", " "),
 })
-_ROW = {2: AtomicConstraint, 4: DisjunctiveConstraint}  # the row class of each arity
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 _ZERO_LED = re.compile(r"(?<![0-9])0[0-9]+")  # a numeral JSON refuses and int() reads
 
@@ -148,7 +146,7 @@ def _int_str(m: re.Match) -> str:
 
 
 def _read_body(body: str, arity: int) -> list | None:
-    """The entries of one set body (ints, or ``_ROW[arity]`` rows), or None."""
+    """The entries of one set body (ints, or tuples of ``arity`` ints), or None."""
     body = body.translate(_TO_JSON)
     if not body.isascii():
         body = _NON_ASCII.sub(_to_ascii, body)
@@ -175,18 +173,17 @@ def _read_body(body: str, arity: int) -> list | None:
         and set(map(type, entries)) <= {list}
         and set(map(len, entries)) <= {arity}
     ):
-        return list(map(tuple.__new__, repeat(_ROW[arity]), entries))
+        return list(map(tuple, entries))
     return None
 
 
 def _scan_dat(text: str) -> dict[str, object] | None:
     """The six values of ``text`` when it is well-formed, else None.
 
-    Tuple sets come back as lists of ``AtomicConstraint`` or
-    ``DisjunctiveConstraint`` rows, which ``Instance`` keeps as they are,
-    and DirectSuccessors as a list of ints, duplicates kept. No semantic
-    check (b against k, ranges, self-loops, ...) is made here: ``Instance``
-    makes them. A text accepted here is one whose values ``_walk_dat``
+    Tuple sets come back as lists of plain int tuples, the rows
+    ``Instance`` keeps, and DirectSuccessors as a list of ints, duplicates
+    kept. No semantic check (b against k, ranges, self-loops, ...) is made
+    here: ``Instance`` makes them. A text accepted here is one whose values ``_walk_dat``
     reads the same before its own semantic checks.
 
     A set body is well-formed when it is empty, or holds entries separated
@@ -355,24 +352,32 @@ def parse_dat(text: str) -> Instance:
     soft, ...) are errors.
 
     ``_scan_dat`` reads a well-formed text, and ``Instance`` decides
-    whether its deduplicated values are valid. A text either of them
-    rejects is read again from the start by the token walk, ``_walk_dat``,
-    which explains the rejection with a ``ParseError`` and warns of its own
-    duplicates (it would return the Instance of a valid spelling the scan
-    did not know). This path therefore warns of duplicates only after the
-    Instance is built, so that each warning comes once.
+    whether its values are valid. Its duplicate test is the one pass that
+    hashes each row, so the values are deduplicated only when it raises,
+    and built once more. A text that the scan or the deduplicated
+    ``Instance`` rejects is read again from the start by the token walk,
+    ``_walk_dat``, which explains the rejection with a ``ParseError`` and
+    warns of its own duplicates (it would return the Instance of a valid
+    spelling the scan did not know). This path therefore warns of
+    duplicates only after the Instance is built, so that each warning comes
+    once.
     """
     seen = _scan_dat(text)
     if seen is None:
         return _walk_dat(text)
-    sets = {name: tuple(dict.fromkeys(seen[name])) for name in _SETS}
+    # _SETS names the sets in the order of Instance's fields
+    sets = [seen[name] for name in _SETS]
     try:
-        # _SETS names the sets in the order of Instance's fields
-        inst = Instance(seen["k"], seen["b"], *sets.values())
+        return Instance(seen["k"], seen["b"], *sets)
+    except InstanceError:  # duplicates, or a value the walk explains
+        pass
+    kept = [tuple(dict.fromkeys(values)) for values in sets]
+    try:
+        inst = Instance(seen["k"], seen["b"], *kept)
     except InstanceError:
         return _walk_dat(text)
-    for name, kept in sets.items():
-        _warn_dropped(name, seen[name], kept)
+    for name, values, unique in zip(_SETS, sets, kept):
+        _warn_dropped(name, values, unique)
     return inst
 
 

@@ -6,8 +6,13 @@ pairs with i+b), jobs 2b+1..2b+n belong to one-sided cables. A candidate
 solution is a permutation of the k jobs. Hard constraints restrict the
 permutation:
 
-* atomic precedence (i, j): job i must take an earlier position than job j;
-* disjunctive: at least one of two atomic precedences must hold;
+* atomic precedence (before, after): job ``before`` must take an earlier
+  position than job ``after``;
+* disjunctive (c1before, c1after, c2before, c2after): at least one of the
+  atomic precedences (c1before, c1after) and (c2before, c2after) must
+  hold. The generic 4-tuple covers both syntactic shapes that occur in
+  practice (a shared left-hand job, or the pair ends appearing on opposite
+  sides);
 * direct successor, given as a paired-cable end i: the partner end must be
   plugged immediately after i, or anywhere before it (short cables that
   cannot wait in storage).
@@ -20,39 +25,14 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .errors import InstanceError
-
-
-class AtomicConstraint(NamedTuple):
-    """Job ``before`` must be executed before job ``after``."""
-
-    before: int
-    after: int
-
-
-class DisjunctiveConstraint(NamedTuple):
-    """(c1before < c1after) or (c2before < c2after) on positions.
-
-    The generic 4-tuple covers both syntactic shapes that occur in practice
-    (a shared left-hand job, or the pair ends appearing on opposite sides).
-    """
-
-    c1before: int
-    c1after: int
-    c2before: int
-    c2after: int
-
-    def disjuncts(self) -> tuple[AtomicConstraint, AtomicConstraint]:
-        return (
-            AtomicConstraint(self.c1before, self.c1after),
-            AtomicConstraint(self.c2before, self.c2after),
-        )
 
 
 def partner(i: int, b: int) -> int:
@@ -65,19 +45,22 @@ def partner(i: int, b: int) -> int:
     return i + b if i <= b else i - b
 
 
-def _constraints(kind, rows) -> tuple:
-    """``tuple(map(kind._make, rows))`` built at C level.
+def _constraints(name: str, arity: int, rows) -> tuple:
+    """``rows`` as a tuple of plain tuples of ``arity`` ids each.
 
-    Rows that are all exactly ``kind`` are kept as they are, seen in one
+    Rows that are all exactly ``tuple`` are kept as they are, seen in one
     pass over their types (a tuple of them is not even copied); any others
-    are built with ``tuple.__new__`` per row. One arity check over the
-    result then raises ``_make``'s TypeError for the first row of the wrong
-    length.
+    are read in order into plain tuples. A set or a mapping row has no
+    order to read a precedence from, so it raises InstanceError. One arity
+    check over the result then raises TypeError for the first row of the
+    wrong length.
     """
     out = tuple(rows)  # the same object when rows is a tuple
-    if not set(map(type, out)) <= {kind}:
-        out = tuple(map(tuple.__new__, repeat(kind), out))
-    arity = len(kind._fields)
+    if not set(map(type, out)) <= {tuple}:
+        for row in out:
+            if isinstance(row, (AbstractSet, Mapping)):
+                raise InstanceError(f"{name} row {row!r} has no order: give it as a tuple or list")
+        out = tuple(map(tuple, out))
     if not set(map(len, out)) <= {arity}:
         bad = next(row for row in out if len(row) != arity)
         raise TypeError(f"Expected {arity} arguments, got {len(bad)}")
@@ -89,29 +72,30 @@ class Instance:
     """An immutable problem statement.
 
     ``direct_successors`` lists constrained ends i (each must be <= 2b); the
-    entry i stands for the constraint on the pair (i, partner(i)). k, b and
-    every job id are stored as the plain int ``operator.index`` reads, so a
-    bool is kept as 0 or 1. Constraint rows that are already exactly
-    ``AtomicConstraint`` or ``DisjunctiveConstraint`` are kept, not built
-    again, and their ids are still checked.
+    entry i stands for the constraint on the pair (i, partner(i)). Every
+    constraint row is stored as a plain tuple of the shape the module
+    docstring gives. k, b and every job id are stored as the plain int
+    ``operator.index`` reads, so a bool is kept as 0 or 1. A tuple of plain
+    tuples is kept, not copied, and its ids are still checked. A row is
+    read in order, so it may be a list, a range or an iterator, but not a
+    set or a mapping.
     """
 
     k: int
     b: int
-    atomic: tuple[AtomicConstraint, ...] = ()
-    soft_atomic: tuple[AtomicConstraint, ...] = ()
-    disjunctive: tuple[DisjunctiveConstraint, ...] = ()
+    atomic: tuple[tuple[int, int], ...] = ()
+    soft_atomic: tuple[tuple[int, int], ...] = ()
+    disjunctive: tuple[tuple[int, int, int, int], ...] = ()
     direct_successors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name, kind in (("atomic", AtomicConstraint), ("soft_atomic", AtomicConstraint),
-                           ("disjunctive", DisjunctiveConstraint)):
-            rows = _constraints(kind, getattr(self, name))
+        for name, arity in (("atomic", 2), ("soft_atomic", 2), ("disjunctive", 4)):
+            rows = _constraints(name, arity, getattr(self, name))
             # every id a plain int, seen in one C-level pass; any other
             # integer type, such as a bool, is stored as the int it stands for
             if not set(map(type, chain.from_iterable(rows))) <= {int}:
                 try:
-                    rows = _constraints(kind, [map(operator.index, row) for row in rows])
+                    rows = _constraints(name, arity, [map(operator.index, row) for row in rows])
                 except TypeError as exc:
                     raise InstanceError(f"constraint ids must be integers: {exc}") from None
             object.__setattr__(self, name, rows)
@@ -157,7 +141,7 @@ class Instance:
             for j in d:
                 if not 1 <= j <= k:
                     raise InstanceError(f"job {j} in disjunctive is outside 1..{k}")
-            if d.c1before == d.c1after or d.c2before == d.c2after:
+            if c1before == c1after or c2before == c2after:
                 raise InstanceError(f"disjunctive constraint {d} has a trivial disjunct")
         for i in self.direct_successors:
             if not 1 <= i <= 2 * self.b:
@@ -308,12 +292,12 @@ def validate(inst: Instance, perm: Permutation) -> list[Violation]:
         out.append(Violation(ViolationKind.NOT_BIJECTIVE, tuple(perm.tour)))
         return out
     pos = perm._pos
-    for c in inst.atomic:
-        if pos[c.before] >= pos[c.after]:
-            out.append(Violation(ViolationKind.ATOMIC, c))
-    for d in inst.disjunctive:
-        if not (pos[d.c1before] < pos[d.c1after] or pos[d.c2before] < pos[d.c2after]):
-            out.append(Violation(ViolationKind.DISJUNCTIVE, d))
+    for before, after in inst.atomic:
+        if pos[before] >= pos[after]:
+            out.append(Violation(ViolationKind.ATOMIC, (before, after)))
+    for a1, b1, a2, b2 in inst.disjunctive:
+        if not (pos[a1] < pos[b1] or pos[a2] < pos[b2]):
+            out.append(Violation(ViolationKind.DISJUNCTIVE, (a1, b1, a2, b2)))
     for i in inst.direct_successors:
         j = partner(i, inst.b)
         if not (pos[j] == pos[i] + 1 or pos[j] < pos[i]):

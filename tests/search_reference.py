@@ -234,7 +234,7 @@ class ReferenceSearchState:
 
         self.ds = frozenset(inst.direct_successors)
 
-        self.disjuncts = [d.disjuncts() for d in inst.disjunctive]
+        self.disjuncts = [(d[:2], d[2:]) for d in inst.disjunctive]
         self.dstate = [[0, 0] for _ in inst.disjunctive]  # 0 open, 1 true, -1 false
         by_before: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
         by_after: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
@@ -654,7 +654,7 @@ def mandatory_disjuncts(st) -> set[tuple[int, int]]:
     pos = st.pos
     out = set()
     for d in st.inst.disjunctive:
-        first, second = d.disjuncts()
+        first, second = d[:2], d[2:]
         for (a, c), (oa, oc) in ((first, second), (second, first)):
             if not (pos[a] or pos[c]) and pos[oc] and not 0 < pos[oa] < pos[oc]:
                 out.add((a, c))

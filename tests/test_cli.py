@@ -125,14 +125,14 @@ _VALID_160 = {"S": 1, "M": 1, "L": 2, "N": 0, "objective": 160}
             4,
             {
                 "violations": [
-                    "atomic: AtomicConstraint(before=4, after=1)",
-                    "atomic: AtomicConstraint(before=5, after=4)",
+                    "atomic: (4, 1)",
+                    "atomic: (5, 4)",
                 ],
                 "breakdown": {"S": 2, "M": 1, "L": 1, "N": 0, "objective": 280},
             },
             (
-                "invalid:atomic: AtomicConstraint(before=4, after=1)",
-                "invalid:atomic: AtomicConstraint(before=5, after=4)",
+                "invalid:atomic: (4, 1)",
+                "invalid:atomic: (5, 4)",
             ),
         ),
         (

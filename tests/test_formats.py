@@ -24,7 +24,6 @@ from ctwkit import (
     parse_solution,
 )
 from ctwkit.bench import metrics
-from ctwkit.model import AtomicConstraint, DisjunctiveConstraint
 from ctwkit.generate import (
     GenMode,
     GenParams,
@@ -271,18 +270,16 @@ def audit_shaped(seed):
 def assert_dat_round_trips(seed: int) -> int:
     """Each benchmark-shaped instance of ``seed`` reads back from its
     ``.dat`` text as its canonical form, which writes the same text again.
-    Every parsed row is exactly its NamedTuple class and every id a plain
-    int. Returns the number of instances."""
+    Every parsed row is exactly ``tuple`` and every id a plain int.
+    Returns the number of instances."""
     count = 0
     for inst, _ in chain(anytime_shaped(seed), audit_shaped(seed)):
         text = emit_dat(inst)
         parsed = parse_dat(text)
         assert parsed == inst.canonical(), (seed, count)
         assert emit_dat(parsed) == text, (seed, count)
-        for rows, kind in ((parsed.atomic, AtomicConstraint),
-                           (parsed.soft_atomic, AtomicConstraint),
-                           (parsed.disjunctive, DisjunctiveConstraint)):
-            assert set(map(type, rows)) <= {kind}, (seed, count)
+        for rows in (parsed.atomic, parsed.soft_atomic, parsed.disjunctive):
+            assert set(map(type, rows)) <= {tuple}, (seed, count)
             assert set(map(type, chain.from_iterable(rows))) <= {int}, (seed, count)
         assert set(map(type, parsed.direct_successors)) <= {int}, (seed, count)
         count += 1

@@ -159,7 +159,7 @@ def test_disjunctive_shapes_follow_the_two_syntactic_forms():
         inst, _ = generate_planted(params)
         triples = set()
         for d in inst.disjunctive:
-            ends = {d.c1before, d.c1after, d.c2before, d.c2after}
+            ends = set(d)
             pair_start = next(
                 i for i in sorted(ends) if i <= inst.b and i + inst.b in ends
             )

@@ -2,20 +2,27 @@ import itertools
 import random
 import re
 import sys
+from collections import namedtuple
 from typing import Sequence
 
 import pytest
 
 from ctwkit import (
+    GenParams,
     Instance,
     InstanceError,
     Permutation,
     ViolationKind,
+    emit_dat,
+    emit_json,
+    generate_planted,
+    parse_dat,
+    parse_json,
     partner,
     validate,
 )
 from ctwkit.generate import GenMode
-from ctwkit.model import AtomicConstraint, DisjunctiveConstraint, _ints
+from ctwkit.model import _ints
 
 from conftest import random_instance
 
@@ -163,69 +170,80 @@ def test_instance_rejects_bad_shapes():
         Instance(k=4, b=1, disjunctive=[(1, 1, 2, 3)])  # trivial disjunct
 
 
-@pytest.mark.parametrize("fields, kind, bad, message", [
-    (dict(atomic=[(1, 2), (1, 2, 3)]), AtomicConstraint, (1, 2, 3),
-     "Expected 2 arguments, got 3"),
-    (dict(soft_atomic=[(1,)]), AtomicConstraint, (1,), "Expected 2 arguments, got 1"),
-    (dict(disjunctive=[(1, 2, 3, 4), (1, 2, 3)]), DisjunctiveConstraint, (1, 2, 3),
-     "Expected 4 arguments, got 3"),
-    # rows of the kind, made without _make, are kept but checked all the same
-    (dict(atomic=(tuple.__new__(AtomicConstraint, (1, 2, 3)),)), AtomicConstraint, (1, 2, 3),
-     "Expected 2 arguments, got 3"),
-    (dict(disjunctive=(DisjunctiveConstraint(1, 2, 3, 4),
-                       tuple.__new__(DisjunctiveConstraint, (1, 2, 3)))),
-     DisjunctiveConstraint, (1, 2, 3), "Expected 4 arguments, got 3"),
+@pytest.mark.parametrize("fields, message", [
+    (dict(atomic=[(1, 2), (1, 2, 3)]), "Expected 2 arguments, got 3"),
+    (dict(soft_atomic=[(1,)]), "Expected 2 arguments, got 1"),
+    (dict(disjunctive=[(1, 2, 3, 4), (1, 2, 3)]), "Expected 4 arguments, got 3"),
+    # a tuple of plain tuples is kept, not copied, but checked all the same
+    (dict(atomic=((1, 2, 3),)), "Expected 2 arguments, got 3"),
+    (dict(disjunctive=((1, 2, 3, 4), (1, 2, 3))), "Expected 4 arguments, got 3"),
 ])
-def test_instance_rejects_wrong_arity_like_make(fields, kind, bad, message):
+def test_instance_rejects_wrong_arity(fields, message):
     with pytest.raises(TypeError, match=message):
         Instance(k=4, b=1, **fields)
-    with pytest.raises(TypeError, match=message):  # NamedTuple._make's own text
-        kind._make(bad)
+
+
+_Pair = namedtuple("_Pair", "before after")  # a tuple subclass
+
+
+def assert_plain_rows(inst: Instance) -> None:
+    """Every constraint set of ``inst`` is a tuple of exactly ``tuple``
+    rows, each id exactly ``int``."""
+    for rows in (inst.atomic, inst.soft_atomic, inst.disjunctive):
+        assert type(rows) is tuple
+        assert set(map(type, rows)) <= {tuple}
+        assert set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+    assert set(map(type, inst.direct_successors)) <= {int}
 
 
 def test_instance_constraints_equal_and_hash_as_before():
     rows = dict(atomic=[(1, 2), (3, 4)], soft_atomic=[(2, 1)], disjunctive=[(1, 3, 2, 4)])
     inst = Instance(k=5, b=2, direct_successors=[1], **rows)
-    as_made = Instance(k=5, b=2, direct_successors=(1,),
-                       atomic=tuple(map(AtomicConstraint._make, rows["atomic"])),
-                       soft_atomic=tuple(map(AtomicConstraint._make, rows["soft_atomic"])),
-                       disjunctive=tuple(map(DisjunctiveConstraint._make,
-                                             rows["disjunctive"])))
-    from_lists = Instance(k=5, b=2, direct_successors=[1],
-                          **{name: [list(r) for r in v] for name, v in rows.items()})
-    assert inst == as_made == from_lists
-    assert hash(inst) == hash(as_made) == hash(from_lists)
-    for name, kind in (("atomic", AtomicConstraint), ("soft_atomic", AtomicConstraint),
-                       ("disjunctive", DisjunctiveConstraint)):
-        built = getattr(inst, name)
-        assert type(built) is tuple
-        assert all(type(c) is kind for c in built)
-        assert built == tuple(rows[name])
-        assert [hash(c) for c in built] == [hash(r) for r in rows[name]]
-    assert inst.atomic[0].before == 1 and inst.disjunctive[0].c2after == 4
+    sources = [
+        inst,
+        Instance(k=5, b=2, direct_successors=[1],
+                 **{name: [list(r) for r in v] for name, v in rows.items()}),
+        Instance(k=5, b=2, direct_successors=[True], atomic=[_Pair(1, 2), _Pair(3, 4)],
+                 soft_atomic=[(2, True)], disjunctive=[(True, 3, 2, 4)]),
+        parse_dat(emit_dat(inst)),
+        parse_json(emit_json(inst)),
+    ]
+    for other in sources:
+        assert other == inst and hash(other) == hash(inst)
+        assert_plain_rows(other)
+    # the hash of the fields with each row a plain tuple: the value the
+    # rows gave when they were NamedTuples, which hash as tuples
+    assert hash(inst) == hash((5, 2, ((1, 2), (3, 4)), ((2, 1),), ((1, 3, 2, 4),), (1,)))
+    for name in rows:
+        assert getattr(inst, name) == tuple(rows[name])
+    # the generator's rows are plain too
+    planted, _ = generate_planted(GenParams(b=3, n=2, p_atomic=0.3, p_soft=0.1,
+                                            p_disjunctive=0.2, ds_count=2, seed=5))
+    assert planted.atomic and planted.soft_atomic and planted.disjunctive
+    assert_plain_rows(planted)
 
 
 def test_instance_keeps_rows_already_of_their_kind():
-    atomic = (AtomicConstraint(1, 2), AtomicConstraint(3, 4))
-    soft = [AtomicConstraint(2, 1)]
-    disjunctive = (DisjunctiveConstraint(1, 3, 2, 4),)
+    atomic = ((1, 2), (3, 4))
+    soft = [(2, 1)]
+    disjunctive = ((1, 3, 2, 4),)
     inst = Instance(k=5, b=2, atomic=atomic, soft_atomic=soft, disjunctive=disjunctive)
     assert inst.atomic is atomic and inst.disjunctive is disjunctive
     assert type(inst.soft_atomic) is tuple and inst.soft_atomic[0] is soft[0]
-    kept = Instance(k=3, b=0, atomic=(c for c in [AtomicConstraint(1, 2)]))
-    assert type(kept.atomic) is tuple and kept.atomic == ((1, 2),)
-    # plain tuples, lists, and rows of the kind mixed with them, are built
-    built = Instance(k=5, b=2, atomic=[AtomicConstraint(1, 2), (3, 4)], soft_atomic=([2, 1],),
-                     disjunctive=[(1, 3, 2, 4)])
+    row = (1, 2)
+    kept = Instance(k=3, b=0, atomic=(c for c in [row]))
+    assert type(kept.atomic) is tuple and kept.atomic[0] is row
+    # a tuple subclass, a list, a range and an iterator are read in order,
+    # each into a plain tuple, beside plain tuples
+    built = Instance(k=5, b=2, atomic=[_Pair(1, 2), (3, 4)], soft_atomic=([2, 1],),
+                     disjunctive=[iter([1, 3, 2, 4])])
     assert built == inst
-    for rows, kind in ((built.atomic, AtomicConstraint), (built.soft_atomic, AtomicConstraint),
-                       (built.disjunctive, DisjunctiveConstraint)):
-        assert type(rows) is tuple and all(type(c) is kind for c in rows)
-    # a bool in a row of the kind is stored as the int it stands for
-    row = AtomicConstraint(True, 2)
-    inst = Instance(k=4, b=0, soft_atomic=(row,), disjunctive=(DisjunctiveConstraint(4, 2, 3, True),))
-    assert inst.soft_atomic == ((1, 2),) and type(inst.soft_atomic[0]) is AtomicConstraint
-    assert [type(j) for j in inst.soft_atomic[0] + inst.disjunctive[0]] == [int] * 6
+    assert_plain_rows(built)
+    assert Instance(k=5, b=0, atomic=[range(3, 5)]).atomic == ((3, 4),)
+    # a bool in a plain tuple row is stored as the int it stands for
+    inst = Instance(k=4, b=0, soft_atomic=((True, 2),), disjunctive=((4, 2, 3, True),))
+    assert inst.soft_atomic == ((1, 2),) and inst.disjunctive == ((4, 2, 3, 1),)
+    assert_plain_rows(inst)
 
 
 def test_instance_allows_reverse_pair_in_both_sets():
@@ -311,17 +329,16 @@ def test_canonical_sorts_constraints():
         (dict(k=3, b=0, soft_atomic=[(1, 5)]), "job 5 in soft_atomic is outside 1..3"),
         (
             dict(k=3, b=0, atomic=[(2, 2)]),
-            "atomic constraint AtomicConstraint(before=2, after=2) relates a job to itself",
+            "atomic constraint (2, 2) relates a job to itself",
         ),
         (
             dict(k=3, b=0, soft_atomic=[(3, 3)]),
-            "soft_atomic constraint AtomicConstraint(before=3, after=3) relates a job to itself",
+            "soft_atomic constraint (3, 3) relates a job to itself",
         ),
         (dict(k=4, b=0, disjunctive=[(1, 2, 3, 9)]), "job 9 in disjunctive is outside 1..4"),
         (
             dict(k=4, b=0, disjunctive=[(1, 1, 2, 3)]),
-            "disjunctive constraint DisjunctiveConstraint(c1before=1, c1after=1, "
-            "c2before=2, c2after=3) has a trivial disjunct",
+            "disjunctive constraint (1, 1, 2, 3) has a trivial disjunct",
         ),
         (
             dict(k=4, b=1, direct_successors=[3]),
@@ -336,7 +353,7 @@ def test_canonical_sorts_constraints():
         (dict(k=4, b=2, direct_successors=[1, 1]), "duplicate entries in direct_successors"),
         (
             dict(k=3, b=0, atomic=[(1, 2)], soft_atomic=[(1, 2)]),
-            "constraints both hard and soft: [AtomicConstraint(before=1, after=2)]",
+            "constraints both hard and soft: [(1, 2)]",
         ),
         # with several faults, the first one in checking order is reported
         (dict(k=-1, b=1, atomic=[(1, 4)]), "negative size: k=-1, b=1"),
@@ -346,11 +363,11 @@ def test_canonical_sorts_constraints():
         (dict(k=3, b=0, atomic=[(1, 0), (7, 1)]), "job 0 in atomic is outside 1..3"),
         (
             dict(k=3, b=0, atomic=[(2, 2), (1, 9)]),
-            "atomic constraint AtomicConstraint(before=2, after=2) relates a job to itself",
+            "atomic constraint (2, 2) relates a job to itself",
         ),
         (
             dict(k=3, b=0, atomic=[(2, 2)], soft_atomic=[(1, 9)]),
-            "atomic constraint AtomicConstraint(before=2, after=2) relates a job to itself",
+            "atomic constraint (2, 2) relates a job to itself",
         ),
         (
             dict(k=4, b=0, soft_atomic=[(1, 9)], disjunctive=[(1, 1, 2, 3)]),
@@ -362,8 +379,7 @@ def test_canonical_sorts_constraints():
         ),
         (
             dict(k=4, b=1, disjunctive=[(1, 1, 2, 3)], direct_successors=[4]),
-            "disjunctive constraint DisjunctiveConstraint(c1before=1, c1after=1, "
-            "c2before=2, c2after=3) has a trivial disjunct",
+            "disjunctive constraint (1, 1, 2, 3) has a trivial disjunct",
         ),
         (
             dict(k=4, b=1, atomic=[(1, 2), (1, 2)], direct_successors=[4]),
@@ -400,10 +416,27 @@ def test_canonical_sorts_constraints():
         (dict(k=2**70, b=0), f"k={2**70} is too large: k must be < sys.maxsize = {sys.maxsize}"),
         (dict(k=sys.maxsize, b=1),
          f"k={sys.maxsize} is too large: k must be < sys.maxsize = {sys.maxsize}"),
-        # a row of the kind is kept, and its ids are checked all the same
+        # a tuple of plain tuples is kept, and its ids are checked all the same
         (
-            dict(k=4, b=0, atomic=(AtomicConstraint(1, "2"),)),
+            dict(k=4, b=0, atomic=((1, "2"),)),
             "constraint ids must be integers: 'str' object cannot be interpreted as an integer",
+        ),
+        # a set or a mapping row has no order to read a precedence from
+        (
+            dict(k=3, b=0, atomic=[(1, 3), {2, 1}]),
+            "atomic row {1, 2} has no order: give it as a tuple or list",
+        ),
+        (
+            dict(k=3, b=0, soft_atomic=[frozenset({1, 2})]),
+            "soft_atomic row frozenset({1, 2}) has no order: give it as a tuple or list",
+        ),
+        (
+            dict(k=3, b=0, atomic=({2: 1},)),
+            "atomic row {2: 1} has no order: give it as a tuple or list",
+        ),
+        (
+            dict(k=4, b=0, disjunctive=[{1: 4, 2: 3}.keys()]),
+            "disjunctive row dict_keys([1, 2]) has no order: give it as a tuple or list",
         ),
     ],
 )
