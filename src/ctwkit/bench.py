@@ -11,7 +11,6 @@ it.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,12 +189,16 @@ def run_suite(directory, cfg: SolverConfig | None = None, engine: str = "bb",
     Unparseable inputs and engine refusals become ``undefined`` rows and
     the run continues. With jobs > 1 instances are solved in parallel
     worker processes; each solve stays single-threaded and deterministic,
-    and row order never depends on completion order.
+    and row order never depends on completion order. The process pool is
+    imported only here, when it is used, so that importing ctwkit (and
+    every other subcommand) loads no ``multiprocessing`` module.
     """
     if cfg is None:
         cfg = SolverConfig()
     paths = instance_paths(directory)
     if jobs > 1 and len(paths) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # map yields results in input order, and the paths are sorted by id
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_solve_one, [str(p) for p in paths],

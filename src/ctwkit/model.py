@@ -28,7 +28,6 @@ import sys
 from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -52,8 +51,8 @@ def _constraints(name: str, arity: int, rows) -> tuple:
     pass over their types (a tuple of them is not even copied); any others
     are read in order into plain tuples. A set or a mapping row has no
     order to read a precedence from, so it raises InstanceError. One arity
-    check over the result then raises TypeError for the first row of the
-    wrong length.
+    check over the result then raises InstanceError for the first row of
+    the wrong length.
     """
     out = tuple(rows)  # the same object when rows is a tuple
     if not set(map(type, out)) <= {tuple}:
@@ -63,7 +62,7 @@ def _constraints(name: str, arity: int, rows) -> tuple:
         out = tuple(map(tuple, out))
     if not set(map(len, out)) <= {arity}:
         bad = next(row for row in out if len(row) != arity)
-        raise TypeError(f"Expected {arity} arguments, got {len(bad)}")
+        raise InstanceError(f"{name} row {bad} has {len(bad)} ids, expected {arity}")
     return out
 
 
@@ -202,7 +201,11 @@ _INT = frozenset({int})
 class Permutation:
     """A candidate solution, stored as the tour (job at position 1, 2, ...).
 
-    The dual view -- position of each job -- is derived once and cached.
+    The dual view -- position of each job -- is derived on first use and
+    kept, with whether the tour is a bijection, in a slot that is not a
+    field: ``dataclasses.fields``, ``repr``, ``==``, ``hash``, pickle and
+    copy see the tour alone. A Permutation has no ``__dict__``, so the
+    oracle's long lists of them carry no per-object dict.
     A Permutation may hold a non-bijective tour (e.g. read from a defective
     solution file); ``validate`` reports that instead of the constructor
     rejecting it, and the cost functions refuse it with ValueError. A tuple
@@ -212,12 +215,18 @@ class Permutation:
     entry that is no integer (1.5, "a") raises ValueError.
     """
 
+    __slots__ = ("tour", "_cache")
     tour: tuple[int, ...]
 
     def __init__(self, tour: Iterable):
         if type(tour) is not tuple or not _INT.issuperset(map(type, tour)):
             tour = _ints(tour)
-        self.__dict__["tour"] = tour  # frozen: set past __setattr__
+        _set_tour(self, tour)  # frozen: set past __setattr__
+
+    def __reduce__(self):
+        # the slots' default pickling would set them through the frozen
+        # __setattr__; rebuild from the tour, the cache is derived again
+        return type(self), (self.tour,)
 
     @classmethod
     def from_positions(cls, positions: Sequence[int]) -> "Permutation":
@@ -238,9 +247,12 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.tour)
 
-    @cached_property
-    def _pos(self) -> tuple[int, ...]:
-        # index = job id (entry 0 unused); meaningful only for bijective tours
+    def _dual(self) -> tuple[tuple[int, ...], bool]:
+        """(position of each job, whether the tour is a bijection), cached."""
+        try:
+            return self._cache
+        except AttributeError:  # first use
+            pass
         k = len(self.tour)
         pos = [0] * (k + 1)
         distinct = 0
@@ -250,16 +262,26 @@ class Permutation:
                     distinct += 1
                 pos[job] = x
         # k distinct jobs from 1..k: the same pass decides is_bijection
-        self.__dict__["_bijective"] = distinct == k
-        return tuple(pos)
+        cache = tuple(pos), distinct == k
+        _set_cache(self, cache)
+        return cache
+
+    @property
+    def _pos(self) -> tuple[int, ...]:
+        # index = job id (entry 0 unused); meaningful only for bijective tours
+        return self._dual()[0]
 
     def positions_by_job(self) -> tuple[int, ...]:
         """positions_by_job()[i-1] is the position of job i."""
         return self._pos[1:]
 
     def is_bijection(self) -> bool:
-        self._pos  # sets _bijective on first use
-        return self.__dict__["_bijective"]
+        return self._dual()[1]
+
+
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_tour = Permutation.tour.__set__
+_set_cache = Permutation._cache.__set__
 
 
 class ViolationKind(Enum):

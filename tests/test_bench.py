@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ctwkit
 from ctwkit import (
     CostBreakdown,
     Instance,
@@ -119,6 +124,19 @@ def test_run_suite_reports_text_that_is_not_utf8_and_continues(tmp_path, five_jo
 
 def test_run_suite_empty_directory(tmp_path):
     assert run_suite(tmp_path) == []
+
+
+def test_import_loads_no_process_pool():
+    # only run_suite with jobs > 1 needs the pool; a fresh interpreter shows
+    # what importing the package alone loads
+    src = str(Path(ctwkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, ctwkit; print(' '.join(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] in ('multiprocessing', 'concurrent'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == []
 
 
 def test_run_suite_parallel_matches_serial(tmp_path):

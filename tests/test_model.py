@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 import re
 import sys
@@ -171,16 +174,19 @@ def test_instance_rejects_bad_shapes():
 
 
 @pytest.mark.parametrize("fields, message", [
-    (dict(atomic=[(1, 2), (1, 2, 3)]), "Expected 2 arguments, got 3"),
-    (dict(soft_atomic=[(1,)]), "Expected 2 arguments, got 1"),
-    (dict(disjunctive=[(1, 2, 3, 4), (1, 2, 3)]), "Expected 4 arguments, got 3"),
+    (dict(atomic=[(1, 2), (1, 2, 3)]), "atomic row (1, 2, 3) has 3 ids, expected 2"),
+    (dict(soft_atomic=[(1,)]), "soft_atomic row (1,) has 1 ids, expected 2"),
+    (dict(disjunctive=[(1, 2, 3, 4), (1, 2, 3)]),
+     "disjunctive row (1, 2, 3) has 3 ids, expected 4"),
     # a tuple of plain tuples is kept, not copied, but checked all the same
-    (dict(atomic=((1, 2, 3),)), "Expected 2 arguments, got 3"),
-    (dict(disjunctive=((1, 2, 3, 4), (1, 2, 3))), "Expected 4 arguments, got 3"),
+    (dict(atomic=((1, 2, 3),)), "atomic row (1, 2, 3) has 3 ids, expected 2"),
+    (dict(disjunctive=((1, 2, 3, 4), (1, 2, 3))),
+     "disjunctive row (1, 2, 3) has 3 ids, expected 4"),
 ])
 def test_instance_rejects_wrong_arity(fields, message):
-    with pytest.raises(TypeError, match=message):
+    with pytest.raises(InstanceError) as err:
         Instance(k=4, b=1, **fields)
+    assert str(err.value) == message
 
 
 _Pair = namedtuple("_Pair", "before after")  # a tuple subclass
@@ -311,6 +317,32 @@ def test_permutation_keeps_a_tuple_of_ints_and_reads_anything_else_by_ints():
     assert Permutation([True, 2]) == Permutation((1, 2))
     assert hash(Permutation(_Tour((1, 2)))) == hash(Permutation((1, 2)))
     assert Permutation(tour=(2, 1)).tour == (2, 1)
+
+
+@pytest.mark.parametrize("tour, pos, bijective", [
+    ((3, 1, 2), (0, 2, 3, 1), True),
+    ((2, 2, 1), (0, 3, 2, 0), False),  # a repeated job: the later position
+    ((1, 4, 2), (0, 1, 3, 0), False),  # job 4 is outside 1..3
+])
+def test_permutation_is_slotted_with_the_tour_as_its_one_field(tour, pos, bijective):
+    perm = Permutation(tour)
+    assert not hasattr(perm, "__dict__")
+    assert [f.name for f in dataclasses.fields(perm)] == ["tour"]
+    assert dataclasses.asdict(perm) == {"tour": tour}
+    assert repr(perm) == f"Permutation(tour={tour!r})"
+    assert perm == Permutation(list(tour)) and hash(perm) == hash((tour,))
+    assert perm._pos == pos and perm.is_bijection() is bijective
+    assert perm._pos is perm._pos  # derived once, then read from the cache
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        perm.tour = ()
+    # before and after the cache is filled: a copy is the same tour, and
+    # its own cache is derived again
+    for p in (Permutation(tour), perm):
+        for copied in [copy.copy(p), copy.deepcopy(p)] + [
+                pickle.loads(pickle.dumps(p, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+            assert type(copied) is Permutation and copied == p and copied.tour == tour
+            assert copied._pos == pos and copied.is_bijection() is bijective
 
 
 def test_canonical_sorts_constraints():
