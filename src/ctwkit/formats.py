@@ -459,16 +459,22 @@ def _walk_dat(text: str) -> Instance:
 
 
 def _dat_sets(inst: Instance):
-    """``((name, arity), entries)`` for each set of ``inst``, in ``_SETS`` order."""
-    return zip(_SETS.items(),
-               (inst.atomic, inst.soft_atomic, inst.disjunctive, inst.direct_successors))
+    """``((name, arity), rows)`` for each set of ``inst``, in ``_SETS``
+    order, each set's rows sorted ascending.
+
+    Sorting the rows of a valid instance gives the rows of its
+    ``canonical()`` form, so the emitters write that form without building
+    and validating it as a second ``Instance``.
+    """
+    return zip(_SETS.items(), map(sorted, (
+        inst.atomic, inst.soft_atomic, inst.disjunctive, inst.direct_successors)))
 
 
 def emit_dat(inst: Instance) -> str:
-    """Serialize to the tuple-set format, constraint sets sorted ascending."""
-    c = inst.canonical()
-    lines = [f"k = {c.k};", f"b = {c.b};"]
-    for (name, arity), entries in _dat_sets(c):
+    """Serialize to the tuple-set format, constraint sets sorted ascending:
+    the text of ``inst.canonical()``, read from ``inst`` itself."""
+    lines = [f"k = {inst.k};", f"b = {inst.b};"]
+    for (name, arity), entries in _dat_sets(inst):
         if arity == 1:
             body = ",".join(map(str, entries))
         else:
@@ -483,10 +489,10 @@ def emit_dat(inst: Instance) -> str:
 
 
 def emit_dzn(inst: Instance) -> str:
-    """MiniZinc-style data text with the six parameter assignments."""
-    c = inst.canonical()
-    lines = [f"k = {c.k};", f"b = {c.b};"]
-    for (name, arity), entries in _dat_sets(c):
+    """MiniZinc-style data text with the six parameter assignments,
+    constraint sets sorted ascending as in ``emit_dat``."""
+    lines = [f"k = {inst.k};", f"b = {inst.b};"]
+    for (name, arity), entries in _dat_sets(inst):
         if arity == 1:
             value = f"[{', '.join(map(str, entries))}]" if entries else "array1d(1..0, [])"
         elif entries:
@@ -552,7 +558,8 @@ def parse_json(text: str) -> Instance:
             raise SchemaError("missing required field", f"$.{field_name}")
     if doc["format"] != JSON_FORMAT:
         raise SchemaError(f"expected {JSON_FORMAT!r}, found {doc['format']!r}", "$.format")
-    if doc["version"] != JSON_VERSION:
+    # read as k and b are: true and 1.0 equal 1 but are no version
+    if _expect_int(doc["version"], "$.version") != JSON_VERSION:
         raise SchemaError(f"unsupported version {doc['version']!r}", "$.version")
     k = _expect_int(doc["k"], "$.k")
     b = _expect_int(doc["b"], "$.b")

@@ -12,6 +12,12 @@ All sampling is count-based: a density p over a domain of size D yields
 round(p * D) distinct draws, each mapped to its constraint by a
 closed-form index bijection, so generation costs O(k + sample size), plus
 sorting the output, even for k in the tens of thousands.
+
+Distinct draws under a bijection give distinct rows, so every constraint
+set is built without duplicates and only sorted. The one exception is the
+injected cycle of an unsatisfiable instance, which may repeat a sampled
+atomic pair; it is merged into the atomic set through a set. ``Instance``
+still rejects any duplicate.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .model import Instance, Permutation
 from .polycases import ds_only_solve
@@ -87,15 +94,21 @@ class GenParams:
         return 2 * self.b + self.n
 
 
-def _pair_from_index(idx: int, k: int) -> tuple[int, int]:
-    # Bijection from 0..k(k-1)/2-1 onto unordered pairs (u, v), u < v, in
-    # row order: row u holds (u, u+1) .. (u, k). Counted from the last
-    # pair, the rows hold 1, 2, 3, ... pairs, so the row is the triangular
-    # root of that count and the column what is left after the row's start.
-    back = k * (k - 1) // 2 - 1 - idx
-    row = (math.isqrt(8 * back + 1) - 1) // 2  # rows after u
-    u = k - 1 - row
-    return (u, u + 1 + row - (back - row * (row + 1) // 2))
+def _pairs_from_indices(indices, k: int):
+    """Yield the unordered pair (u, v), u < v, of each index in ``indices``.
+
+    A bijection from 0..k(k-1)/2-1 onto the pairs in row order: row u
+    holds (u, u+1) .. (u, k). Counted from the last pair, the rows hold 1,
+    2, 3, ... pairs, so the row is the triangular root of that count, and
+    v is k less what is left of the count after the row's start. Pairs
+    are yielded one at a time, so no list of them outlives its use.
+    """
+    last = k * (k - 1) // 2 - 1
+    isqrt = math.isqrt
+    for idx in indices:
+        back = last - idx
+        row = (isqrt(8 * back + 1) - 1) // 2  # rows after u
+        yield k - 1 - row, k - back + row * (row + 1) // 2
 
 
 def generate_planted(params: GenParams) -> tuple[Instance, Permutation | None]:
@@ -127,12 +140,10 @@ def generate_planted(params: GenParams) -> tuple[Instance, Permutation | None]:
         m_atomic = round(params.p_atomic * total_pairs)
         m_soft = 0 if mode is GenMode.ATOMIC_ONLY else round(params.p_soft * total_pairs)
         chosen = rng.sample(range(total_pairs), min(m_atomic + m_soft, total_pairs))
-        for which, idx in enumerate(chosen):
-            u, v = _pair_from_index(idx, k)
-            if which < m_atomic:
-                atomic.append((u, v) if pos[u] < pos[v] else (v, u))
-            else:
-                soft.append((u, v) if rng.random() < 0.5 else (v, u))
+        pairs = _pairs_from_indices(chosen, k)
+        # the first m_atomic pairs are hard, the rest soft
+        atomic = [(u, v) if pos[u] < pos[v] else (v, u) for u, v in islice(pairs, m_atomic)]
+        soft = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs]
 
     if mode in (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE) and b > 0 and k > 2:
         total_combos = b * (k - 2)
@@ -175,16 +186,16 @@ def generate_planted(params: GenParams) -> tuple[Instance, Permutation | None]:
         injected = {
             (cycle[x], cycle[(x + 1) % length]) for x in range(length)
         }
-        atomic = sorted(set(atomic) | injected)
+        atomic = list(set(atomic) | injected)  # the cycle may repeat a sampled pair
         soft = [c for c in soft if c not in injected]
         plant = None
 
     inst = Instance(
         k=k,
         b=b,
-        atomic=tuple(sorted(set(atomic))),
-        soft_atomic=tuple(sorted(set(soft))),
-        disjunctive=tuple(sorted(set(disjunctive))),
+        atomic=tuple(sorted(atomic)),
+        soft_atomic=tuple(sorted(soft)),
+        disjunctive=tuple(sorted(disjunctive)),
         direct_successors=tuple(sorted(ds)),
     )
     return inst, plant

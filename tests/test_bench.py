@@ -10,6 +10,7 @@ import ctwkit
 from ctwkit import (
     CostBreakdown,
     Instance,
+    Permutation,
     ResultState,
     SolutionFile,
     SolverConfig,
@@ -21,7 +22,9 @@ from ctwkit import (
     run_suite,
     validate_external,
 )
+from ctwkit.bench import result_row
 from ctwkit.generate import GenParams, generate
+from ctwkit.solver import SolveResult, SolveStats
 
 
 def test_metrics_sum_of_constraints():
@@ -120,6 +123,44 @@ def test_run_suite_reports_text_that_is_not_utf8_and_continues(tmp_path, five_jo
         assert [(r.instance_id, r.state) for r in rows] == [
             ("A", ResultState.OPTIMAL), ("B", ResultState.UNDEFINED), ("C", ResultState.OPTIMAL)]
         assert rows[1].flags == ("error:not UTF-8 text: invalid start byte at offset 0",)
+
+
+def test_run_suite_reports_engine_refusals_as_error_rows(tmp_path, five_job):
+    # topo handles only pair-free atomic instances: five_job is refused,
+    # and the run goes on to the next file
+    write_suite(tmp_path, [("A", five_job), ("B", Instance(k=3, b=0, atomic=[(2, 1)]))])
+    rows = run_suite(tmp_path, SolverConfig(time_limit_ms=5_000), engine="topo")
+    assert [(r.instance_id, r.state) for r in rows] == [
+        ("A", ResultState.UNDEFINED), ("B", ResultState.OPTIMAL)]
+    refused = rows[0]
+    assert refused.flags == (
+        "error:topo_solve handles only instances with b=0 and hard atomic constraints",)
+    assert refused.breakdown is None and refused.nodes == 0
+    assert refused.metrics == metrics(five_job)
+
+
+def _claimed(tour, bd: CostBreakdown) -> SolveResult:
+    """An engine's result claiming ``tour`` at cost ``bd``."""
+    return SolveResult(ResultState.OPTIMAL, (Permutation(tour), bd), SolveStats(7, 3, None))
+
+
+def test_result_row_flags_an_invalid_engine_tour(five_job):
+    row = result_row("five", five_job, metrics(five_job),
+                     _claimed((1, 2, 3, 4, 5), CostBreakdown(0, 0, 0, 0, 0)))
+    assert row.state is ResultState.UNDEFINED and row.breakdown is None
+    assert row.flags == ("invalid:atomic: (4, 1)", "invalid:atomic: (5, 4)")
+    assert (row.runtime_ms, row.nodes) == (3, 7)
+
+
+def test_result_row_flags_a_wrong_claimed_breakdown(five_job):
+    right = CostBreakdown(1, 1, 2, 0, 160)
+    row = result_row("five", five_job, metrics(five_job), _claimed((5, 3, 4, 2, 1), right))
+    assert (row.state, row.breakdown, row.flags) == (ResultState.OPTIMAL, right, ())
+    row = result_row("five", five_job, metrics(five_job),
+                     _claimed((5, 3, 4, 2, 1), CostBreakdown(1, 1, 2, 0, 150)))
+    # the recomputed breakdown is reported, the claim only flagged
+    assert (row.state, row.breakdown, row.flags) == (
+        ResultState.OPTIMAL, right, ("engine-cost-mismatch",))
 
 
 def test_run_suite_empty_directory(tmp_path):

@@ -373,6 +373,38 @@ def test_json_schema_errors():
         parse_json(text)
 
 
+def _json_doc(**changes) -> str:
+    import json as _json
+
+    doc = _json.loads(emit_json(Instance(k=3, b=1, atomic=[(1, 3)], disjunctive=[(3, 1, 3, 2)],
+                                         direct_successors=[1])))
+    doc.update(changes)
+    return _json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message, path", [
+    ("[1, 2]", "expected an object", "$"),
+    (_json_doc(format="ctw-solution"), "expected 'ctw-instance', found 'ctw-solution'",
+     "$.format"),
+    (_json_doc(version=True), "expected an integer, found True", "$.version"),
+    (_json_doc(version=1.0), "expected an integer, found 1.0", "$.version"),
+    (_json_doc(version="1"), "expected an integer, found '1'", "$.version"),
+    (_json_doc(version=2), "unsupported version 2", "$.version"),
+    (_json_doc(atomic={"1": 3}), "expected a list, found dict", "$.atomic"),
+    (_json_doc(atomic=[[1, 3], [1, 2, 3]]), "expected a list of 2 integers", "$.atomic[1]"),
+    (_json_doc(disjunctive=[[3, 1, 3]]), "expected a list of 4 integers", "$.disjunctive[0]"),
+    (_json_doc(atomic=[7]), "expected a list of 2 integers", "$.atomic[0]"),
+    (_json_doc(direct_successors=1), "expected a list", "$.direct_successors"),
+], ids=["array", "format", "version-true", "version-float", "version-string", "version-2",
+        "rows-not-a-list", "row-too-wide", "row-too-narrow", "row-not-a-list",
+        "successors-not-a-list"])
+def test_json_schema_error_paths(text, message, path):
+    with pytest.raises(SchemaError) as err:
+        parse_json(text)
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_cross_format_equality(five_job):
     text = emit_dat(five_job)
     inst = parse_dat(text)

@@ -14,7 +14,7 @@ from ctwkit import (
 from ctwkit.generate import (
     GenMode,
     GenParams,
-    _pair_from_index,
+    _pairs_from_indices,
     anytime_suite,
     certification_suite,
     generate,
@@ -35,21 +35,23 @@ def loop_pair_from_index(idx, k):
     return (u, u + 1 + idx)
 
 
-def test_pair_from_index_is_a_bijection_onto_ordered_pairs():
+def test_pairs_from_indices_is_a_bijection_onto_ordered_pairs():
     for k in range(2, 61):
-        pairs = [_pair_from_index(idx, k) for idx in range(k * (k - 1) // 2)]
+        pairs = list(_pairs_from_indices(range(k * (k - 1) // 2), k))
         assert pairs == [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)]
+    assert list(_pairs_from_indices([], 5)) == []
 
 
-def test_pair_from_index_matches_the_row_walk_at_large_k():
+def test_pairs_from_indices_matches_the_row_walk_at_large_k():
     rng = random.Random(107)
     for k in (3000, 10 ** 5):
         total = k * (k - 1) // 2
-        # the first row boundary, the last pairs, and random draws
+        # the first row boundary, the last pairs, and random draws, in the
+        # order given
         samples = [0, 1, k - 2, k - 1, k, total - 3, total - 2, total - 1]
         samples += [rng.randrange(total) for _ in range(200)]
-        for idx in samples:
-            assert _pair_from_index(idx, k) == loop_pair_from_index(idx, k)
+        expected = [loop_pair_from_index(idx, k) for idx in samples]
+        assert list(_pairs_from_indices(samples, k)) == expected
 
 
 def test_planted_solution_is_valid():
