@@ -19,7 +19,7 @@ from . import polycases
 from .costs import CostBreakdown, breakdown
 from .errors import CtwError
 from .formats import SolutionFile, load_instance
-from .model import Instance, Violation, validate
+from .model import CONSTRAINT_SETS, Instance, Violation, validate
 from .solver import ResultState, SolveResult, SolveStats, SolverConfig, solve
 
 ENGINES = ("bb", "topo", "ds-only", "oracle")
@@ -32,7 +32,8 @@ class InstanceMetrics:
     ``sum_of_constraints`` = b + |atomic| + |soft| + |disjunctive| + |ds|
     (two-sided cables count because each acts like a soft adjacency
     requirement). Constrainedness of a job is its left-hand-side load:
-    1 per hard atomic constraint, 0.5 per disjunct.
+    1 per hard atomic constraint, 0.5 per disjunct. The four counts follow
+    the order of ``model.CONSTRAINT_SETS``.
     """
 
     k: int
@@ -66,19 +67,10 @@ def metrics(inst: Instance) -> InstanceMetrics:
         load[c1before] += 0.5
         load[c2before] += 0.5
     per_job = load[1:]
+    # one count per constraint set, in the order of InstanceMetrics' fields
+    counts = [len(getattr(inst, name)) for name in CONSTRAINT_SETS]
     return InstanceMetrics(
-        k=inst.k,
-        b=inst.b,
-        n=inst.n,
-        atomic_count=len(inst.atomic),
-        soft_count=len(inst.soft_atomic),
-        disjunctive_count=len(inst.disjunctive),
-        ds_count=len(inst.direct_successors),
-        sum_of_constraints=len(inst.atomic)
-        + len(inst.soft_atomic)
-        + len(inst.disjunctive)
-        + len(inst.direct_successors)
-        + inst.b,
+        inst.k, inst.b, inst.n, *counts, sum(counts) + inst.b,
         avg_constrainedness=sum(per_job) / inst.k if inst.k else 0.0,
         max_constrainedness=max(per_job) if per_job else 0.0,
     )

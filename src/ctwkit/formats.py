@@ -13,10 +13,10 @@ Four textual formats are supported:
 
   Whitespace and newlines are insignificant, empty sets and a trailing
   comma before ``}`` are accepted, and exactly these six parameters must
-  each appear once. Anything else is a hard error. The four sets and the
-  arity of their entries are written once, in ``_SETS``; the statement
-  pattern, the set reader, the token walk and both emitters are built
-  from it.
+  each appear once. Anything else is a hard error. The four sets, their
+  order and the arity of their entries come from ``model.CONSTRAINT_SETS``;
+  ``_SETS`` gives them their ``.dat`` names, and the statement pattern,
+  the set reader, the token walk and both emitters are built from it.
 
   A scanner reads the syntax only, in a few C-level passes per
   statement: one anchored regex per statement, then per set one
@@ -39,14 +39,17 @@ Four textual formats are supported:
   sets stay well-formed.
 
 * ``.json`` -- the canonical machine format; schema mirrors the instance
-  fields verbatim plus ``format``/``version`` tags.
+  fields verbatim plus ``format``/``version`` tags. The reader and the
+  emitter walk ``model.CONSTRAINT_SETS`` for the four sets.
 
 * solution files -- one permutation per file, declared either as the tour
   (``tour 5 3 4 2 1``: job per position) or as positions (``positions ...``:
   position per job), with at most one ``instance`` id line and at most
   one ``claimed`` cost line; ``#`` starts a comment line.
 
-CSV report emitters for the benchmark harness live here as well.
+CSV report emitters for the benchmark harness live here as well. Their
+cells come from ``dataclasses.astuple`` of ``bench.InstanceMetrics`` and
+``CostBreakdown``, in the order of the column tuples.
 """
 
 from __future__ import annotations
@@ -58,53 +61,28 @@ import re
 import string
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .costs import CostBreakdown
 from .errors import InstanceError, ParseError, SchemaError, digit_limit_error, read_ints
-from .model import Instance, Permutation
+from .model import CONSTRAINT_SETS, Instance, Permutation
 
-# The four constraint sets of a ``.dat`` file, in ``Instance``'s field
-# order, and the arity of their entries (1: a bare integer). Every reader
-# and emitter of ``.dat`` and ``.dzn`` text reads the sets from here.
-_SETS = {
-    "AtomicConstraints": 2,
-    "SoftAtomicConstraints": 2,
-    "DisjunctiveConstraints": 4,
-    "DirectSuccessors": 1,
-}
+# The ``.dat`` name of each constraint set, mapped to the arity of its
+# entries, in ``CONSTRAINT_SETS`` order. Every reader and emitter of
+# ``.dat`` and ``.dzn`` text reads the sets from here.
+_SETS = dict(zip(
+    ("AtomicConstraints", "SoftAtomicConstraints", "DisjunctiveConstraints", "DirectSuccessors"),
+    CONSTRAINT_SETS.values(),
+))
 DAT_PARAMS = ("k", "b", *_SETS)
 
 REPORT_COLUMNS = (
-    "instance",
-    "k",
-    "b",
-    "state",
-    "S",
-    "M",
-    "L",
-    "N",
-    "objective",
-    "runtime_ms",
-    "nodes",
-    "sum_of_constraints",
-    "avg_constrainedness",
-    "max_constrainedness",
-    "flags",
+    "instance", "k", "b", "state", "S", "M", "L", "N", "objective", "runtime_ms", "nodes",
+    "sum_of_constraints", "avg_constrainedness", "max_constrainedness", "flags",
 )
-
 METRICS_COLUMNS = (
-    "instance",
-    "k",
-    "b",
-    "n",
-    "atomic",
-    "soft_atomic",
-    "disjunctive",
-    "direct_successors",
-    "sum_of_constraints",
-    "avg_constrainedness",
-    "max_constrainedness",
+    "instance", "k", "b", "n", *CONSTRAINT_SETS,
+    "sum_of_constraints", "avg_constrainedness", "max_constrainedness",
 )
 
 
@@ -466,8 +444,7 @@ def _dat_sets(inst: Instance):
     ``canonical()`` form, so the emitters write that form without building
     and validating it as a second ``Instance``.
     """
-    return zip(_SETS.items(), map(sorted, (
-        inst.atomic, inst.soft_atomic, inst.disjunctive, inst.direct_successors)))
+    return zip(_SETS.items(), (sorted(getattr(inst, name)) for name in CONSTRAINT_SETS))
 
 
 def emit_dat(inst: Instance) -> str:
@@ -513,16 +490,8 @@ JSON_VERSION = 1
 
 def emit_json(inst: Instance) -> str:
     """Canonical machine format; field order and constraint order preserved."""
-    doc = {
-        "format": JSON_FORMAT,
-        "version": JSON_VERSION,
-        "k": inst.k,
-        "b": inst.b,
-        "atomic": [list(a) for a in inst.atomic],
-        "soft_atomic": [list(a) for a in inst.soft_atomic],
-        "disjunctive": [list(d) for d in inst.disjunctive],
-        "direct_successors": list(inst.direct_successors),
-    }
+    doc = {"format": JSON_FORMAT, "version": JSON_VERSION, "k": inst.k, "b": inst.b}
+    doc.update((name, getattr(inst, name)) for name in CONSTRAINT_SETS)  # tuples as arrays
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -532,16 +501,20 @@ def _expect_int(value, path: str) -> int:
     return value
 
 
-def _expect_rows(value, path: str, width: int) -> list[tuple[int, ...]]:
+def _expect_set(value, path: str, arity: int) -> tuple:
+    """A constraint set: rows of ``arity`` integers, or integers when it is 1."""
     if not isinstance(value, list):
-        raise SchemaError(f"expected a list, found {type(value).__name__}", path)
+        found = f", found {type(value).__name__}" if arity > 1 else ""
+        raise SchemaError(f"expected a list{found}", path)
+    if arity == 1:
+        return tuple(_expect_int(v, f"{path}[{i}]") for i, v in enumerate(value))
     rows = []
     for idx, row in enumerate(value):
         rpath = f"{path}[{idx}]"
-        if not isinstance(row, list) or len(row) != width:
-            raise SchemaError(f"expected a list of {width} integers", rpath)
+        if not isinstance(row, list) or len(row) != arity:
+            raise SchemaError(f"expected a list of {arity} integers", rpath)
         rows.append(tuple(_expect_int(v, f"{rpath}[{i}]") for i, v in enumerate(row)))
-    return rows
+    return tuple(rows)
 
 
 def parse_json(text: str) -> Instance:
@@ -552,8 +525,7 @@ def parse_json(text: str) -> Instance:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", "$")
-    for field_name in ("format", "version", "k", "b", "atomic", "soft_atomic",
-                       "disjunctive", "direct_successors"):
+    for field_name in ("format", "version", "k", "b", *CONSTRAINT_SETS):
         if field_name not in doc:
             raise SchemaError("missing required field", f"$.{field_name}")
     if doc["format"] != JSON_FORMAT:
@@ -563,17 +535,9 @@ def parse_json(text: str) -> Instance:
         raise SchemaError(f"unsupported version {doc['version']!r}", "$.version")
     k = _expect_int(doc["k"], "$.k")
     b = _expect_int(doc["b"], "$.b")
-    atomic = _expect_rows(doc["atomic"], "$.atomic", 2)
-    soft = _expect_rows(doc["soft_atomic"], "$.soft_atomic", 2)
-    disj = _expect_rows(doc["disjunctive"], "$.disjunctive", 4)
-    if not isinstance(doc["direct_successors"], list):
-        raise SchemaError("expected a list", "$.direct_successors")
-    ds = tuple(
-        _expect_int(v, f"$.direct_successors[{i}]")
-        for i, v in enumerate(doc["direct_successors"])
-    )
-    return Instance(k=k, b=b, atomic=tuple(atomic), soft_atomic=tuple(soft),
-                    disjunctive=tuple(disj), direct_successors=ds)
+    sets = {name: _expect_set(doc[name], f"$.{name}", arity)
+            for name, arity in CONSTRAINT_SETS.items()}
+    return Instance(k, b, **sets)
 
 
 def read_text(path) -> str:
@@ -675,6 +639,15 @@ def parse_solution(text: str) -> SolutionFile:
 # CSV reports
 
 
+_NO_COSTS = ("",) * len(fields(CostBreakdown))
+
+
+def _metric_cells(m) -> tuple:
+    """The fields of ``InstanceMetrics`` ``m``, the two ratios to one decimal."""
+    *counts, avg, peak = astuple(m)
+    return (*counts, f"{avg:.1f}", f"{peak:.1f}")
+
+
 def emit_report_csv(rows) -> str:
     """Benchmark report; one line per instance, ordered as given.
 
@@ -686,26 +659,10 @@ def emit_report_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
     for row in rows:
-        bd = row.breakdown
-        writer.writerow(
-            [
-                row.instance_id,
-                row.metrics.k,
-                row.metrics.b,
-                row.state.value,
-                bd.S if bd else "",
-                bd.M if bd else "",
-                bd.L if bd else "",
-                bd.N if bd else "",
-                bd.objective if bd else "",
-                row.runtime_ms,
-                row.nodes,
-                row.metrics.sum_of_constraints,
-                f"{row.metrics.avg_constrainedness:.1f}",
-                f"{row.metrics.max_constrainedness:.1f}",
-                ";".join(row.flags),
-            ]
-        )
+        k, b, *_, total, avg, peak = _metric_cells(row.metrics)
+        costs = astuple(row.breakdown) if row.breakdown else _NO_COSTS
+        writer.writerow((row.instance_id, k, b, row.state.value, *costs, row.runtime_ms,
+                         row.nodes, total, avg, peak, ";".join(row.flags)))
     return buf.getvalue()
 
 
@@ -714,20 +671,5 @@ def emit_metrics_csv(items) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(METRICS_COLUMNS)
-    for instance_id, m in items:
-        writer.writerow(
-            [
-                instance_id,
-                m.k,
-                m.b,
-                m.n,
-                m.atomic_count,
-                m.soft_count,
-                m.disjunctive_count,
-                m.ds_count,
-                m.sum_of_constraints,
-                f"{m.avg_constrainedness:.1f}",
-                f"{m.max_constrainedness:.1f}",
-            ]
-        )
+    writer.writerows((instance_id, *_metric_cells(m)) for instance_id, m in items)
     return buf.getvalue()

@@ -19,6 +19,10 @@ permutation:
 
 Soft atomic constraints use the same (before, after) shape but only
 contribute to the cost of a solution, never to its validity.
+
+``CONSTRAINT_SETS`` states the four sets once: their names, in
+``Instance``'s field order, and the ids per entry. ``Instance``, the
+readers and emitters of ``formats`` and ``bench.metrics`` walk it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import operator
 import sys
 from collections.abc import Mapping, Set as AbstractSet
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Sequence
@@ -42,6 +46,11 @@ def partner(i: int, b: int) -> int:
     if not 1 <= i <= 2 * b:
         raise ValueError(f"job {i} is not a two-sided cable end (b={b})")
     return i + b if i <= b else i - b
+
+
+# The four constraint sets, in ``Instance``'s field order, and the ids per
+# entry (1: a bare id)
+CONSTRAINT_SETS = {"atomic": 2, "soft_atomic": 2, "disjunctive": 4, "direct_successors": 1}
 
 
 def _constraints(name: str, arity: int, rows) -> tuple:
@@ -88,21 +97,24 @@ class Instance:
     direct_successors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name, arity in (("atomic", 2), ("soft_atomic", 2), ("disjunctive", 4)):
-            rows = _constraints(name, arity, getattr(self, name))
-            # every id a plain int, seen in one C-level pass; any other
-            # integer type, such as a bool, is stored as the int it stands for
-            if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        for name, arity in CONSTRAINT_SETS.items():
+            entries = getattr(self, name)
+            if arity == 1:  # bare ids
                 try:
-                    rows = _constraints(name, arity, [map(operator.index, row) for row in rows])
+                    entries = tuple(map(operator.index, entries))
                 except TypeError as exc:
-                    raise InstanceError(f"constraint ids must be integers: {exc}") from None
-            object.__setattr__(self, name, rows)
-        try:
-            ds = tuple(map(operator.index, self.direct_successors))
-        except TypeError as exc:
-            raise InstanceError(f"direct_successors: {exc}") from None
-        object.__setattr__(self, "direct_successors", ds)
+                    raise InstanceError(f"{name}: {exc}") from None
+            else:
+                entries = _constraints(name, arity, entries)
+                # every id a plain int, seen in one C-level pass; any other
+                # integer type, such as a bool, is stored as the int it stands for
+                if not set(map(type, chain.from_iterable(entries))) <= {int}:
+                    try:
+                        entries = _constraints(
+                            name, arity, [map(operator.index, row) for row in entries])
+                    except TypeError as exc:
+                        raise InstanceError(f"constraint ids must be integers: {exc}") from None
+            object.__setattr__(self, name, entries)
         try:
             k, b = operator.index(self.k), operator.index(self.b)
         except TypeError:
@@ -148,7 +160,7 @@ class Instance:
                     f"direct successor entry {i} is not a two-sided cable end (b={self.b})"
                 )
         unique = {}
-        for name in ("atomic", "soft_atomic", "disjunctive", "direct_successors"):
+        for name in CONSTRAINT_SETS:
             entries = getattr(self, name)
             unique[name] = set(entries)
             if len(unique[name]) != len(entries):
@@ -166,14 +178,8 @@ class Instance:
 
     def canonical(self) -> "Instance":
         """Equal instance with every constraint list sorted ascending."""
-        return Instance(
-            k=self.k,
-            b=self.b,
-            atomic=tuple(sorted(self.atomic)),
-            soft_atomic=tuple(sorted(self.soft_atomic)),
-            disjunctive=tuple(sorted(self.disjunctive)),
-            direct_successors=tuple(sorted(self.direct_successors)),
-        )
+        return replace(self, **{name: tuple(sorted(getattr(self, name)))
+                                for name in CONSTRAINT_SETS})
 
 
 def _ints(values: Iterable) -> tuple[int, ...]:

@@ -111,10 +111,11 @@ def _set_limit(cfg: SolverConfig, name: str):
 class SolveStats:
     """``proven_lower_bound`` is the strongest bound established for the
     whole instance: the optimum on completed runs, None when unsatisfiable,
-    and for interrupted runs the weakest open subtree bound, which is at
-    least the root floor (the S charge of the separated pairs, and the N
-    charge of the forced soft edges, soft digons and packed triangles);
-    depth-first search proves little more globally until it exhausts.
+    and for interrupted runs the root's ``lower_bound()`` (the S charge of
+    the separated pairs, and the N charge of the forced soft edges, soft
+    digons and packed triangles). No child's bound is below its parent's,
+    so no open subtree of a depth-first search proves more than the root
+    until the search exhausts.
 
     The search counters are deterministic; engines other than the
     branch-and-bound leave them 0. ``children_priced`` counts the children
@@ -581,14 +582,14 @@ class SearchState:
         priced.sort()
         return priced
 
-    def drop_dominated(self, frames: list[tuple]) -> None:
+    def drop_dominated(self, frames: list) -> None:
         """Apply the swap rule of ``extend_candidates`` to children priced
         before an incumbent existed, as if it had.
 
-        ``frames[d]`` is (bound, iterator over the (bound, job) children
-        still waiting) of the node at the prefix's first d jobs. Each
-        iterator the rule thins is replaced by one over the children it
-        keeps there; the drops count in ``swap_drops``.
+        ``frames[d]`` is the iterator over the (bound, job) children still
+        waiting at the node of the prefix's first d jobs. Each iterator the
+        rule thins is replaced by one over the children it keeps there; the
+        drops count in ``swap_drops``.
         """
         pos = self.pos
         partner = self.partner
@@ -597,12 +598,11 @@ class SearchState:
             a = prefix[depth - 1]
             swap = self.swap[a]
             if swap and not 0 < pos[partner[a]] < depth:  # a closed no pair
-                bound, children = frames[depth]
-                children = list(children)
+                children = list(frames[depth])
                 kept = [(cb, c) for cb, c in children if not (
                     swap >> c & 1 and (0 < pos[partner[c]] <= depth or not partner[c]))]
                 self.swap_drops += len(children) - len(kept)
-                frames[depth] = (bound, iter(kept))
+                frames[depth] = iter(kept)
 
     # -- bounding ------------------------------------------------------------
 
@@ -705,17 +705,18 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         return SolveResult(
             ResultState.UNSATISFIABLE, None, SolveStats(0, elapsed_ms(), None)
         )
-    best_tour: tuple[int, ...] | None = None
-    best_bd: CostBreakdown | None = None
+    best: tuple[Permutation, CostBreakdown] | None = None
     cutoff = state.unbounded  # the incumbent's objective once there is one
     # bound once here, after any wrapper on the class is in place
     place, unplace, extend = state.place, state.unplace, state.extend_candidates
     prefix = state.prefix
     node_limit = cfg.node_limit or sys.maxsize
-    # frame: (node bound, iterator over its [(bound, child), ...]); the
-    # deepest frame's iterator is also kept in ``children``
+    # an interrupted run's bound: no child's bound is below its parent's
+    root_bound = state.lower_bound()
+    # frame: the iterator over a node's [(bound, child), ...]; the deepest
+    # one is also kept in ``children``
     children = iter(extend(cutoff))
-    frames: list[tuple] = [(state.lower_bound(), children)]
+    frames = [children]
     nodes = 1
     tried = 0
     loop_prunes = cycle_prunes = leaves = max_depth = 0
@@ -728,7 +729,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             if not frames:
                 break
             unplace()
-            children = frames[-1][1]
+            children = frames[-1]
             continue
         clb, c = child
 
@@ -755,11 +756,11 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                 raise AssertionError("committed cost disagrees with recomputation")
             if validate(inst, perm):
                 raise AssertionError("propagation admitted an invalid leaf")
-            if best_bd is None:
+            if best is None:
                 state.drop_dominated(frames)  # the swap rule waited for an incumbent
-                children = frames[-1][1]
+                children = frames[-1]
             # only children below the incumbent are tried: every leaf improves
-            best_tour, best_bd = perm.tour, bd
+            best = perm, bd
             cutoff = bd.objective
             unplace()
             continue
@@ -772,7 +773,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             max_depth = depth
         if priced:
             children = iter(priced)
-            frames.append((clb, children))
+            frames.append(children)
         else:  # a dead end: back up at once
             unplace()
 
@@ -784,13 +785,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
                           loop_prunes + drops, swaps, cycle_prunes, leaves, max_depth)
 
     if interrupted:
-        open_lbs = [f[0] for f in frames]
-        if best_bd is not None:
-            proven = min(open_lbs + [best_bd.objective])
-            return SolveResult(ResultState.SUBOPTIMAL, (Permutation(best_tour), best_bd),
-                               stats(proven))
-        return SolveResult(ResultState.UNSOLVED, None, stats(min(open_lbs) if open_lbs else 0))
-    if best_bd is not None:
-        return SolveResult(ResultState.OPTIMAL, (Permutation(best_tour), best_bd),
-                           stats(best_bd.objective))
+        found = ResultState.UNSOLVED if best is None else ResultState.SUBOPTIMAL
+        return SolveResult(found, best, stats(root_bound))
+    if best is not None:
+        return SolveResult(ResultState.OPTIMAL, best, stats(best[1].objective))
     return SolveResult(ResultState.UNSATISFIABLE, None, stats(None))

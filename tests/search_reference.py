@@ -785,9 +785,9 @@ def check_swaps_in_lockstep(inst: Instance, rng, moves: int) -> tuple[int, int, 
                 incumbent = kept
         # frames[d]: the node on the prefix's first d jobs, priced before
         # an incumbent, and its children with one
-        frames = [(0, iter(full)) for full, _ in priced]
+        frames = [iter(full) for full, _ in priced]
         state.drop_dominated(frames)
-        assert [list(waiting) for _, waiting in frames[1:]] == [kept for _, kept in priced[1:]]
+        assert [list(waiting) for waiting in frames[1:]] == [kept for _, kept in priced[1:]]
         compared += 1
         if state.prefix and (rng.random() < 0.3 or not children):
             state.unplace()

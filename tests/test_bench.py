@@ -78,6 +78,18 @@ def test_run_engine_dispatch(five_job):
     assert result.best[1].objective == 0
 
 
+def test_run_engine_reports_unsatisfiable_instances():
+    cfg = SolverConfig()
+    cycle = run_engine(Instance(k=3, b=0, atomic=[(1, 2), (2, 3), (3, 1)]), "topo", cfg)
+    assert cycle.state is ResultState.UNSATISFIABLE and cycle.best is None
+    assert (cycle.stats.nodes_expanded, cycle.stats.proven_lower_bound) == (0, None)
+    # no order of jobs 1, 2, 3 puts 1 before 2 and 2 before 1 in a disjunct
+    unsat = Instance(k=3, b=0, atomic=[(1, 3)], disjunctive=[(3, 1, 3, 1)])
+    orc = run_engine(unsat, "oracle", cfg)
+    assert orc.state is ResultState.UNSATISFIABLE and orc.best is None
+    assert (orc.stats.nodes_expanded, orc.stats.proven_lower_bound) == (6, None)
+
+
 def write_suite(tmp_path, specs):
     for name, inst in specs:
         (tmp_path / f"{name}.dat").write_text(emit_dat(inst), encoding="utf-8")

@@ -215,6 +215,8 @@ def test_gen_suite_writes_tree(tmp_path, capsys):
     assert len(manifest["files"]["anytime"]) == 50
     sample = out_dir / "certify" / manifest["files"]["certify"][0]
     assert parse_dat(sample.read_text()).k <= 8
+    # a suite is a tree of files: without --out there is nowhere to write it
+    assert run_cli(capsys, "gen", "suite") == (4, "", "error: gen suite needs --out DIRECTORY\n")
 
 
 def test_gen_rejects_bad_parameters(capsys):
@@ -391,6 +393,11 @@ def test_env_var_sets_default_time_limit(five_dat, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "solve", five_dat)
     assert code == 4
     assert "CTW_TIME_LIMIT_MS" in err
+
+    monkeypatch.setenv("CTW_TIME_LIMIT_MS", "0")
+    code, out, err = run_cli(capsys, "solve", five_dat)
+    assert (code, out) == (4, "")
+    assert err == "error: CTW_TIME_LIMIT_MS must be positive, found 0\n"
 
 
 def test_out_flag_writes_file(five_dat, tmp_path, capsys):

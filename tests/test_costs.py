@@ -103,8 +103,10 @@ def test_objective_values():
     assert objective(1, 1, 2, 1, 5) == 161
     assert objective(1, 1, 2, 0, 5) == 160
     assert objective(0, 0, 0, 0, 9) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^criteria must be non-negative$"):
         objective(-1, 0, 0, 0, 5)
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        objective(0, 0, 0, 0, -1)
 
 
 def test_objective_exact_at_scale():

@@ -12,6 +12,7 @@ from ctwkit import (
     Instance,
     ParseError,
     Permutation,
+    ResultState,
     SchemaError,
     emit_dat,
     emit_dzn,
@@ -23,7 +24,7 @@ from ctwkit import (
     parse_json,
     parse_solution,
 )
-from ctwkit.bench import metrics
+from ctwkit.bench import BenchRow, metrics
 from ctwkit.generate import (
     GenMode,
     GenParams,
@@ -170,6 +171,14 @@ def test_load_instance_rejects_text_that_is_not_utf8(tmp_path):
             path.write_bytes("k = 1; # caf\xe9\n".encode("latin-1"))
         with pytest.raises(ParseError, match="^not UTF-8 text: invalid .* at offset [0-9]+$"):
             load_instance(path)
+
+
+def test_load_instance_rejects_an_unknown_extension(tmp_path, five_job):
+    path = tmp_path / "five.txt"
+    path.write_text(emit_dat(five_job), encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(
+            "cannot infer format from extension '.txt' (use .dat or .json)")):
+        load_instance(path)
 
 
 def test_parse_dedupes_with_warning():
@@ -506,3 +515,32 @@ def test_metrics_csv_shape(five_job):
     lines = text.splitlines()
     assert lines[0].startswith("instance,k,b,n,")
     assert lines[1].startswith("five,5,2,1,3,0,1,1,")
+
+
+def test_csv_reports_reproduce_their_exact_bytes(five_job):
+    # a solved row, an unsolved one (empty cost cells), two flagged ones (one
+    # flag quoted for its comma), and constrainedness 1/3 and 0.5 to one decimal
+    third = Instance(k=3, b=0, disjunctive=[(1, 2, 3, 2)])
+    five, one = metrics(five_job), metrics(third)
+    rows = [
+        BenchRow("five", ResultState.OPTIMAL, CostBreakdown(1, 1, 2, 0, 160), 12, 7, five),
+        BenchRow("slow", ResultState.UNSOLVED, None, 300000, 500, one),
+        BenchRow("odd", ResultState.SUBOPTIMAL, CostBreakdown(2, 1, 3, 5, 310), 0, 0, five,
+                 ("claim-mismatch", "N>=k")),
+        BenchRow("bad", ResultState.UNDEFINED, None, 0, 0, metrics(Instance(k=0, b=0)),
+                 ("error:line 1, column 2: x",)),
+    ]
+    assert emit_report_csv(rows) == (
+        "instance,k,b,state,S,M,L,N,objective,runtime_ms,nodes,"
+        "sum_of_constraints,avg_constrainedness,max_constrainedness,flags\n"
+        "five,5,2,optimal,1,1,2,0,160,12,7,7,0.8,1.0,\n"
+        "slow,3,0,unsolved,,,,,,300000,500,1,0.3,0.5,\n"
+        "odd,5,2,suboptimal,2,1,3,5,310,0,0,7,0.8,1.0,claim-mismatch;N>=k\n"
+        'bad,0,0,undefined,,,,,,0,0,0,0.0,0.0,"error:line 1, column 2: x"\n'
+    )
+    assert emit_metrics_csv([("five", five), ("third", one)]) == (
+        "instance,k,b,n,atomic,soft_atomic,disjunctive,direct_successors,"
+        "sum_of_constraints,avg_constrainedness,max_constrainedness\n"
+        "five,5,2,1,3,0,1,1,7,0.8,1.0\n"
+        "third,3,0,3,0,0,1,0,1,0.3,0.5\n"
+    )

@@ -25,9 +25,14 @@ from ctwkit import (
     validate,
 )
 from ctwkit.generate import GenMode
-from ctwkit.model import _ints
+from ctwkit.model import CONSTRAINT_SETS, _ints
 
 from conftest import random_instance
+
+
+def test_constraint_sets_name_the_instance_fields_in_order():
+    assert [f.name for f in dataclasses.fields(Instance)] == ["k", "b", *CONSTRAINT_SETS]
+    assert list(CONSTRAINT_SETS.values()) == [2, 2, 4, 1]
 
 
 def test_partner_basics():

@@ -37,6 +37,7 @@ def test_topo_cycle_certificate():
     assert isinstance(cert, UnsatCertificate)
     assert sorted(cert.cycle) == [1, 2]
     assert_is_cycle(cert, inst)
+    assert str(UnsatCertificate((3, 1, 2))) == "precedence cycle: 3 -> 1 -> 2 -> 3"
 
 
 def test_topo_raises_when_no_cycle_explains_a_missing_order(monkeypatch):

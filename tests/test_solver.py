@@ -24,7 +24,7 @@ from ctwkit.bench import run_engine
 
 from conftest import (general_disjunction_instances, mas_instances, random_instance,
                       soft_heavy_instances)
-from test_search_golden import ANYTIME_NODE_LIMIT, anytime_cases, exact_cases
+from test_search_golden import ANYTIME_NODE_LIMIT, anytime_cases, digest_cases, exact_cases
 from search_reference import (NFloorlessSearchState, ReferenceSearchState,
                               SwaplessSearchState, check_pricing_in_lockstep, legal,
                               mandatory_disjuncts, replay)
@@ -628,6 +628,34 @@ def test_proven_bound_is_sound():
         limited = solve(inst, SolverConfig(node_limit=4))
         if limited.stats.proven_lower_bound is not None and truth is not None:
             assert limited.stats.proven_lower_bound <= truth
+
+
+class MonotoneSearchState(ctwkit.solver.SearchState):
+    """Asserts that no child is priced below the bound of its node."""
+
+    def extend_candidates(self, cutoff=None):
+        priced = super().extend_candidates(cutoff)
+        node = self.lower_bound()
+        assert all(bound >= node for bound, _ in priced), self.prefix
+        return priced
+
+
+def test_interrupted_runs_report_the_root_bound(monkeypatch):
+    # no child's bound is below its node's, so the least bound of any node
+    # left open on the stack is the root's
+    cases = anytime_cases() + [params for params, _ in digest_cases(0, 21, 0)]
+    stopped = {ResultState.SUBOPTIMAL: 0, ResultState.UNSOLVED: 0}
+    for params in cases:
+        inst, _ = generate_planted(params)
+        root = SearchState(inst).lower_bound()
+        for limit in (50, ANYTIME_NODE_LIMIT):
+            with monkeypatch.context() as patch:
+                patch.setattr(ctwkit.solver, "SearchState", MonotoneSearchState)
+                res = solve(inst, SolverConfig(node_limit=limit))
+            if res.state in stopped:
+                stopped[res.state] += 1
+                assert res.stats.proven_lower_bound == root, (params, limit)
+    assert min(stopped.values()) >= 5, stopped
 
 
 def counters(stats):
