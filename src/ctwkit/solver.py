@@ -8,13 +8,26 @@ must already pay. Its S part includes a floor worked out once per solve: a
 pair whose ends a hard chain links through a third job (i -> x -> i+b, or
 the reverse) is interrupted in every valid order, so it counts before
 either end is placed. Any other pair counts once one end is placed and
-its partner cannot come next: the partner is placed later, or still waits
-on a hard predecessor other than that end. Its N part starts from a floor
+its partner cannot come next: the partner is placed later, still waits
+on a hard predecessor other than that end, or would kill a disjunction
+if it came next. Its N part starts from a floor
 worked out the same way: every valid order violates a soft precedence
 against a hard chain, one edge of each soft digon, and one soft edge of
 each triangle in a packing of triangles that share no soft edge.
 Edge-disjoint cycles bound a minimum feedback arc set from below, which
 is what N is on the MAS reduction.
+
+Before the search, a root presolve decides what the hard reach decides,
+to a fixpoint, on the state's own edge lists: a disjunction with a hard
+chain for one disjunct always holds and is dropped; a disjunct against a
+hard chain never holds, so its alternative becomes a hard edge (both
+dying leaves no valid order); a direct successor on end i with partner j
+adds the edges pred(j) - {i} -> i and j -> succ(i) - {j}, since j comes
+right after i or before it; and a soft edge equal to an added hard edge
+always holds and is dropped. Every rule keeps the set of valid orders
+exactly, so every argument below holds on the presolved rows, and more
+pairs are separated and fewer disjunctions watched. Leaves are still
+validated and priced against the caller's instance.
 
 Propagation baked into candidate generation:
 
@@ -23,7 +36,9 @@ Propagation baked into candidate generation:
 * placing a job must not falsify both sides of any disjunction (a disjunct
   dies the moment its 'after' job is placed while its 'before' job is not);
 * when the job just placed carries a direct successor constraint and its
-  partner is still open, the partner is the only legal next job.
+  partner is still open, the partner is the only legal next job; so a
+  direct successor end that would open a pair its partner cannot close
+  next is no legal job either.
 
 The per-node work is incremental. ``SearchState.extend_candidates`` prices
 every child of a node in one loop: a base bound shared by the children
@@ -117,6 +132,12 @@ class SolveStats:
     so no open subtree of a depth-first search proves more than the root
     until the search exhausts.
 
+    ``presolve_decided`` counts the disjunctions the root presolve took off
+    the search, dropped as always holding or turned into a hard edge, and
+    ``presolve_edges`` the hard edges it added (from dead disjuncts and
+    direct successor constraints). Both are 0 when the hard constraints
+    admit no order, and for engines other than the branch-and-bound.
+
     The search counters are deterministic; engines other than the
     branch-and-bound leave them 0. ``children_priced`` counts the children
     given a bound and not then found illegal. Each is one of:
@@ -139,6 +160,8 @@ class SolveStats:
     cycle_prunes: int = 0
     leaves: int = 0
     max_depth: int = 0
+    presolve_decided: int = 0
+    presolve_edges: int = 0
 
 
 @dataclass(frozen=True)
@@ -155,10 +178,10 @@ class SearchState:
 
     * S: pairs already closed with a gap, open pairs (a pair whose placed
       end is last is exempt while its partner may still come next: the
-      pair is not separated and the partner waits on no unplaced hard
-      predecessor), and separated pairs with no end placed yet (a hard
-      chain through a third job keeps their ends apart in every valid
-      order);
+      pair is not separated, and the partner waits on no unplaced hard
+      predecessor and would kill no disjunction), and separated pairs with
+      no end placed yet (a hard chain through a third job keeps their ends
+      apart in every valid order);
     * M: the storage load at each placed position is already final, so the
       running maximum is exact on the prefix;
     * L: gaps of closed pairs, and for open pairs the distance from their
@@ -177,6 +200,13 @@ class SearchState:
     At a full prefix the committed values equal the exact criteria, so the
     bound of a leaf is its objective. ``extend_candidates`` prices every
     child in one loop from these values without placing anything.
+
+    The state works from the rows the root presolve (``_presolve``, see
+    the module docstring) leaves: ``preds``, ``succs`` and the reach hold
+    the edges it added, ``disjunctive`` the disjunctions it left undecided
+    and ``soft_atomic`` the soft edges it kept; ``inst`` stays the caller's
+    instance. The presolve runs once over ``chain_reach``'s reach and
+    updates it in place for each edge it adds.
 
     ``swap[a]`` is a static bitset per job a of the jobs c for which
     X·c·a does no worse than X·a·c, whenever c opens no pair and a closed
@@ -210,10 +240,10 @@ class SearchState:
       starts at a placed job).
 
     ``forced_cycle`` relies on an invariant of the search: over the
-    unplaced jobs, atomic edges plus the disjuncts made mandatory before
-    the last placement form an acyclic graph (``acyclic`` covers
-    the atomic edges, earlier checks the disjuncts, and placing a job only
-    removes edges). It therefore holds for states reached by search, not
+    unplaced jobs, the hard edges plus the disjuncts made mandatory before
+    the last placement form an acyclic graph (``acyclic`` covers the hard
+    edges, earlier checks the disjuncts, and placing a job only removes
+    edges). It therefore holds for states reached by search, not
     for an arbitrary replay of placements.
     """
 
@@ -239,22 +269,39 @@ class SearchState:
         for i, j in inst.atomic:
             preds[j].append(i)
             succs[i].append(j)
-        self.waiting = waiting = list(map(len, preds))  # hard predecessors unplaced
-        self.ready = {c for c in range(1, k + 1) if not waiting[c]}
         direct = set(inst.direct_successors)
         self.direct = [i in direct for i in range(k + 1)]
 
-        # per pair, indexed by its lower end: 1 when a hard chain runs
-        # through a third job between its ends, so they are never adjacent.
-        # A hard cycle leaves no valid order: ``solve`` stops on ``acyclic``
-        # before the search, and the floors are built over empty reach.
-        reaches = chain_reach(succs, waiting)
-        self.acyclic = reaches is not None
-        reach, deep = reaches or ([0] * (k + 1), [0] * (k + 1))
+        # the hard reach, and the root presolve over it, which adds the
+        # edges it finds to preds, succs and the reach in place. A hard
+        # cycle, or a disjunction whose disjuncts both die, leaves no valid
+        # order: ``solve`` stops on ``acyclic`` before the search, and the
+        # floors are built over empty reach.
+        reaches = chain_reach(succs, list(map(len, preds)))
+        presolved = reaches and _presolve(
+            preds, succs, *reaches, inst.disjunctive,
+            [(i, self.partner[i]) for i in inst.direct_successors])
+        self.acyclic = presolved is not None
+        if presolved:
+            reach, deep = reaches
+            disjunctive, added = presolved
+        else:
+            reach = deep = [0] * (k + 1)
+            disjunctive, added = inst.disjunctive, set()
+        # the rows the search works from: every hard edge is in succs
+        self.disjunctive = disjunctive
+        self.soft_atomic = [e for e in inst.soft_atomic if e not in added]
+        self.presolve_decided = len(inst.disjunctive) - len(disjunctive)
+        self.presolve_edges = len(added)
+        self.waiting = waiting = list(map(len, preds))  # hard predecessors unplaced
+        self.ready = {c for c in range(1, k + 1) if not waiting[c]}
+
         # the swap masks (see the class docstring): c < a and no hard chain
         # a -> c; below, a lone soft edge between a and c moves the bit, and
         # a disjunct joining them clears it
         swap = [0] + [(1 << a) - 2 & ~reach[a] for a in range(1, k + 1)]
+        # per pair, indexed by its lower end: 1 when a hard chain runs
+        # through a third job between its ends, so they are never adjacent
         self.separated = [0] + [
             (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
         ]
@@ -278,12 +325,12 @@ class SearchState:
         soft_pending = [0] * (k + 1)
         free = [0] * (k + 1)  # per job: bitset of its soft successors left unpacked
         n_floor = 0
-        for i, j in inst.soft_atomic:
+        for i, j in self.soft_atomic:
             if reach[j] >> i & 1:
                 n_floor += 1
             else:
                 free[i] |= 1 << j
-        for i, j in inst.soft_atomic:
+        for i, j in self.soft_atomic:
             if free[i] >> j & 1:
                 if free[j] >> i & 1:
                     free[i] ^= 1 << j
@@ -301,7 +348,7 @@ class SearchState:
         # edge left unpacked or a hard chain. Per job, the other two jobs
         # of each triangle through it.
         triangles_of: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
-        for i, j in inst.soft_atomic:
+        for i, j in self.soft_atomic:
             if free[i] >> j & 1:
                 for w in succs[j] + soft_after_of[j]:
                     if (reach[j] | free[j]) >> w & (reach[w] | free[w]) >> i & 1:
@@ -323,7 +370,7 @@ class SearchState:
         # per job c: each disjunct (before, c) it ends, with the other
         # disjunct (oa, oc) of its disjunction
         by_after: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
-        for a, c, oa, oc in inst.disjunctive:
+        for a, c, oa, oc in disjunctive:
             by_after[c].append((a, oa, oc))
             by_after[oc].append((oa, a, c))
             swap[a] &= ~(1 << c)
@@ -485,9 +532,12 @@ class SearchState:
         load at its position is the open pair count, and the oldest open
         pair stretches L. Such a child adds its ``soft_pending`` entry,
         which is never negative for a ready job, and k^3 when it opens a
-        pair that is not separated while its partner still waits on an
-        unplaced hard predecessor other than the child: the partner cannot
-        come next, so that pair is interrupted in every completion. A child
+        pair that is not separated while its partner cannot come next: it
+        still waits on an unplaced hard predecessor other than the child,
+        or, with the child's position set for a moment, fails the legality
+        test below. That pair is interrupted in every completion. Such a
+        child that carries a direct successor constraint is illegal, once
+        below ``cutoff``: its partner must come next. A child
         that closes a pair may lower the base: S when the pair was opened
         by the last job (adjacent ends), M when the open pairs set the
         load, L when it closes the oldest pair. A child at or above
@@ -552,6 +602,7 @@ class SearchState:
         by_after = self.by_after
         waiting = self.waiting
         may_wait = self.may_wait
+        direct = self.direct
         drops = 0
         priced = []  # bound, c
         for c in children:
@@ -564,8 +615,20 @@ class SearchState:
                 bound += soft[c]
             else:
                 bound = base + soft[c]
-                if waiting[w] > may_wait[c]:  # w cannot follow c
+                stuck = waiting[w] > may_wait[c]  # w waits on another hard predecessor
+                # may_wait[c] < k: the pair is not separated
+                if not stuck and by_after[w] and may_wait[c] < k:
+                    pos[c] = t1  # for a moment: would w be illegal right after c?
+                    for before, oa, oc in by_after[w]:
+                        if not pos[before] and (pos[oc] or oc == w) and (
+                                not pos[oa] or pos[oc] and pos[oc] < pos[oa]):
+                            stuck = True
+                            break
+                    pos[c] = 0
+                if stuck:  # w cannot follow c
                     bound += k3
+                    if direct[c] and bound < cutoff:
+                        continue  # c must have w right after it: illegal
             if bound >= cutoff:
                 drops += 1
             elif swap >> c & 1 and (q or not w):  # c opens no pair
@@ -604,6 +667,17 @@ class SearchState:
                 self.swap_drops += len(children) - len(kept)
                 frames[depth] = iter(kept)
 
+    def _kills(self, c: int) -> bool:
+        """True when placing c next kills a disjunction: the test that
+        ``extend_candidates`` runs inline on its children and on the
+        partner of a child that opens a pair."""
+        pos = self.pos
+        for before, oa, oc in self.by_after[c]:
+            if not pos[before] and (pos[oc] or oc == c) and (
+                    not pos[oa] or pos[oc] and pos[oc] < pos[oa]):
+                return True
+        return False
+
     # -- bounding ------------------------------------------------------------
 
     def lower_bound(self) -> int:
@@ -612,7 +686,8 @@ class SearchState:
         S counts closed pairs with a gap, open pairs, and separated pairs
         with no end placed yet. The last job's open pair is exempt only
         while its partner may still come next: the pair is not separated,
-        and the partner waits on no unplaced hard predecessor. N counts
+        and the partner waits on no unplaced hard predecessor and would
+        kill no disjunction. N counts
         the soft edges violated so far, the forced ones from the root on,
         and one future violation per live packed triangle.
         """
@@ -625,7 +700,8 @@ class SearchState:
             # open position
             if open_list[-1] == t:
                 last = self.prefix[-1]
-                if not (self.separated[self.pair_of[last]] or self.waiting[self.partner[last]]):
+                w = self.partner[last]
+                if not (self.separated[self.pair_of[last]] or self.waiting[w] or self._kills(w)):
                     s_c -= 1  # the last job's pair can still close adjacently
             if t - open_list[0] > l_c:
                 l_c = t - open_list[0]
@@ -675,11 +751,89 @@ def chain_reach(succs: Sequence[Sequence[int]],
     return reach, deep
 
 
+def _presolve(preds: list[list[int]], succs: list[list[int]], reach: list[int],
+              deep: list[int], disjunctive: Sequence[tuple[int, int, int, int]],
+              direct: Sequence[tuple[int, int]]):
+    """Decide what the hard reach decides, to a fixpoint; every rule keeps
+    the set of valid orders exactly.
+
+    * A disjunction with a hard chain for one of its disjuncts always
+      holds, and is dropped.
+    * A disjunct whose reverse chain exists never holds, so its
+      alternative becomes a hard edge and the disjunction is dropped.
+    * A direct successor on end i with partner j puts j right after i or
+      anywhere before it. Either way every other hard predecessor of j
+      comes before i, and every other hard successor of i after j: the
+      edges pred(j) - {i} -> i and j -> succ(i) - {j}.
+
+    ``preds``, ``succs``, ``reach`` and ``deep`` are those of
+    ``chain_reach`` and grow in place: each new edge u -> v ORs the reach
+    of v into u and every job that reaches u. ``direct`` lists the
+    (end, partner) of each direct successor constraint. Returns the
+    disjunctions left undecided and the set of edges added, or None when
+    an edge would close a cycle (both disjuncts of a disjunction die among
+    them): then no order is valid, and ``preds`` and ``succs`` are left
+    as they came.
+    """
+    n = len(preds)
+    added: set[tuple[int, int]] = set()
+
+    def no_order() -> None:
+        for u, v in added:
+            preds[v].remove(u)
+            succs[u].remove(v)
+        return None
+
+    def add(u: int, v: int) -> bool:
+        """Add the hard edge u -> v, not yet implied; False on a cycle."""
+        if reach[v] >> u & 1:
+            return False
+        preds[v].append(u)
+        succs[u].append(v)
+        added.add((u, v))
+        new = reach[v] | 1 << v
+        deep[u] |= reach[v]
+        for x in range(1, n):
+            if reach[x] >> u & 1:  # x -> ... -> u -> v: two edges or more
+                reach[x] |= new
+                deep[x] |= new
+        reach[u] |= new
+        return True
+
+    rows = disjunctive
+    while True:
+        count = len(added)
+        kept = []
+        for row in rows:
+            a, c, oa, oc = row
+            if reach[a] >> c & 1 or reach[oa] >> oc & 1:
+                continue  # a disjunct always holds
+            if reach[c] >> a & 1:  # (a, c) never holds
+                if not add(oa, oc):
+                    return no_order()
+            elif reach[oc] >> oa & 1:
+                if not add(a, c):
+                    return no_order()
+            else:
+                kept.append(row)
+        rows = kept
+        for i, j in direct:
+            for p in preds[j]:
+                if p != i and not reach[p] >> i & 1 and not add(p, i):
+                    return no_order()
+            for s in succs[i]:
+                if s != j and not reach[j] >> s & 1 and not add(j, s):
+                    return no_order()
+        if len(added) == count:
+            return rows, added
+
+
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact anytime solve; limits yield SUBOPTIMAL/UNSOLVED, never errors.
 
     UNSATISFIABLE is reported only after the whole tree is exhausted, or
-    up front when the hard precedences have no topological order.
+    up front when the hard precedences, with the edges the root presolve
+    adds, have no topological order.
     ``stats.nodes_expanded`` counts states whose candidate list was
     generated.
     """
@@ -782,7 +936,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
 
     def stats(proven: int | None) -> SolveStats:
         return SolveStats(nodes, elapsed_ms(), proven, tried + drops + swaps,
-                          loop_prunes + drops, swaps, cycle_prunes, leaves, max_depth)
+                          loop_prunes + drops, swaps, cycle_prunes, leaves, max_depth,
+                          state.presolve_decided, state.presolve_edges)
 
     if interrupted:
         found = ResultState.UNSOLVED if best is None else ResultState.SUBOPTIMAL

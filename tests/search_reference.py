@@ -12,10 +12,13 @@ the newest open pair first, then the most unplaced hard successors, ties
 by id alone), and ``chain_reach`` takes successor lists and in-degrees,
 returns the full hard reach as well, and returns None on a cycle.
 
-Neither reference has the soft-cycle N floor, the S charge for a pair
-opened while its partner waits on a hard predecessor, or the swap rule
-(X·a·c dropped where X·c·a does no worse). The tests hold them to the
-solver's own state with those set to zero: ``SwaplessSearchState``
+Neither reference has the root presolve, the soft-cycle N floor, the S
+charge for a pair opened while its partner cannot come next (it waits on
+a hard predecessor, or would kill a disjunction), or the swap rule
+(X·a·c dropped where X·c·a does no worse). ``presolved`` builds the rows
+the solver's state works from into an ``Instance``; on it the presolve
+finds nothing more, so the references run on it. The tests hold them to
+the solver's own state with the rest set to zero: ``SwaplessSearchState``
 without the swap rule, ``ChargelessSearchState`` without the charge as
 well, ``NFloorlessSearchState`` without the N floor on top,
 ``FloorlessSearchState`` without the separated-pair floor on top of that.
@@ -25,7 +28,8 @@ so two bounds can be compared on one order. ``RankFirstSearchState`` is
 the solver's state with the branch order from before the bound led it.
 
 ``legal`` is the solver's legality test from before ``extend_candidates``
-ran it inline. ``mandatory_disjuncts`` reads the disjuncts a prefix made
+ran it inline. ``scan_candidates`` finds the children of a node by
+testing every unplaced job. ``mandatory_disjuncts`` reads the disjuncts a prefix made
 mandatory off the positions alone. ``swap_probe`` is the swap rule's
 reference: it replays X·c·a next to X·a·c and compares what they
 committed.
@@ -41,6 +45,20 @@ from ctwkit.model import Instance
 from ctwkit.solver import SearchState, chain_reach
 
 
+def presolved(inst: Instance) -> Instance:
+    """The instance ``SearchState(inst)`` searches: its hard edges, soft
+    edges and disjunctions after the root presolve, and the same direct
+    successor constraints. ``inst`` itself when the state finds no valid
+    order, which the presolve does not finish."""
+    st = SearchState(inst)
+    if not st.acyclic:
+        return inst
+    return Instance(k=inst.k, b=inst.b,
+                    atomic=[(u, v) for u in range(1, inst.k + 1) for v in st.succs[u]],
+                    soft_atomic=st.soft_atomic, disjunctive=st.disjunctive,
+                    direct_successors=inst.direct_successors)
+
+
 class SwaplessSearchState(SearchState):
     """The solver's state without the swap rule: no job's mask lets a
     child go, with or without an incumbent."""
@@ -51,14 +69,16 @@ class SwaplessSearchState(SearchState):
 
 
 class ChargelessSearchState(SwaplessSearchState):
-    """The solver's state without the swap rule and the partner-waiting S
-    charge.
+    """The solver's state without the swap rule and the S charge for a
+    pair whose partner cannot come next.
 
     A pair that a child opens is exempt from S while the child is last
     unless it is separated, whether or not its partner still waits on an
-    unplaced hard predecessor: ``may_wait`` lets every partner wait on
-    up to k, and ``lower_bound`` is the solver's from before the charge,
-    verbatim.
+    unplaced hard predecessor or would kill a disjunction: ``may_wait``
+    lets every partner wait on up to k, which also turns off the
+    disjunction test and the drop of a direct successor end whose partner
+    cannot follow, and ``lower_bound`` is the solver's from before the
+    charge, verbatim.
     """
 
     def __init__(self, inst: Instance):
@@ -689,6 +709,54 @@ def legal(st: SearchState, c: int) -> bool:
     return True
 
 
+def scan_candidates(st: SearchState) -> list[int]:
+    """Reference: the children of a node, each unplaced job tested for
+    legality, O(k) per call, in the branch order of the bound after
+    placing it.
+
+    A job is placeable when it waits on no hard predecessor and ``legal``
+    holds. After a direct successor end whose partner is unplaced, the
+    partner is the only child. A direct successor end c that opens a pair
+    that is not separated is a child only when, with c placed, its
+    partner is placeable.
+    """
+    t = len(st.prefix)
+    if t == st.k:
+        return []
+    pos = st.pos
+    b = st.b
+
+    def placeable(c):
+        return not st.waiting[c] and legal(st, c)
+
+    def partner_follows(c):
+        w = st.partner[c]
+        if not st.direct[c] or pos[w] or st.separated[st.pair_of[c]]:
+            return True
+        st.place(c)
+        follows = placeable(w)
+        st.unplace()
+        return follows
+
+    if t:
+        last = st.prefix[-1]
+        if last in st.inst.direct_successors:
+            p = last + b if last <= b else last - b
+            if pos[p] == 0:
+                return [p] if placeable(p) else []
+    legal_jobs = [c for c in range(1, st.k + 1)
+                  if pos[c] == 0 and placeable(c) and partner_follows(c)]
+    legal_jobs.sort(key=lambda c: (bound_after_place(st, c), c))
+    return legal_jobs
+
+
+def bound_after_place(st: SearchState, c: int) -> int:
+    st.place(c)
+    bound = st.lower_bound()
+    st.unplace()
+    return bound
+
+
 def place_if_legal(st: SearchState, c: int) -> bool:
     """Place c when it may come next and closes no forced cycle: ready, no
     disjunction killed, and not pushed aside by a direct successor
@@ -755,9 +823,13 @@ def check_swaps_in_lockstep(inst: Instance, rng, moves: int) -> tuple[int, int, 
     the way ``drop_dominated`` must thin the lists priced without an
     incumbent on every node of the prefix to the lists priced with one.
 
+    The walk runs on ``presolved(inst)``, whose rows the probe reads the
+    mandatory disjuncts off.
+
     Returns (states compared, children dropped, children the probe would
     drop but the rule keeps).
     """
+    inst = presolved(inst)
     state, swapless = SearchState(inst), SwaplessSearchState(inst)
     compared = dropped = probe_only = 0
     priced = []  # per node on the prefix: its children with no cutoff, and with an incumbent

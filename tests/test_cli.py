@@ -424,6 +424,9 @@ def test_solve_json_reports_search_counters(five_dat, capsys):
         # the root
         "children_priced": 17, "bound_prunes": 5, "swap_prunes": 0, "cycle_prunes": 0,
         "leaves": 2, "max_depth": 5,
+        # the direct successor on 4 puts 2 before 4's successor 1, and that
+        # edge decides the disjunction (2 < 5 or 2 < 1)
+        "presolve_decided": 1, "presolve_edges": 1,
     }
 
 

@@ -8,15 +8,16 @@ per packed triangle while all of its jobs are unplaced. These tests check
 the packing, the upkeep against its definition, and admissibility against
 the oracle; ``tests/test_solver.py`` prices children and checks the bound
 against exhaustive completion on the same soft-heavy and MAS instances.
+The definitions read the rows of ``search_reference.presolved``, whose
+hard chains include the edges the root presolve adds.
 """
 
 import random
 
 from ctwkit import Instance, ResultState, SearchState, enumerate_solutions, solve
-from ctwkit.polycases import unsat_precheck
 
 from conftest import mas_instances, soft_heavy_instances
-from search_reference import replay
+from search_reference import presolved, replay
 from test_solver import floyd_warshall
 
 
@@ -90,10 +91,10 @@ def test_packing_is_soft_edge_disjoint_triangles():
     cases = [inst for inst, _ in soft_heavy_instances(rng, 150, max_k=12)]
     cases += mas_instances(rng, 60, 4, 14)
     digon_count = triangle_count = with_hard = forced_count = 0
-    for inst in cases:
-        if unsat_precheck(inst) is not None:
-            continue  # a hard cycle leaves no chain, so nothing is forced
+    for inst in map(presolved, cases):
         st = SearchState(inst)
+        if not st.acyclic:
+            continue  # no valid order leaves no chain, so nothing is forced
         reach = floyd_warshall(inst.k, inst.atomic)
         forced, digons = fixed_soft(inst)
         used = digons | {(j, i) for i, j in digons}
@@ -119,10 +120,10 @@ def test_floor_upkeep_matches_its_definition_on_reachable_states():
     cases = [inst for inst, _ in soft_heavy_instances(rng, 120, max_k=12)]
     cases += mas_instances(rng, 60, 6, 12)
     checked = 0
-    for inst in cases:
-        if unsat_precheck(inst) is not None:
-            continue  # the search never starts on a hard cycle
+    for inst in map(presolved, cases):
         st = SearchState(inst)
+        if not st.acyclic:
+            continue  # the search never starts without a valid order
         forced, digons = fixed_soft(inst)
         triangles = packed_triangles(st)
         for _ in range(4 * inst.k):

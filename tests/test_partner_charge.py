@@ -1,10 +1,11 @@
-"""The S charge for a pair opened while its partner waits on a hard
-predecessor.
+"""The S charge for a pair opened while its partner cannot come next.
 
 A pair that is not separated is exempt from S while the job that opened it
 is last, since its partner may come next. The partner cannot when it still
-waits on an unplaced hard predecessor other than that job: the pair is
-then interrupted in every completion and counts at once. These tests check
+waits on an unplaced hard predecessor other than that job, or when placing
+it right after that job would kill a disjunction: the pair is then
+interrupted in every completion and counts at once. A direct successor
+end whose partner cannot follow it is no child at all. These tests check
 hand cases, each charged child's price against ``lower_bound`` after
 ``place`` and against the oracle on pair-heavy instances;
 ``tests/test_search_dominance.py`` holds the search to the one without the
@@ -61,24 +62,48 @@ def test_a_separated_pair_is_not_counted_twice():
     assert solve(inst).best[1].objective == K3 + 9 + 3  # S = M = L = 1
 
 
-def test_a_direct_successor_end_is_charged():
-    # 1 carries a direct successor constraint, so 2 must follow it at once;
-    # while 2 waits on 3 that cannot happen, and the charge prices 1 out
+def test_a_direct_successor_end_waits_for_its_partners_predecessors():
+    # 1 carries a direct successor constraint, so 2 must follow it at once,
+    # or come before it: either way 3 comes before 1, and the presolve adds
+    # that edge, so 1 is no child before 3
     inst = Instance(k=3, b=1, atomic=[(3, 2)], direct_successors=[1])
-    assert SearchState(inst).extend_candidates() == [(0, 3), (K3, 1)]
-    st = replay(SearchState, inst, [1])
+    st = SearchState(inst)
+    assert st.presolve_edges == 1 and st.preds[1] == [3]
+    assert st.extend_candidates() == [(0, 3)]
+    st = replay(SearchState, inst, [1])  # out of order, as replay allows
     assert st.lower_bound() == K3
     assert st.extend_candidates() == []  # the forced partner is not ready
-    assert SearchState(inst).extend_candidates(K3) == [(0, 3)]
     res = solve(inst)
     assert res.best[0] == Permutation((3, 1, 2)) and res.best[1].objective == 0
+
+
+def test_a_partner_that_would_kill_a_disjunction_is_charged():
+    # "3 before 1 or 3 before 2": with 3 unplaced, whichever end opens the
+    # pair, its partner cannot come next, so either opener is charged
+    inst = Instance(k=3, b=1, disjunctive=[(3, 1, 3, 2)])
+    assert SearchState(inst).extend_candidates() == [(0, 3), (K3, 1), (K3, 2)]
+    assert replay(SearchState, inst, [1]).lower_bound() == K3
+    # once 3 is placed the disjunction holds, and the pair may close adjacently
+    assert replay(SearchState, inst, [3]).extend_candidates() == [(0, 1), (0, 2)]
+    assert replay(SearchState, inst, [3, 1]).lower_bound() == 0
+    # with a direct successor on 1, the opener 1 is a dead end: priced at
+    # the charge, it is a bound drop at or below K3 and illegal above
+    direct = Instance(k=3, b=1, disjunctive=[(3, 1, 3, 2)], direct_successors=[1])
+    st = SearchState(direct)
+    assert st.extend_candidates() == [(0, 3), (K3, 2)]
+    assert st.extend_candidates(K3) == [(0, 3)] and st.bound_drops == 2
+    assert st.extend_candidates(K3 + 1) == [(0, 3), (K3, 2)] and st.bound_drops == 2
+    for case in (inst, direct):
+        res = solve(case)
+        assert res.best[0] == Permutation((3, 1, 2)) and res.best[1].objective == 0
 
 
 def test_a_forced_partner_not_ready_counts_its_drops():
     # the forced partner prices at 0 after the opener, ready or not: at a
     # cutoff of 0 it is a bound drop, above that a swap drop when the swap
     # rule covers it (2 opened, 1 < 2) and no drop at all when not (1
-    # opened); it is never a child while it waits on 3
+    # opened); it is never a child while it waits on 3. The prefixes are
+    # replayed: in a search the presolve makes the opener wait on 3 too
     for inst, opener, swaps in ((Instance(k=3, b=1, atomic=[(3, 2)], direct_successors=[1]), 1, 0),
                                 (Instance(k=3, b=1, atomic=[(3, 1)], direct_successors=[2]), 2, 1)):
         st = replay(SearchState, inst, [opener])
@@ -102,12 +127,23 @@ def pair_heavy_instances(rng, count, max_k):
 
 
 def charged(st, c):
-    """True when c opens a pair whose partner still waits on an unplaced
-    hard predecessor other than c, read from the hard edges themselves."""
+    """True when c opens a pair whose partner could not come right after
+    it, read from the instance's rows themselves: the partner still waits
+    on an unplaced hard predecessor other than c, or a disjunction has
+    both disjuncts false once c and then the partner are placed."""
     w = st.partner[c]
     if not w or st.pos[w] or st.separated[st.pair_of[c]]:
         return False
-    return any(not st.pos[i] and i != c for i, j in st.inst.atomic if j == w)
+    if any(not st.pos[i] and i != c for i, j in st.inst.atomic if j == w):
+        return True
+    t = len(st.prefix)
+    pos = {**{j: st.pos[j] for j in st.prefix}, c: t + 1, w: t + 2}
+
+    def false(before, after):  # the disjunct fails once 'after' is placed
+        return after in pos and not pos.get(before, t + 3) < pos[after]
+
+    return any(false(*row[:2]) and false(*row[2:]) and w in row
+               for row in st.inst.disjunctive)
 
 
 def test_charged_child_bound_equals_bound_after_place():
@@ -144,7 +180,9 @@ def test_matches_oracle_where_the_charge_fires(monkeypatch):
     monkeypatch.setattr(ctwkit.solver, "SearchState", Watched)
     rng = random.Random(191)
     optimal = 0
-    for inst in pair_heavy_instances(rng, 300, max_k=8):
+    # 300 instances fired the charge 239 times once the presolve and the
+    # charge cut the nodes searched; 20 more keep the floor below
+    for inst in pair_heavy_instances(rng, 320, max_k=8):
         orc = enumerate_solutions(inst)
         res = solve(inst)
         if orc.valid_count == 0:

@@ -46,7 +46,7 @@ from ctwkit.reduction import mas_to_ctw
 from search_reference import (ChargelessSearchState, FloorlessReferenceState,
                               FloorlessSearchState, NFloorlessSearchState,
                               SwaplessSearchState, check_pricing_in_lockstep,
-                              id_tie_order, replay)
+                              id_tie_order, presolved, replay)
 from test_search_golden import (ANYTIME_NODE_LIMIT, anytime_cases,
                                 exact_cases)
 from test_solver import pricing_cases
@@ -208,7 +208,7 @@ def test_floorless_reference_keeps_the_previous_bound(five_job, prefix, bound):
 def test_floorless_state_prices_like_the_floorless_reference():
     rng = random.Random(139)
     compared = 0
-    for inst in pricing_cases(rng):
+    for inst in map(presolved, pricing_cases(rng)):
         compared += check_pricing_in_lockstep(FloorlessSearchState(inst),
                                               FloorlessReferenceState(inst),
                                               rng, moves=3 * inst.k)

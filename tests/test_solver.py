@@ -26,8 +26,8 @@ from conftest import (general_disjunction_instances, mas_instances, random_insta
                       soft_heavy_instances)
 from test_search_golden import ANYTIME_NODE_LIMIT, anytime_cases, digest_cases, exact_cases
 from search_reference import (NFloorlessSearchState, ReferenceSearchState,
-                              SwaplessSearchState, check_pricing_in_lockstep, legal,
-                              mandatory_disjuncts, replay)
+                              SwaplessSearchState, check_pricing_in_lockstep,
+                              mandatory_disjuncts, presolved, replay, scan_candidates)
 
 ALL_MODES = (GenMode.SATISFIABLE, GenMode.UNSATISFIABLE, GenMode.ATOMIC_ONLY,
              GenMode.DS_ONLY)
@@ -259,11 +259,13 @@ def test_separated_pairs_match_chains_and_are_never_adjacent():
     exhausted = 0
     apart = 0
     for inst, _ in cases:
-        k, b = inst.k, inst.b
-        reach = floyd_warshall(k, inst.atomic)
-        if any(reach[v][v] for v in range(1, k + 1)):
+        if not SearchState(inst).acyclic:
             continue  # no valid order; the floor is not built for cycles
         sep = SearchState(inst).separated
+        # the chains are those of the edges the presolve adds too
+        inst = presolved(inst)
+        k, b = inst.k, inst.b
+        reach = floyd_warshall(k, inst.atomic)
         for p in range(1, b + 1):
             chained = any(reach[u][x] and reach[x][w]
                           for u, w in ((p, p + b), (p + b, p))
@@ -322,35 +324,6 @@ def full_scan_forced_cycle(st):
             if indeg[w] == 0:
                 ready.append(w)
     return done < len(involved)
-
-
-def scan_candidates(st):
-    """Reference: every unplaced job tested for legality, O(k) per call."""
-    t = len(st.prefix)
-    if t == st.k:
-        return []
-    pos = st.pos
-    b = st.b
-
-    def placeable(c):
-        return not st.waiting[c] and legal(st, c)
-
-    if t:
-        last = st.prefix[-1]
-        if last in st.inst.direct_successors:
-            p = last + b if last <= b else last - b
-            if pos[p] == 0:
-                return [p] if placeable(p) else []
-    legal_jobs = [c for c in range(1, st.k + 1) if pos[c] == 0 and placeable(c)]
-    legal_jobs.sort(key=lambda c: (bound_after_place(st, c), c))
-    return legal_jobs
-
-
-def bound_after_place(st, c):
-    st.place(c)
-    bound = st.lower_bound()
-    st.unplace()
-    return bound
 
 
 def random_instances(seed, count, max_k=9):
@@ -415,7 +388,7 @@ def test_extend_candidates_prices_like_the_reference():
     # reference predates the N floor, so the state runs with it zeroed
     rng = random.Random(131)
     compared = 0
-    for inst in pricing_cases(rng):
+    for inst in map(presolved, pricing_cases(rng)):
         compared += check_pricing_in_lockstep(NFloorlessSearchState(inst),
                                               ReferenceSearchState(inst),
                                               rng, moves=3 * inst.k)
@@ -425,7 +398,7 @@ def test_extend_candidates_prices_like_the_reference():
 def test_open_list_tracks_open_positions():
     rng = random.Random(137)
     checked = 0
-    for inst in pricing_cases(rng):
+    for inst in map(presolved, pricing_cases(rng)):
         st = SearchState(inst)
         ref = ReferenceSearchState(inst)
         for _ in range(4 * inst.k):
@@ -469,8 +442,9 @@ def forced_cycle_walk(inst, max_visits):
     """Depth-first over the cycle-free states of ``inst``, as the search
     walks them, for at most ``max_visits`` placements. Each placement that
     makes a disjunct mandatory has ``forced_cycle`` checked against
-    ``full_scan_forced_cycle``. Returns (checks, cycles found)."""
-    st = SearchState(inst)
+    ``full_scan_forced_cycle``, which reads the hard edges and mandatory
+    disjuncts off the presolved rows. Returns (checks, cycles found)."""
+    st = SearchState(presolved(inst))
     checks = hits = visited = 0
     stack = [iter(st.extend_candidates())]
     while stack and visited < max_visits:
@@ -497,7 +471,9 @@ def test_forced_cycle_matches_full_scan():
     checks = 0
     hits = 0
     rng = random.Random(101)
-    for trial in range(80):
+    # the presolve turns many disjunctions into hard edges, so fewer
+    # placements make a disjunct mandatory than the trial count suggests
+    for trial in range(120):
         # disjunctions only come with pairs; dense ones force many survivors
         b = rng.randint(1, 4)
         inst = generate(GenParams(b=b, n=rng.randint(0, 9 - 2 * b),
@@ -505,8 +481,8 @@ def test_forced_cycle_matches_full_scan():
                                   p_disjunctive=rng.choice((0.3, 0.6)),
                                   ds_count=rng.randint(0, b), seed=trial,
                                   mode=ALL_MODES[trial % 2]))
-        if full_scan_forced_cycle(SearchState(inst)):
-            continue  # a hard cycle: the precheck stops such instances
+        if not SearchState(inst).acyclic:
+            continue  # no valid order: solve stops such instances at the root
         found = forced_cycle_walk(inst, 400)
         checks += found[0]
         hits += found[1]
