@@ -619,11 +619,7 @@ class SearchState:
                 # may_wait[c] < k: the pair is not separated
                 if not stuck and by_after[w] and may_wait[c] < k:
                     pos[c] = t1  # for a moment: would w be illegal right after c?
-                    for before, oa, oc in by_after[w]:
-                        if not pos[before] and (pos[oc] or oc == w) and (
-                                not pos[oa] or pos[oc] and pos[oc] < pos[oa]):
-                            stuck = True
-                            break
+                    stuck = self._kills(w)
                     pos[c] = 0
                 if stuck:  # w cannot follow c
                     bound += k3
@@ -669,8 +665,8 @@ class SearchState:
 
     def _kills(self, c: int) -> bool:
         """True when placing c next kills a disjunction: the test that
-        ``extend_candidates`` runs inline on its children and on the
-        partner of a child that opens a pair."""
+        ``extend_candidates`` runs inline on its children, and through this
+        method on the partner of a child that opens a pair."""
         pos = self.pos
         for before, oa, oc in self.by_after[c]:
             if not pos[before] and (pos[oc] or oc == c) and (
@@ -753,7 +749,8 @@ def chain_reach(succs: Sequence[Sequence[int]],
 
 def _presolve(preds: list[list[int]], succs: list[list[int]], reach: list[int],
               deep: list[int], disjunctive: Sequence[tuple[int, int, int, int]],
-              direct: Sequence[tuple[int, int]]):
+              direct: Sequence[tuple[int, int]]
+              ) -> tuple[list[tuple[int, int, int, int]], set[tuple[int, int]]] | None:
     """Decide what the hard reach decides, to a fixpoint; every rule keeps
     the set of valid orders exactly.
 
