@@ -86,16 +86,26 @@ def test_a_partner_that_would_kill_a_disjunction_is_charged():
     # once 3 is placed the disjunction holds, and the pair may close adjacently
     assert replay(SearchState, inst, [3]).extend_candidates() == [(0, 1), (0, 2)]
     assert replay(SearchState, inst, [3, 1]).lower_bound() == 0
-    # with a direct successor on 1, the opener 1 is a dead end: priced at
-    # the charge, it is a bound drop at or below K3 and illegal above
+    res = solve(inst)
+    assert res.best[0] == Permutation((3, 1, 2)) and res.best[1].objective == 0
+
+
+def test_a_direct_successor_end_is_charged():
+    # 1 carries a direct successor constraint, so 2 must follow it at once;
+    # while 3 is unplaced that would kill "3 before 1 or 3 before 2", which
+    # the presolve leaves open, so the opener 1 is a dead end: priced at the
+    # charge, it is a bound drop at or below K3 and illegal above
     direct = Instance(k=3, b=1, disjunctive=[(3, 1, 3, 2)], direct_successors=[1])
     st = SearchState(direct)
+    assert st.presolve_edges == 0 and st.disjunctive == [(3, 1, 3, 2)]
     assert st.extend_candidates() == [(0, 3), (K3, 2)]
     assert st.extend_candidates(K3) == [(0, 3)] and st.bound_drops == 2
     assert st.extend_candidates(K3 + 1) == [(0, 3), (K3, 2)] and st.bound_drops == 2
-    for case in (inst, direct):
-        res = solve(case)
-        assert res.best[0] == Permutation((3, 1, 2)) and res.best[1].objective == 0
+    st = replay(SearchState, direct, [1])  # out of order, as replay allows
+    assert st.lower_bound() == K3
+    assert st.extend_candidates() == []  # the forced partner is not ready
+    res = solve(direct)
+    assert res.best[0] == Permutation((3, 1, 2)) and res.best[1].objective == 0
 
 
 def test_a_forced_partner_not_ready_counts_its_drops():
