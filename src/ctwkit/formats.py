@@ -504,8 +504,7 @@ def _expect_int(value, path: str) -> int:
 def _expect_set(value, path: str, arity: int) -> tuple:
     """A constraint set: rows of ``arity`` integers, or integers when it is 1."""
     if not isinstance(value, list):
-        found = f", found {type(value).__name__}" if arity > 1 else ""
-        raise SchemaError(f"expected a list{found}", path)
+        raise SchemaError(f"expected a list, found {type(value).__name__}", path)
     if arity == 1:
         return tuple(_expect_int(v, f"{path}[{i}]") for i, v in enumerate(value))
     rows = []

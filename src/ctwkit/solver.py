@@ -202,17 +202,19 @@ class SearchState:
     child in one loop from these values without placing anything.
 
     The state works from the rows the root presolve (``_presolve``, see
-    the module docstring) leaves: ``preds``, ``succs`` and the reach hold
-    the edges it added, ``disjunctive`` the disjunctions it left undecided
-    and ``soft_atomic`` the soft edges it kept; ``inst`` stays the caller's
-    instance. The presolve runs once over ``chain_reach``'s reach and
-    updates it in place for each edge it adds.
+    the module docstring) leaves: ``preds``, ``succs`` and the hard reach
+    hold the edges it added, ``disjunctive`` the disjunctions it left
+    undecided and ``soft_atomic`` the soft edges it kept; ``inst`` stays
+    the caller's instance. The presolve builds the one hard reach the
+    state reads and keeps it up to date for each edge it adds. Both ends
+    c of a separated pair have ``separated[c]`` 1: a hard successor of
+    one end reaches the other.
 
     ``swap[a]`` is a static bitset per job a of the jobs c for which
     X·c·a does no worse than X·a·c, whenever c opens no pair and a closed
     none: no hard chain a -> c, no disjunct joining a and c, and a soft
     c -> a without a soft a -> c, or the soft edges the same both ways and
-    c < a. It is built once from ``chain_reach`` and one pass over the
+    c < a. It is built once from the hard reach and one pass over the
     soft and disjunctive constraints; an instance with a hard cycle gets
     none.
 
@@ -255,10 +257,8 @@ class SearchState:
         self.b = b
         self.pos = [0] * (k + 1)  # entry 0 stays 0: the partner of a one-sided job
         self.prefix: list[int] = []
-        # per job: its pair (numbered by the lower end) and the pair's other
-        # end; 0 for one-sided jobs
+        # per job: the other end of its pair; 0 for one-sided jobs
         ends = range(1, 2 * b + 1)
-        self.pair_of = [0] + [c if c <= b else c - b for c in ends] + [0] * (k - 2 * b)
         self.partner = [0] + [c + b if c <= b else c - b for c in ends] + [0] * (k - 2 * b)
         # above every bound: S, M <= b and L < k, so the objective is below
         # k^4 + k^3 + k^2 + the number of soft constraints
@@ -272,22 +272,14 @@ class SearchState:
         direct = set(inst.direct_successors)
         self.direct = [i in direct for i in range(k + 1)]
 
-        # the hard reach, and the root presolve over it, which adds the
-        # edges it finds to preds, succs and the reach in place. A hard
-        # cycle, or a disjunction whose disjuncts both die, leaves no valid
-        # order: ``solve`` stops on ``acyclic`` before the search, and the
-        # floors are built over empty reach.
-        reaches = chain_reach(succs, list(map(len, preds)))
-        presolved = reaches and _presolve(
-            preds, succs, *reaches, inst.disjunctive,
-            [(i, self.partner[i]) for i in inst.direct_successors])
+        # the hard reach, built by the root presolve with the edges it adds
+        # to preds and succs. A hard cycle, or a disjunction whose disjuncts
+        # both die, leaves no valid order: ``solve`` stops on ``acyclic``
+        # before the search, and the floors are built over an empty reach.
+        presolved = _presolve(preds, succs, inst.disjunctive,
+                              [(i, self.partner[i]) for i in inst.direct_successors])
         self.acyclic = presolved is not None
-        if presolved:
-            reach, deep = reaches
-            disjunctive, added = presolved
-        else:
-            reach = deep = [0] * (k + 1)
-            disjunctive, added = inst.disjunctive, set()
+        reach, disjunctive, added = presolved or ([0] * (k + 1), inst.disjunctive, ())
         # the rows the search works from: every hard edge is in succs
         self.disjunctive = disjunctive
         self.soft_atomic = [e for e in inst.soft_atomic if e not in added]
@@ -300,12 +292,7 @@ class SearchState:
         # a -> c; below, a lone soft edge between a and c moves the bit, and
         # a disjunct joining them clears it
         swap = [0] + [(1 << a) - 2 & ~reach[a] for a in range(1, k + 1)]
-        # per pair, indexed by its lower end: 1 when a hard chain runs
-        # through a third job between its ends, so they are never adjacent
-        self.separated = [0] + [
-            (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
-        ]
-        self.sep_unplaced = sum(self.separated)  # separated pairs, no end placed
+        self.separated = separated = [0] * (k + 1)  # per job (class docstring)
         # per job c: how many hard predecessors its partner w may still
         # wait on when c opens the pair, for w to follow c directly: 1 when
         # c is one of them, else 0. A child that opens its pair with w
@@ -314,8 +301,12 @@ class SearchState:
         # the root; one-sided jobs have w = 0, which waits on nothing.
         self.may_wait = may_wait = [0] * (k + 1)
         for p in range(1, b + 1):
-            for c, w in ((p, p + b), (p + b, p)):
-                may_wait[c] = k if self.separated[p] else int(w in succs[c])
+            pair = (p, p + b), (p + b, p)
+            if any(reach[x] >> w & 1 for c, w in pair for x in succs[c]):
+                separated[p] = separated[p + b] = 1
+            for c, w in pair:
+                may_wait[c] = k if separated[c] else int(w in succs[c])
+        self.sep_unplaced = sum(separated) // 2  # separated pairs, no end placed
 
         # soft edges that every valid order violates a fixed number of times
         # count from the root on: one against a hard chain (j -> ... -> i
@@ -415,7 +406,7 @@ class SearchState:
                 self.closed_l = t1 - q - 1
         elif other_end:
             open_list.append(t1)
-            self.sep_unplaced -= self.separated[self.pair_of[c]]
+            self.sep_unplaced -= self.separated[c]
         if spans_here > self.m_committed:
             self.m_committed = spans_here
         soft_pending = self.soft_pending
@@ -470,7 +461,7 @@ class SearchState:
             insort(self.open_list, q)
         elif other_end:
             self.open_list.pop()
-            self.sep_unplaced += self.separated[self.pair_of[c]]
+            self.sep_unplaced += self.separated[c]
 
     def forced_cycle(self) -> bool:
         """True when mandatory precedences over the unplaced jobs conflict.
@@ -697,7 +688,7 @@ class SearchState:
             if open_list[-1] == t:
                 last = self.prefix[-1]
                 w = self.partner[last]
-                if not (self.separated[self.pair_of[last]] or self.waiting[w] or self._kills(w)):
+                if not (self.separated[last] or self.waiting[w] or self._kills(w)):
                     s_c -= 1  # the last job's pair can still close adjacently
             if t - open_list[0] > l_c:
                 l_c = t - open_list[0]
@@ -705,22 +696,19 @@ class SearchState:
         return k * (k * (k * s_c + self.m_committed) + l_c) + self.n_committed
 
 
-def chain_reach(succs: Sequence[Sequence[int]],
-                indeg: Sequence[int]) -> tuple[list[int], list[int]] | None:
-    """Per job v, the jobs at the end of a path from v: ``(reach, deep)``,
-    or None when the graph has a cycle.
+def chain_reach(succs: Sequence[Sequence[int]], indeg: Sequence[int]) -> list[int] | None:
+    """Per job v, the jobs at the end of a path from v, or None when the
+    graph has a cycle.
 
     ``succs[v]`` lists the heads of v's edges and ``indeg[v]`` counts the
     edges into v, for jobs 1..k (index 0 unused, as in ``SearchState``).
     Entries are bitsets over jobs 1..k. Bit w of ``reach[v]`` is set when
     some path v -> ... -> w of one or more edges exists, so every order
-    that keeps the edges puts v before w. Bit w of ``deep[v]`` is set when
-    some such path has two or more edges, v -> x -> ... -> w, so such an
-    order also puts a third job x between them. Built over a topological
-    order, found by a Kahn stack and walked backwards, so ``reach[w]`` (the
-    jobs strictly after w) is complete before any predecessor of w is
-    visited. A graph with a cycle has no such order, and an instance with
-    a hard cycle has no valid order.
+    that keeps the edges puts v before w. Built over a topological order,
+    found by a Kahn stack and walked backwards, so ``reach[w]`` (the jobs
+    strictly after w) is complete before any predecessor of w is visited.
+    A graph with a cycle has no such order, and an instance with a hard
+    cycle has no valid order.
     """
     n = len(indeg)
     waiting = list(indeg)  # per job: its predecessors not yet in the order
@@ -736,23 +724,20 @@ def chain_reach(succs: Sequence[Sequence[int]],
     if len(order) < n - 1:
         return None
     reach = [0] * n
-    deep = [0] * n
     for v in reversed(order):
-        d = r = 0
+        r = 0
         for w in succs[v]:
-            d |= reach[w]
-            r |= 1 << w
-        deep[v] = d
-        reach[v] = r | d
-    return reach, deep
+            r |= reach[w] | 1 << w
+        reach[v] = r
+    return reach
 
 
-def _presolve(preds: list[list[int]], succs: list[list[int]], reach: list[int],
-              deep: list[int], disjunctive: Sequence[tuple[int, int, int, int]],
+def _presolve(preds: list[list[int]], succs: list[list[int]],
+              disjunctive: Sequence[tuple[int, int, int, int]],
               direct: Sequence[tuple[int, int]]
-              ) -> tuple[list[tuple[int, int, int, int]], set[tuple[int, int]]] | None:
-    """Decide what the hard reach decides, to a fixpoint; every rule keeps
-    the set of valid orders exactly.
+              ) -> tuple[list[int], list[tuple[int, int, int, int]], set[tuple[int, int]]] | None:
+    """Build the hard reach and apply what it decides, to a fixpoint;
+    every rule keeps the set of valid orders exactly.
 
     * A disjunction with a hard chain for one of its disjuncts always
       holds, and is dropped.
@@ -763,15 +748,18 @@ def _presolve(preds: list[list[int]], succs: list[list[int]], reach: list[int],
       comes before i, and every other hard successor of i after j: the
       edges pred(j) - {i} -> i and j -> succ(i) - {j}.
 
-    ``preds``, ``succs``, ``reach`` and ``deep`` are those of
-    ``chain_reach`` and grow in place: each new edge u -> v ORs the reach
-    of v into u and every job that reaches u. ``direct`` lists the
-    (end, partner) of each direct successor constraint. Returns the
-    disjunctions left undecided and the set of edges added, or None when
-    an edge would close a cycle (both disjuncts of a disjunction die among
-    them): then no order is valid, and ``preds`` and ``succs`` are left
-    as they came.
+    The reach is ``chain_reach``'s, and grows with ``preds`` and ``succs``
+    in place: each new edge u -> v ORs the reach of v, and v, into u and
+    every job that reaches u. ``direct`` lists the (end, partner) of each
+    direct successor constraint. Returns the reach, the disjunctions left
+    undecided and the set of edges added, or None when the hard edges have
+    a cycle or an added edge would close one (both disjuncts of a
+    disjunction die among them): then no order is valid, and ``preds``
+    and ``succs`` are left as they came.
     """
+    reach = chain_reach(succs, list(map(len, preds)))
+    if reach is None:
+        return None
     n = len(preds)
     added: set[tuple[int, int]] = set()
 
@@ -789,11 +777,9 @@ def _presolve(preds: list[list[int]], succs: list[list[int]], reach: list[int],
         succs[u].append(v)
         added.add((u, v))
         new = reach[v] | 1 << v
-        deep[u] |= reach[v]
         for x in range(1, n):
-            if reach[x] >> u & 1:  # x -> ... -> u -> v: two edges or more
+            if reach[x] >> u & 1:
                 reach[x] |= new
-                deep[x] |= new
         reach[u] |= new
         return True
 
@@ -822,7 +808,7 @@ def _presolve(preds: list[list[int]], succs: list[list[int]], reach: list[int],
                 if s != j and not reach[j] >> s & 1 and not add(j, s):
                     return no_order()
         if len(added) == count:
-            return rows, added
+            return reach, rows, added
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:

@@ -10,7 +10,8 @@ since, both outside the bound: the branch order is the lower
 ``child_bound`` first, ties by the lower id (it was the unplaced end of
 the newest open pair first, then the most unplaced hard successors, ties
 by id alone), and ``chain_reach`` takes successor lists and in-degrees,
-returns the full hard reach as well, and returns None on a cycle.
+returns the full hard reach, which the reference ORs over each job's hard
+successors for the chains through a third job, and returns None on a cycle.
 
 Neither reference has the root presolve, the soft-cycle N floor, the S
 charge for a pair opened while its partner cannot come next (it waits on
@@ -101,7 +102,7 @@ class ChargelessSearchState(SwaplessSearchState):
         if open_list:
             # the last job opened a pair exactly when it sits at the newest
             # open position
-            if open_list[-1] == t and not self.separated[self.pair_of[self.prefix[-1]]]:
+            if open_list[-1] == t and not self.separated[self.prefix[-1]]:
                 s_c -= 1  # the last job's pair can still close adjacently
             if t - open_list[0] > l_c:
                 l_c = t - open_list[0]
@@ -144,7 +145,7 @@ class FloorlessSearchState(NFloorlessSearchState):
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
-        self.separated = [0] * (inst.b + 1)
+        self.separated = [0] * (inst.k + 1)
         self.sep_unplaced = 0
 
 
@@ -270,9 +271,13 @@ class ReferenceSearchState:
             soft_before_of[j].append(i)
         self.soft_before_of = soft_before_of
 
+        reach = chain_reach(succs, self.npreds) or [0] * (k + 1)
+        deep = [0] * (k + 1)  # per job: the jobs a chain of two or more edges reaches
+        for v in range(1, k + 1):
+            for x in succs[v]:
+                deep[v] |= reach[x]
         # per pair, indexed by its lower end: 1 when a hard chain runs
         # through a third job between its ends, so they are never adjacent
-        _, deep = chain_reach(succs, self.npreds) or (None, [0] * (k + 1))
         self.separated = [0] + [
             (deep[p] >> (p + b) | deep[p + b] >> p) & 1 for p in range(1, b + 1)
         ]
@@ -686,7 +691,8 @@ def committed(st: SearchState) -> tuple:
     and N so far, the position of each open pair's placed end, and the
     mandatory disjuncts over unplaced jobs."""
     pos = st.pos
-    opened = {st.pair_of[j]: pos[j] for j in st.prefix if st.partner[j] and not pos[st.partner[j]]}
+    opened = {min(j, st.partner[j]): pos[j]
+              for j in st.prefix if st.partner[j] and not pos[st.partner[j]]}
     mandatory = mandatory_disjuncts(st)
     return (st.closed_s, st.m_committed, st.closed_l, st.n_committed), opened, mandatory
 
@@ -731,7 +737,7 @@ def scan_candidates(st: SearchState) -> list[int]:
 
     def partner_follows(c):
         w = st.partner[c]
-        if not st.direct[c] or pos[w] or st.separated[st.pair_of[c]]:
+        if not st.direct[c] or pos[w] or st.separated[c]:
             return True
         st.place(c)
         follows = placeable(w)

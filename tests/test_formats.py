@@ -403,7 +403,7 @@ def _json_doc(**changes) -> str:
     (_json_doc(atomic=[[1, 3], [1, 2, 3]]), "expected a list of 2 integers", "$.atomic[1]"),
     (_json_doc(disjunctive=[[3, 1, 3]]), "expected a list of 4 integers", "$.disjunctive[0]"),
     (_json_doc(atomic=[7]), "expected a list of 2 integers", "$.atomic[0]"),
-    (_json_doc(direct_successors=1), "expected a list", "$.direct_successors"),
+    (_json_doc(direct_successors=1), "expected a list, found int", "$.direct_successors"),
 ], ids=["array", "format", "version-true", "version-float", "version-string", "version-2",
         "rows-not-a-list", "row-too-wide", "row-too-narrow", "row-not-a-list",
         "successors-not-a-list"])

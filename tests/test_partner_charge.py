@@ -55,7 +55,7 @@ def test_a_separated_pair_is_not_counted_twice():
     # root, and opening it while 2 waits on 3 adds nothing
     inst = Instance(k=3, b=1, atomic=[(1, 3), (3, 2)])
     st = SearchState(inst)
-    assert st.separated == [0, 1] and st.may_wait == [0, 3, 3, 0]
+    assert st.separated == [0, 1, 1, 0] and st.may_wait == [0, 3, 3, 0]
     assert st.lower_bound() == K3
     assert st.extend_candidates() == [(K3, 1)]
     assert replay(SearchState, inst, [1]).lower_bound() == K3
@@ -142,7 +142,7 @@ def charged(st, c):
     on an unplaced hard predecessor other than c, or a disjunction has
     both disjuncts false once c and then the partner are placed."""
     w = st.partner[c]
-    if not w or st.pos[w] or st.separated[st.pair_of[c]]:
+    if not w or st.pos[w] or st.separated[c]:
         return False
     if any(not st.pos[i] and i != c for i, j in st.inst.atomic if j == w):
         return True
